@@ -341,6 +341,9 @@ func TestClusterParseSpecStrict(t *testing.T) {
 	for _, bad := range []string{
 		`{"version":"chaos-topology/v1","name":"dc","grid":{"rows":1,"racksPerRow":1}}`, // unknown field casing
 		good + `{"more":true}`, // trailing document
+		good + `}`,             // trailing close brace
+		good + `]`,             // trailing close bracket
+		good + ` garbage`,      // trailing garbage
 		`{`,                    // truncated
 	} {
 		if _, err := ParseSpec([]byte(bad)); err == nil {
@@ -358,6 +361,9 @@ func FuzzClusterTopology(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{"version":"chaos-topology/v1","name":"dc","tree":{"name":"r","machines":[{"id":"a","platform":"Atom"},{"id":"a","platform":"Atom"}]}}`))
 	f.Add([]byte(`{"version":"chaos-topology/v1","name":"dc","tree":{"name":"r","children":[{"name":"c"}]}}`))
+	for _, tail := range []string{`}`, `]`, `{}`, ` garbage`} {
+		f.Add([]byte(fmt.Sprintf(`{"version":%q,"name":"dc","seed":7,"tree":{"name":"rack","machines":[{"id":"m1","platform":"Atom"}]}}`, SpecVersion) + tail))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/mathx"
 	"repro/internal/sim"
@@ -87,8 +88,9 @@ type MachineSpec struct {
 	Profile string `json:"profile,omitempty"`
 }
 
-// ParseSpec decodes and validates a topology document. Unknown fields are
-// rejected so typos fail loudly instead of silently shrinking a fleet.
+// ParseSpec decodes and validates a topology document. Unknown fields and
+// trailing data are rejected so typos fail loudly instead of silently
+// shrinking a fleet.
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -96,7 +98,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("cluster: parsing topology: %w", err)
 	}
-	if dec.More() {
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return nil, fmt.Errorf("cluster: trailing data after topology document")
 	}
 	if err := s.Validate(); err != nil {

@@ -5,20 +5,23 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // TestOverloadBreakerHalfOpenSingleProbe locks in the half-open contract
-// under concurrency: once the cooldown elapses, exactly one caller wins
-// the probe slot until that probe's Success or Failure settles the state.
-// Many goroutines hammer Allow at the same fake instant; only one may
-// pass per probe cycle.
+// of the per-peer faults.Breaker under concurrency, as the scatter path
+// drives it: once the cooldown elapses, exactly one caller wins the probe
+// slot until that probe's Success or Failure settles the state. Many
+// goroutines hammer Allow at the same fake instant; only one may pass per
+// probe cycle.
 func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 	var clock atomic.Int64 // unix nanos, shared fake clock
 	now := func() time.Time { return time.Unix(0, clock.Load()) }
-	b := NewBreaker(1, time.Second, now)
-	b.Failure() // trip it: open, probe at t=1s
+	b := faults.NewBreaker(1, time.Second)
+	b.Failure(now()) // trip it: open, probe at t=1s
 	clock.Store(int64(2 * time.Second))
-	if got := b.State(); got != "half-open" {
+	if got := b.State(now()); got != "half-open" {
 		t.Fatalf("state after cooldown = %q, want half-open", got)
 	}
 
@@ -31,7 +34,7 @@ func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if b.Allow() {
+			if b.Allow(now()) {
 				admitted.Add(1)
 			}
 		}()
@@ -44,8 +47,8 @@ func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 
 	// A failed probe re-arms the cooldown: nobody gets in before it ends,
 	// exactly one probe after.
-	b.Failure()
-	if b.Allow() {
+	b.Failure(now())
+	if b.Allow(now()) {
 		t.Fatal("breaker admitted a call during the re-armed cooldown")
 	}
 	clock.Store(int64(4 * time.Second))
@@ -57,7 +60,7 @@ func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 		go func() {
 			defer wg2.Done()
 			<-start2
-			if b.Allow() {
+			if b.Allow(now()) {
 				admitted.Add(1)
 			}
 		}()
@@ -70,8 +73,8 @@ func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 
 	// A successful probe closes the breaker for everyone.
 	b.Success()
-	if !b.Allow() || b.State() != "closed" {
-		t.Fatalf("breaker did not close after a successful probe (state %q)", b.State())
+	if !b.Allow(now()) || b.State(now()) != "closed" {
+		t.Fatalf("breaker did not close after a successful probe (state %q)", b.State(now()))
 	}
 }
 
@@ -82,7 +85,7 @@ func TestOverloadBreakerHalfOpenSingleProbe(t *testing.T) {
 func TestOverloadBreakerConcurrentTransitions(t *testing.T) {
 	var clock atomic.Int64
 	now := func() time.Time { return time.Unix(0, clock.Load()) }
-	b := NewBreaker(3, 50*time.Millisecond, now)
+	b := faults.NewBreaker(3, 50*time.Millisecond)
 
 	const goroutines = 8
 	const opsEach = 2000
@@ -93,16 +96,16 @@ func TestOverloadBreakerConcurrentTransitions(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsEach; i++ {
 				clock.Add(int64(time.Millisecond))
-				if b.Allow() {
+				if b.Allow(now()) {
 					// Mixed outcomes keep the state machine cycling
 					// through closed → open → half-open → closed.
 					if (g+i)%3 == 0 {
-						b.Failure()
+						b.Failure(now())
 					} else {
 						b.Success()
 					}
 				}
-				switch s := b.State(); s {
+				switch s := b.State(now()); s {
 				case "closed", "open", "half-open":
 				default:
 					t.Errorf("illegal breaker state %q", s)
@@ -115,7 +118,7 @@ func TestOverloadBreakerConcurrentTransitions(t *testing.T) {
 
 	// Settle: one success must always yield a closed, admitting breaker.
 	b.Success()
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatalf("breaker not closed after final success (state %q)", b.State())
+	if b.State(now()) != "closed" || !b.Allow(now()) {
+		t.Fatalf("breaker not closed after final success (state %q)", b.State(now()))
 	}
 }

@@ -87,21 +87,12 @@ func NewPartition(self string, peers []Peer) (*Partition, error) {
 }
 
 // score is the rendezvous weight of machine on peer: a splitmix64
-// scramble of a seed derived from both names. DeriveSeed alone is a weak
-// (fnv-based) mix; one splitmix64 step decorrelates adjacent inputs, the
-// same discipline the fault injector uses.
+// scramble of the seed DeriveSeed(0, peerID+"\x00"+machineID), hashed
+// without building that key. DeriveSeed alone is a weak (fnv-based) mix;
+// one mathx.Mix64 step decorrelates adjacent inputs, the same discipline
+// the fault injector uses.
 func score(peerID, machineID string) uint64 {
-	r := splitmixScore(uint64(mathx.DeriveSeed(0, peerID+"\x00"+machineID)))
-	return r
-}
-
-// splitmixScore is one splitmix64 output step.
-func splitmixScore(s uint64) uint64 {
-	s += 0x9e3779b97f4a7c15
-	z := s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mathx.Mix64(uint64(mathx.NewSeedKey(0).Str(peerID).Str("\x00").Str(machineID).Seed()))
 }
 
 // Owner returns the peer that owns machineID.

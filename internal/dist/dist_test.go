@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -135,43 +137,47 @@ func TestDistPartitionRendezvous(t *testing.T) {
 	}
 }
 
+// TestDistBreakerTransitions walks the per-peer faults.Breaker through
+// the wall-clock sequence the scatter path drives: closed below the
+// threshold, open at it, one half-open probe per cooldown, closed again
+// after a successful probe.
 func TestDistBreakerTransitions(t *testing.T) {
 	cur := time.Unix(1000, 0)
-	b := NewBreaker(3, time.Second, func() time.Time { return cur })
+	b := faults.NewBreaker(3, time.Second)
 
-	if !b.Allow() || b.State() != "closed" {
+	if !b.Allow(cur) || b.State(cur) != "closed" {
 		t.Fatal("new breaker should be closed")
 	}
-	b.Failure()
-	b.Failure()
-	if !b.Allow() {
+	b.Failure(cur)
+	b.Failure(cur)
+	if !b.Allow(cur) {
 		t.Fatal("below threshold should still allow")
 	}
-	b.Failure()
-	if b.Allow() || b.State() != "open" {
+	b.Failure(cur)
+	if b.Allow(cur) || b.State(cur) != "open" {
 		t.Fatal("threshold reached: breaker should be open")
 	}
 
 	cur = cur.Add(1500 * time.Millisecond)
-	if b.State() != "half-open" {
-		t.Fatalf("cooldown elapsed: want half-open, got %s", b.State())
+	if b.State(cur) != "half-open" {
+		t.Fatalf("cooldown elapsed: want half-open, got %s", b.State(cur))
 	}
-	if !b.Allow() {
+	if !b.Allow(cur) {
 		t.Fatal("cooldown elapsed: one probe should be admitted")
 	}
-	if b.Allow() {
+	if b.Allow(cur) {
 		t.Fatal("second concurrent probe admitted")
 	}
-	b.Failure()
-	if b.Allow() {
+	b.Failure(cur)
+	if b.Allow(cur) {
 		t.Fatal("failed probe should re-open")
 	}
 	cur = cur.Add(1500 * time.Millisecond)
-	if !b.Allow() {
+	if !b.Allow(cur) {
 		t.Fatal("second probe window")
 	}
 	b.Success()
-	if !b.Allow() || b.State() != "closed" {
+	if !b.Allow(cur) || b.State(cur) != "closed" {
 		t.Fatal("successful probe should close")
 	}
 }
@@ -657,5 +663,30 @@ func TestDistReplicationTailEndpoint(t *testing.T) {
 	}
 	if sr.Offset != size || sr.Epoch != epoch {
 		t.Fatalf("snapshot coords offset=%d epoch=%d, want %d/%d", sr.Offset, sr.Epoch, size, epoch)
+	}
+}
+
+// TestDistPartitionOwnersPinned pins rendezvous ownership for a fixed
+// 5-peer fleet over 1,000 machine IDs. Every node must agree on owners
+// across versions too: a rolling upgrade that moved the score function
+// would split the fleet's view of who serves which machine.
+func TestDistPartitionOwnersPinned(t *testing.T) {
+	var peers []Peer
+	for i := 1; i <= 5; i++ {
+		peers = append(peers, Peer{ID: fmt.Sprintf("n%d", i), Addr: fmt.Sprintf("127.0.0.1:%d", 9000+i)})
+	}
+	part, err := NewPartition("n1", peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owners strings.Builder
+	for i := 0; i < 1000; i++ {
+		owners.WriteString(part.Owner(fmt.Sprintf("rack%02d-m%04d", i%40, i)).ID)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(owners.String()))
+	const want uint64 = 0xb3b36ae9644f5b1f
+	if got := h.Sum64(); got != want {
+		t.Fatalf("owner digest = %#x, want %#x: rendezvous scores moved", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/overload"
@@ -203,6 +204,14 @@ func (n *Node) gatherLocal(samples []serve.SampleJSON, budget time.Duration, pri
 	return pr
 }
 
+// Each peer's hedge timer reads the rolling latency of its last
+// hedgeWindow successful calls, and stays disarmed until it has seen
+// minHedgeSamples of them.
+const (
+	hedgeWindow     = 128
+	minHedgeSamples = 8
+)
+
 // attempt is one call's outcome plus what hedging needs to pick a winner.
 type attempt struct {
 	pr      peerResult
@@ -218,7 +227,7 @@ type attempt struct {
 // canceled loser never fakes a peer-down transition.
 func (n *Node) gatherRemote(peerID string, samples []serve.SampleJSON, sub time.Duration, prio string) peerResult {
 	brk := n.breaker(peerID)
-	if brk != nil && !brk.Allow() {
+	if brk != nil && !brk.Allow(time.Now()) {
 		return peerResult{peerID: peerID, outcome: "open"}
 	}
 	if n.hedge != nil {
@@ -228,8 +237,8 @@ func (n *Node) gatherRemote(peerID string, samples []serve.SampleJSON, sub time.
 	// so a hedge always has at least half the sub-deadline to finish.
 	var hedgeDelay time.Duration
 	if n.hedge != nil {
-		if tr := n.trackers[peerID]; tr != nil {
-			if q := tr.Quantile(n.cfg.HedgeQuantile); q > 0 {
+		if tr := n.trackers[peerID]; tr != nil && tr.Len() >= minHedgeSamples {
+			if q := time.Duration(tr.Quantile(n.cfg.HedgeQuantile) * float64(time.Second)); q > 0 {
 				hedgeDelay = q
 				if hedgeDelay < time.Millisecond {
 					hedgeDelay = time.Millisecond
@@ -311,7 +320,7 @@ func (n *Node) gatherRemote(peerID string, samples []serve.SampleJSON, sub time.
 	switch {
 	case winner.pr.outcome == "ok":
 		if tr := n.trackers[peerID]; tr != nil {
-			tr.Observe(winner.elapsed)
+			tr.Observe(winner.elapsed.Seconds())
 		}
 		n.ok(peerID, brk)
 	case winner.pr.outcome == "down":
@@ -401,16 +410,16 @@ func (n *Node) callPeer(ctx context.Context, peerID string, samples []serve.Samp
 }
 
 // ok and fail update breaker plus health gauge together.
-func (n *Node) ok(peerID string, brk *Breaker) {
+func (n *Node) ok(peerID string, brk *faults.Breaker) {
 	if brk != nil {
 		brk.Success()
 	}
 	n.notePeer(peerID, true)
 }
 
-func (n *Node) fail(peerID string, brk *Breaker) {
+func (n *Node) fail(peerID string, brk *faults.Breaker) {
 	if brk != nil {
-		brk.Failure()
+		brk.Failure(time.Now())
 	}
 	n.notePeer(peerID, false)
 }

@@ -71,11 +71,11 @@ type Node struct {
 	part  *Partition
 	start time.Time
 
-	// Hedging state: a rolling latency window per peer arms the hedge
-	// timer; one token bucket bounds total hedge volume; callSeq
-	// decorrelates injected latency draws between a primary and its
-	// hedge.
-	trackers map[string]*overload.LatencyTracker
+	// Hedging state: a rolling latency window per peer (seconds) arms
+	// the hedge timer; one token bucket bounds total hedge volume;
+	// callSeq decorrelates injected latency draws between a primary and
+	// its hedge.
+	trackers map[string]*obs.Window
 	hedge    *overload.HedgeBudget
 	callSeq  atomic.Uint64
 	hWon     atomic.Uint64
@@ -83,7 +83,7 @@ type Node struct {
 	hDenied  atomic.Uint64
 
 	mu       sync.Mutex
-	breakers map[string]*Breaker
+	breakers map[string]*faults.Breaker
 	lastUp   map[string]bool
 }
 
@@ -125,6 +125,12 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.HedgeRate == 0 {
 		cfg.HedgeRate = 0.1
 	}
+	if cfg.FailThreshold <= 0 {
+		cfg.FailThreshold = 3
+	}
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 5 * time.Second
+	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
@@ -132,8 +138,8 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		part:     part,
 		start:    time.Now(),
-		trackers: map[string]*overload.LatencyTracker{},
-		breakers: map[string]*Breaker{},
+		trackers: map[string]*obs.Window{},
+		breakers: map[string]*faults.Breaker{},
 		lastUp:   map[string]bool{},
 	}
 	if cfg.HedgeQuantile > 0 && cfg.HedgeRate > 0 {
@@ -143,9 +149,9 @@ func NewNode(cfg Config) (*Node, error) {
 		if p.ID == cfg.Self {
 			continue
 		}
-		n.breakers[p.ID] = NewBreaker(cfg.FailThreshold, cfg.Cooldown, nil)
+		n.breakers[p.ID] = faults.NewBreaker(cfg.FailThreshold, cfg.Cooldown)
 		n.lastUp[p.ID] = true
-		n.trackers[p.ID] = overload.NewLatencyTracker(0)
+		n.trackers[p.ID] = obs.NewWindow(hedgeWindow)
 		peerUpGauge(p.ID).Set(1)
 	}
 	return n, nil
@@ -165,7 +171,7 @@ func (n *Node) Mount(mux *http.ServeMux) {
 func (n *Node) simSecond() int { return int(time.Since(n.start) / time.Second) }
 
 // breaker returns the peer's breaker (nil for self).
-func (n *Node) breaker(peerID string) *Breaker {
+func (n *Node) breaker(peerID string) *faults.Breaker {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.breakers[peerID]
@@ -206,12 +212,13 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Breaker string `json:"breaker,omitempty"`
 		Up      bool   `json:"up"`
 	}
+	now := time.Now()
 	n.mu.Lock()
 	peers := map[string]peerStatus{}
 	for _, p := range n.part.Peers() {
 		ps := peerStatus{Addr: p.Addr, Up: true}
 		if b := n.breakers[p.ID]; b != nil {
-			ps.Breaker = b.State()
+			ps.Breaker = b.State(now)
 			ps.Up = n.lastUp[p.ID]
 		}
 		peers[p.ID] = ps

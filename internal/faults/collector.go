@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/counters"
 	"repro/internal/mathx"
@@ -53,16 +54,16 @@ func DefaultRetry() RetryPolicy {
 
 // BackoffFor returns the backoff in milliseconds charged before retry
 // attempt k (1-based) for machine. The exponential base is scaled by a
-// jitter factor derived from (seed, machine, attempt) with the same
-// splitmix64 discipline the injector uses, so the schedule is fully
-// reproducible from the seed yet decorrelated across machines — retries
-// spread out instead of storming together.
+// jitter factor drawn from (seed, machine, attempt) the same way the
+// injector draws its decisions, so the schedule is fully reproducible
+// from the seed yet decorrelated across machines — retries spread out
+// instead of storming together.
 func (p RetryPolicy) BackoffFor(seed int64, machine string, attempt int) float64 {
 	base := p.BackoffMS * math.Pow(2, float64(attempt-1))
 	if p.Jitter <= 0 {
 		return base
 	}
-	r := splitmix{s: uint64(mathx.DeriveSeed(seed, fmt.Sprintf("retry:%s:%d", machine, attempt)))}
+	r := mathx.NewSplitMix(decisionSeed(seed, "retry", machine, attempt))
 	return base * (1 + p.Jitter*r.Float64())
 }
 
@@ -95,19 +96,20 @@ type Result struct {
 
 // Collector wraps one machine's sampling path with fault injection,
 // bounded retry-with-backoff, a per-sample timeout, and a circuit
-// breaker. It is safe for concurrent use, though a machine's seconds must
-// be collected in order for stuck-counter faults to replay exactly.
+// breaker driven in sim seconds. It is safe for concurrent use, though a
+// machine's seconds must be collected in order for stuck-counter faults
+// to replay exactly.
 type Collector struct {
 	machine string
 	inj     *Injector
 	retry   RetryPolicy
-	brk     BreakerConfig
+	brk     *Breaker
 
-	mu          sync.Mutex
-	consecFails int
-	open        bool
-	probeAt     int // when open: first second allowed a half-open probe
+	mu sync.Mutex // serializes Collect: each second settles the breaker before the next
 }
+
+// simTime places sim second t on the breaker's clock.
+func simTime(t int) time.Time { return time.Unix(int64(t), 0) }
 
 // NewCollector builds a resilient collector for one machine. Zero-valued
 // policy fields take the defaults.
@@ -133,23 +135,13 @@ func NewCollector(machine string, inj *Injector, retry RetryPolicy, brk BreakerC
 	if brk.CooldownSeconds <= 0 {
 		brk.CooldownSeconds = DefaultBreaker().CooldownSeconds
 	}
-	return &Collector{machine: machine, inj: inj, retry: retry, brk: brk}, nil
+	cooldown := time.Duration(brk.CooldownSeconds) * time.Second
+	return &Collector{machine: machine, inj: inj, retry: retry, brk: NewBreaker(brk.FailThreshold, cooldown)}, nil
 }
 
 // State reports the breaker state at second t: "closed", "open", or
 // "half-open".
-func (c *Collector) State(t int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case !c.open:
-		return "closed"
-	case t >= c.probeAt:
-		return "half-open"
-	default:
-		return "open"
-	}
-}
+func (c *Collector) State(t int) string { return c.brk.State(simTime(t)) }
 
 // Collect runs one second of fault-aware collection: fetch pulls the real
 // row (e.g. telemetry.Collector.Sample) and is only called when the
@@ -158,20 +150,21 @@ func (c *Collector) State(t int) string {
 func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := simTime(t)
 	var res Result
 	maxAttempts := c.retry.MaxAttempts
-	if c.open {
-		if t < c.probeAt {
-			res.Quarantined = true
-			samplesDropped.Inc()
-			return res, nil
-		}
-		maxAttempts = 1 // half-open: one probe decides
+	switch c.brk.State(now) {
+	case "open":
+		res.Quarantined = true
+		samplesDropped.Inc()
+		return res, nil
+	case "half-open":
+		maxAttempts = 1 // one probe decides
 	}
 	if c.inj.Down(c.machine, t) {
 		res.Down = true
 		injected("crash")
-		c.fail(t)
+		c.brk.Failure(now)
 		samplesDropped.Inc()
 		return res, nil
 	}
@@ -196,22 +189,12 @@ func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, err
 		tr := c.inj.Transform(c.machine, t, row)
 		res.Row, res.OK = row, true
 		res.Stuck, res.Corrupted = tr.Stuck, tr.Corrupted
-		c.consecFails = 0
-		c.open = false
+		c.brk.Success()
 		return res, nil
 	}
-	c.fail(t)
+	c.brk.Failure(now)
 	samplesDropped.Inc()
 	return res, nil
-}
-
-// fail records one failed second and opens (or re-arms) the breaker.
-func (c *Collector) fail(t int) {
-	c.consecFails++
-	if c.open || c.consecFails >= c.brk.FailThreshold {
-		c.open = true
-		c.probeAt = t + c.brk.CooldownSeconds
-	}
 }
 
 // TelemetryFetch adapts a live telemetry.Collector into the fetch

@@ -51,6 +51,10 @@ func FuzzScenario(f *testing.F) {
 	f.Add(`{"load": [{"start_s": 0, "end_s": 10, "multiplier": 1e999}]}`)
 	f.Add(`{"load": [{"start_s": 5, "end_s": 5, "multiplier": 2}]}`)
 	f.Add(`{"load": [{"start_s": 0, "end_s": 10, "multiplier": 2}, {"start_s": 5, "end_s": 15, "multiplier": 3}]}`)
+	f.Add(`{"name": "x"} garbage`)
+	f.Add(`{"name": "x"}{}`)
+	f.Add(`{"name": "x"}}`)
+	f.Add(`{"name": "x"}]`)
 
 	f.Fuzz(func(t *testing.T, data string) {
 		s, err := ParseScenario(strings.NewReader(data))

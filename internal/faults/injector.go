@@ -70,29 +70,17 @@ func (in *Injector) faultsFor(machine string) MachineFaults {
 	return in.sc.Defaults
 }
 
-// splitmix is a tiny splitmix64 PRNG. math/rand's source produces
-// correlated early outputs across derived seeds, which would couple the
-// fault decisions of adjacent attempts; splitmix64 scrambles each derived
-// seed into an independent-looking stream.
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *splitmix) Float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// Intn returns a uniform draw in [0, n).
-func (r *splitmix) Intn(n int) int { return int(r.next() % uint64(n)) }
-
-// rng derives the deterministic generator for one decision point.
-func (in *Injector) rng(key string) *splitmix {
-	return &splitmix{s: uint64(mathx.DeriveSeed(in.seed, key))}
+// decisionSeed derives the seed of one decision point's stream: the
+// mathx.DeriveSeed of the key "kind:id:n0[:n1...]", hashed piece by piece
+// so no key string is built and a decision allocates nothing. Each
+// decision draws from its own mathx.SplitMix64 stream, whose finalizer
+// decorrelates the adjacent keys of consecutive attempts and seconds.
+func decisionSeed(seed int64, kind, id string, n ...int) int64 {
+	k := mathx.NewSeedKey(seed).Str(kind).Str(":").Str(id)
+	for _, v := range n {
+		k = k.Str(":").Int(v)
+	}
+	return k.Seed()
 }
 
 // Down reports whether the machine is inside a crash window at second t.
@@ -131,7 +119,7 @@ type AttemptOutcome struct {
 // sample at second t.
 func (in *Injector) Attempt(machine string, t, attempt int) AttemptOutcome {
 	mf := in.faultsFor(machine)
-	r := in.rng(fmt.Sprintf("attempt:%s:%d:%d", machine, t, attempt))
+	r := mathx.NewSplitMix(decisionSeed(in.seed, "attempt", machine, t, attempt))
 	var out AttemptOutcome
 	// Fixed draw order keeps the stream identical across runs even when
 	// individual probabilities are zero.
@@ -179,7 +167,7 @@ func (in *Injector) PeerLatencyMS(peer string, t, call int) float64 {
 	if !ok || pf.SlowProb == 0 {
 		return 0
 	}
-	r := in.rng(fmt.Sprintf("peer:%s:%d:%d", peer, t, call))
+	r := mathx.NewSplitMix(decisionSeed(in.seed, "peer", peer, t, call))
 	if r.Float64() < pf.SlowProb {
 		injected("peer_slow")
 		return pf.SlowMS
@@ -224,7 +212,7 @@ func (in *Injector) Transform(machine string, t int, row []float64) TransformOut
 			return out
 		}
 	}
-	r := in.rng(fmt.Sprintf("transform:%s:%d", machine, t))
+	r := mathx.NewSplitMix(decisionSeed(in.seed, "transform", machine, t))
 	if r.Float64() < mf.StuckProb {
 		// The source wedges at this second's values; the freeze shows up
 		// from the next sample on.

@@ -242,13 +242,16 @@ func (s *Scenario) Validate() error {
 }
 
 // ParseScenario decodes and validates a scenario from JSON. Unknown
-// fields are errors.
+// fields and trailing data are errors.
 func ParseScenario(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("faults: parse scenario: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, fmt.Errorf("faults: trailing data after scenario document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -109,6 +109,25 @@ func TestFaultScenarioParsing(t *testing.T) {
 			name: "empty scenario valid",
 			json: `{}`,
 		},
+		{
+			name: "trailing whitespace valid",
+			json: "{\"name\": \"ok\"}\n\t ",
+		},
+		{
+			name:    "trailing garbage",
+			json:    `{"name": "ok"} garbage`,
+			wantErr: "trailing data",
+		},
+		{
+			name:    "trailing document",
+			json:    `{"name": "ok"}{}`,
+			wantErr: "trailing data",
+		},
+		{
+			name:    "trailing close brace",
+			json:    `{"name": "ok"}}`,
+			wantErr: "trailing data",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

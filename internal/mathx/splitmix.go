@@ -19,16 +19,29 @@ type SplitMix64 struct {
 	hasSpare bool
 }
 
+// GoldenGamma is splitmix64's state increment (2^64/φ, rounded to odd):
+// consecutive states of one stream differ by it.
+const GoldenGamma uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 is one splitmix64 step: the output for state x, i.e. x advanced
+// by GoldenGamma and run through the avalanching finalizer of Steele et
+// al. It is the repository's only splitmix64: SplitMix64 streams, trace
+// and span IDs, rendezvous scores and fault decisions all call it.
+func Mix64(x uint64) uint64 {
+	z := x + GoldenGamma
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // NewSplitMix returns a SplitMix64 stream for the given seed.
 func NewSplitMix(seed int64) *SplitMix64 { return &SplitMix64{s: uint64(seed)} }
 
 // Uint64 returns the next raw 64-bit draw.
 func (r *SplitMix64) Uint64() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := Mix64(r.s)
+	r.s += GoldenGamma
+	return z
 }
 
 // Float64 returns a uniform draw in [0, 1).

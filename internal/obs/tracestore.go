@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/mathx"
 )
 
 // ---------------------------------------------------------------------------
@@ -23,16 +25,7 @@ func init() {
 	idState.Store(uint64(time.Now().UnixNano()))
 }
 
-// splitmix64 is the finalizer from Steele et al.; one round fully mixes a
-// counter into a 64-bit value.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func nextID() uint64 { return splitmix64(idState.Add(0x9e3779b97f4a7c15)) }
+func nextID() uint64 { return mathx.Mix64(idState.Add(mathx.GoldenGamma)) }
 
 const hexdigits = "0123456789abcdef"
 

@@ -1,83 +1,6 @@
 package overload
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
-
-// LatencyTracker keeps a rolling window of observed latencies and answers
-// quantile queries, used to arm hedges "after the rolling per-peer p95".
-type LatencyTracker struct {
-	mu   sync.Mutex
-	ring []float64 // seconds
-	idx  int
-	n    int
-}
-
-// minQuantileSamples is how many observations the tracker needs before it
-// reports a quantile; below this, hedging stays disarmed.
-const minQuantileSamples = 8
-
-// NewLatencyTracker builds a tracker over the last window observations
-// (default 128 when window <= 0).
-func NewLatencyTracker(window int) *LatencyTracker {
-	if window <= 0 {
-		window = 128
-	}
-	return &LatencyTracker{ring: make([]float64, window)}
-}
-
-// Observe records one latency sample.
-func (t *LatencyTracker) Observe(d time.Duration) {
-	s := d.Seconds()
-	if s < 0 {
-		s = 0
-	}
-	t.mu.Lock()
-	t.ring[t.idx] = s
-	t.idx = (t.idx + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// Quantile returns the q-quantile (0 < q < 1) of the window, or 0 if the
-// tracker has not seen enough samples yet.
-func (t *LatencyTracker) Quantile(q float64) time.Duration {
-	t.mu.Lock()
-	if t.n < minQuantileSamples {
-		t.mu.Unlock()
-		return 0
-	}
-	buf := make([]float64, t.n)
-	if t.n < len(t.ring) {
-		copy(buf, t.ring[:t.n])
-	} else {
-		copy(buf, t.ring)
-	}
-	t.mu.Unlock()
-	sort.Float64s(buf)
-	if q <= 0 {
-		q = 0
-	}
-	if q >= 1 {
-		return time.Duration(buf[len(buf)-1] * float64(time.Second))
-	}
-	i := int(q * float64(len(buf)))
-	if i >= len(buf) {
-		i = len(buf) - 1
-	}
-	return time.Duration(buf[i] * float64(time.Second))
-}
-
-// Count returns the number of samples currently in the window.
-func (t *LatencyTracker) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
+import "sync"
 
 // HedgeBudget is a token bucket that bounds hedges to a fraction of
 // primary calls, so hedging can never amplify an overload: each primary

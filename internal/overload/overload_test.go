@@ -253,28 +253,6 @@ func TestOverloadLadderHysteresis(t *testing.T) {
 	}
 }
 
-func TestOverloadLatencyTrackerQuantile(t *testing.T) {
-	tr := NewLatencyTracker(64)
-	if q := tr.Quantile(0.95); q != 0 {
-		t.Fatalf("quantile before warmup = %v, want 0", q)
-	}
-	for i := 1; i <= 100; i++ {
-		tr.Observe(time.Duration(i) * time.Millisecond)
-	}
-	// Window holds the last 64 samples: 37..100ms.
-	p50 := tr.Quantile(0.5)
-	if p50 < 60*time.Millisecond || p50 > 80*time.Millisecond {
-		t.Fatalf("p50 = %v, want ≈69ms", p50)
-	}
-	p95 := tr.Quantile(0.95)
-	if p95 < 90*time.Millisecond || p95 > 100*time.Millisecond {
-		t.Fatalf("p95 = %v, want ≈97ms", p95)
-	}
-	if hi := tr.Quantile(1); hi != 100*time.Millisecond {
-		t.Fatalf("q1 = %v, want 100ms", hi)
-	}
-}
-
 func TestOverloadHedgeBudgetBounds(t *testing.T) {
 	h := NewHedgeBudget(0.1, 4)
 	// Burst allowance first.

@@ -14,7 +14,6 @@ package slo
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -118,49 +117,6 @@ func (r *pairRing) dre(w int) float64 {
 	return math.Sqrt(sq/float64(n)) / rng
 }
 
-// durRing is a fixed ring of request durations in seconds.
-type durRing struct {
-	v      []float64
-	idx, n int
-}
-
-func newDurRing(cap int) *durRing { return &durRing{v: make([]float64, cap)} }
-
-func (r *durRing) push(secs float64) {
-	r.v[r.idx] = secs
-	r.idx = (r.idx + 1) % len(r.v)
-	if r.n < len(r.v) {
-		r.n++
-	}
-}
-
-// badFraction returns the share of the last min(w, n) requests slower
-// than the objective, and the window's p99 (by sorted rank).
-func (r *durRing) badFraction(w int, objective float64) (frac, p99 float64) {
-	n := r.n
-	if w < n {
-		n = w
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	window := make([]float64, n)
-	bad := 0
-	for i := 0; i < n; i++ {
-		j := (r.idx - 1 - i + len(r.v)) % len(r.v)
-		window[i] = r.v[j]
-		if r.v[j] > objective {
-			bad++
-		}
-	}
-	sort.Float64s(window)
-	rank := int(math.Ceil(0.99*float64(n))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return float64(bad) / float64(n), window[rank]
-}
-
 // sloState is the per-objective violation state machine.
 type sloState struct {
 	name      string
@@ -178,10 +134,11 @@ type Tracker struct {
 	mu       sync.Mutex
 	cluster  *pairRing
 	machines map[string]*pairRing
-	lats     *durRing
-	labeled  uint64 // labeled observations seen
-	requests uint64 // requests seen
-	version  string // last model version observed
+	latFast  *obs.Window // request seconds, last FastWindow requests
+	latSlow  *obs.Window // request seconds, last SlowWindow requests
+	labeled  uint64      // labeled observations seen
+	requests uint64      // requests seen
+	version  string      // last model version observed
 
 	accuracy sloState
 	latency  sloState
@@ -195,7 +152,8 @@ func NewTracker(cfg Config) *Tracker {
 		cfg:      cfg,
 		cluster:  newPairRing(cfg.SlowWindow),
 		machines: make(map[string]*pairRing),
-		lats:     newDurRing(cfg.SlowWindow),
+		latFast:  obs.NewWindow(cfg.FastWindow),
+		latSlow:  obs.NewWindow(cfg.SlowWindow),
 		accuracy: sloState{name: "accuracy"},
 		latency:  sloState{name: "latency"},
 	}
@@ -225,7 +183,8 @@ func (t *Tracker) ObserveRequest(endpoint string, d time.Duration, status int) {
 			secs = floor
 		}
 	}
-	t.lats.push(secs)
+	t.latFast.Observe(secs)
+	t.latSlow.Observe(secs)
 	t.requests++
 	if t.cfg.P99Objective > 0 && t.requests%uint64(t.cfg.EvalEvery) == 0 {
 		t.evalLatencyLocked()
@@ -282,10 +241,9 @@ func (t *Tracker) evalLatencyLocked() {
 	objective := t.cfg.P99Objective.Seconds()
 	// Budget: 1% of requests may exceed the p99 objective.
 	const budget = 0.01
-	fracFast, p99Fast := t.lats.badFraction(t.cfg.FastWindow, objective)
-	fracSlow, _ := t.lats.badFraction(t.cfg.SlowWindow, objective)
-	burnFast := fracFast / budget
-	burnSlow := fracSlow / budget
+	p99Fast := t.latFast.Quantile(0.99)
+	burnFast := t.latFast.FracAbove(objective) / budget
+	burnSlow := t.latSlow.FracAbove(objective) / budget
 	t.cfg.Reg.Gauge("chaos_slo_p99_seconds", nil).Set(p99Fast)
 	t.transition(&t.latency, burnFast, burnSlow, map[string]any{
 		"p99_s":     p99Fast,
@@ -365,7 +323,7 @@ func (t *Tracker) Snapshot() Status {
 	for id, r := range t.machines {
 		md[id] = r.dre(t.cfg.FastWindow)
 	}
-	_, p99 := t.lats.badFraction(t.cfg.FastWindow, math.Inf(1))
+	p99 := t.latFast.Quantile(0.99)
 	return Status{
 		ClusterDREFast:   t.cluster.dre(t.cfg.FastWindow),
 		ClusterDRESlow:   t.cluster.dre(t.cfg.SlowWindow),
