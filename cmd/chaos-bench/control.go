@@ -23,12 +23,12 @@ const ControlSchema = "chaos-bench-control/v1"
 // the model-predictive controller holds the same racks to 80% of peak
 // and we score it against the simulator's hidden ground-truth meter.
 type ControlDoc struct {
-	Schema         string `json:"schema"`
-	GoVersion      string `json:"go_version"`
-	NumCPU         int    `json:"num_cpu"`
-	Seed           int64  `json:"seed"`
-	SimSeconds     int64  `json:"sim_seconds"`
-	IntervalS      int64  `json:"interval_s"`
+	Schema         string  `json:"schema"`
+	GoVersion      string  `json:"go_version"`
+	NumCPU         int     `json:"num_cpu"`
+	Seed           int64   `json:"seed"`
+	SimSeconds     int64   `json:"sim_seconds"`
+	IntervalS      int64   `json:"interval_s"`
 	BudgetFraction float64 `json:"budget_fraction"`
 	// ReproVerified is set after the smallest cell is run twice and both
 	// runs produced identical digests and served-throughput totals.

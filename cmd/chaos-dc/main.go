@@ -102,11 +102,11 @@ type summary struct {
 	FeedSimW       float64 `json:"feed_sim_watts_last,omitempty"`
 	FeedRelErrLast float64 `json:"feed_rel_err_last,omitempty"`
 
-	CapPolicy     string  `json:"cap_policy,omitempty"`
-	CapTicks      int64   `json:"cap_ticks,omitempty"`
-	CapDecisions  int64   `json:"cap_decisions,omitempty"`
-	CapFreqActs   int64   `json:"cap_freq_actuations,omitempty"`
-	CapMigrations int64   `json:"cap_migrations,omitempty"`
+	CapPolicy     string `json:"cap_policy,omitempty"`
+	CapTicks      int64  `json:"cap_ticks,omitempty"`
+	CapDecisions  int64  `json:"cap_decisions,omitempty"`
+	CapFreqActs   int64  `json:"cap_freq_actuations,omitempty"`
+	CapMigrations int64  `json:"cap_migrations,omitempty"`
 	// CapCompliance is the fraction of budgeted (level, second) samples
 	// whose hidden ground-truth power stayed within budget × 1.015 (the
 	// meter-error allowance), outside a two-interval settling window.

@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/featsel"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/online"
@@ -149,7 +150,10 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	baseline := rmse(pred, actual)
+	baseline, err := metrics.RMSE(pred, actual)
+	if err != nil {
+		return err
+	}
 	if err := em.event("train",
 		fmt.Sprintf("trained quadratic model on %s (%d features); held-out rMSE %.2f W",
 			cfg.Train, len(sel.Features), baseline),
@@ -438,15 +442,6 @@ func emitHealthTransitions(em *emitter, t int, ids []string, prev map[string]onl
 		}
 	}
 	return nil
-}
-
-func rmse(pred, actual []float64) float64 {
-	var s float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }
 
 // round2 keeps event payloads readable (two decimals is plenty for watts).

@@ -9,10 +9,10 @@
 // With -lifecycle the daemon closes the loop: labeled traffic feeds
 // retrain buffers, drift (or -lifecycle-interval / -lifecycle-samples /
 // POST /v1/lifecycle/retrain) triggers a challenger fit off the hot path,
-// the challenger is shadow-scored against the live champion on mirrored
-// traffic, promoted only if it wins by -promote-margin, and rolled back
-// automatically if it regresses inside the -probation window. Poll
-// /v1/lifecycle/status for the state machine.
+// the orchestrator scores the challenger against the live champion on
+// recent labeled traffic, promotes it only if it wins by -promote-margin,
+// and rolls it back automatically if it regresses inside the -probation
+// window. Poll /v1/lifecycle/status for the state machine.
 //
 // With -loadgen the process instead replays simulated cluster telemetry
 // against its own API at a configurable rate multiplier and prints
@@ -48,6 +48,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faults"
 	"repro/internal/lifecycle"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/overload"
@@ -425,11 +426,11 @@ func run(w io.Writer, cfg config) error {
 			FastWindow: cfg.SLOWindow, Events: sink,
 		})
 	}
-	// The orchestrator is built before the engine so its Ingest and
-	// ObserveShadow hooks can ride along in the serve config; it is started
-	// (and bound to the engine) right after. With a state dir, the last
-	// checkpoint restores BEFORE Start so a mid-probation restart resumes
-	// probation instead of skipping it.
+	// The orchestrator is built before the engine so its Ingest hook can
+	// ride along in the serve config; it is started (and bound to the
+	// engine) right after. With a state dir, the last checkpoint restores
+	// BEFORE Start so a mid-probation restart resumes probation instead of
+	// skipping it.
 	var orch *lifecycle.Orchestrator
 	var ck *store.Checkpointer
 	lifecycleState := ""
@@ -475,7 +476,6 @@ func run(w io.Writer, cfg config) error {
 			defer ck.Close()
 		}
 		scfg.Labeled = orch.Ingest
-		scfg.ShadowObserve = orch.ObserveShadow
 	}
 	if recovered {
 		if err := em.event("recovered",
@@ -696,7 +696,7 @@ func bootstrapModels(reg *registry.Registry, traces []*trace.Trace, tech models.
 	if err != nil {
 		return 0, err
 	}
-	return rmse(pred, actual), nil
+	return metrics.RMSE(pred, actual)
 }
 
 // runLoadgen replays the traces against the freshly started API and
@@ -805,15 +805,6 @@ func parsePriorities(s string) ([overload.NumPriorities]int, error) {
 		w[i] = v
 	}
 	return w, nil
-}
-
-func rmse(pred, actual []float64) float64 {
-	var s float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }

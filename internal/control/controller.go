@@ -73,12 +73,12 @@ type Controller struct {
 	modelTicks   int64 // ticks since the active model last changed
 	builders     map[string]*rowBuilder
 
-	ticks      int64
-	decisions  int64 // what-if candidate evaluations
-	freqActs   int64
-	migActs    int64
-	seq        uint32
-	started    bool
+	ticks     int64
+	decisions int64 // what-if candidate evaluations
+	freqActs  int64
+	migActs   int64
+	seq       uint32
+	started   bool
 }
 
 var (

@@ -16,7 +16,8 @@ import (
 //
 // Restore rules per phase: training collapses to idle (the in-flight fit
 // died with the process; its trigger re-fires from the restored buffers),
-// shadowing re-arms the live mirror when Start binds the engine, and
+// shadowing resumes with its live window (the newest live_n snapshots of
+// held_out) once Start finds the challenger in the registry, and
 // probation resumes with its accumulated evidence — a restart must not
 // let a bad promotion skip the rest of its probation window.
 
@@ -32,11 +33,7 @@ type checkpointDoc struct {
 	HeldChamp  Score  `json:"held_champ,omitempty"`
 	HeldChall  Score  `json:"held_chall,omitempty"`
 
-	LiveN        int     `json:"live_n,omitempty"`
-	LiveChampSSE float64 `json:"live_champ_sse,omitempty"`
-	LiveChallSSE float64 `json:"live_chall_sse,omitempty"`
-	LiveMinA     float64 `json:"live_min_a,omitempty"`
-	LiveMaxA     float64 `json:"live_max_a,omitempty"`
+	LiveN int `json:"live_n,omitempty"`
 
 	PromotedVersion string  `json:"promoted_version,omitempty"`
 	PromotedPrev    string  `json:"promoted_prev,omitempty"`
@@ -73,11 +70,7 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 		HeldChamp:  o.heldChamp,
 		HeldChall:  o.heldChall,
 
-		LiveN:        o.live.n,
-		LiveChampSSE: o.live.champSSE,
-		LiveChallSSE: o.live.challSSE,
-		LiveMinA:     o.live.minA,
-		LiveMaxA:     o.live.maxA,
+		LiveN: o.liveN,
 
 		PromotedVersion: o.promotedVersion,
 		PromotedPrev:    o.promotedPrev,
@@ -159,16 +152,12 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 
 	switch doc.State {
 	case stateShadowing.String():
-		// The mirror itself died with the process; Start re-arms it.
 		o.state = stateShadowing
 		o.challenger = doc.Challenger
 		o.champion = doc.Champion
 		o.heldChamp = doc.HeldChamp
 		o.heldChall = doc.HeldChall
-		o.live = accum{
-			n: doc.LiveN, champSSE: doc.LiveChampSSE, challSSE: doc.LiveChallSSE,
-			minA: doc.LiveMinA, maxA: doc.LiveMaxA,
-		}
+		o.liveN = doc.LiveN
 	case stateProbation.String():
 		// Resume, never skip: the promoted model serves the rest of its
 		// probation window with the evidence gathered so far.

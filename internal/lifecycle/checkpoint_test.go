@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -88,95 +89,56 @@ func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// nopEngine satisfies Engine for tests that never reach shadowing.
+// nopEngine satisfies Engine for tests that drive no traffic.
 type nopEngine struct{}
 
-func (nopEngine) Drifted() bool            { return false }
-func (nopEngine) ResetDrift()              {}
-func (nopEngine) StartShadow(string) error { return nil }
-func (nopEngine) StopShadow()              {}
+func (nopEngine) Drifted() bool { return false }
+func (nopEngine) ResetDrift()   {}
 
-// recordEngine records StartShadow calls.
-type recordEngine struct {
-	nopEngine
-	started chan string
-	fail    bool
-}
-
-func (e *recordEngine) StartShadow(v string) error {
-	if e.fail {
-		return errShadow
-	}
-	select {
-	case e.started <- v:
-	default:
-	}
-	return nil
-}
-
-var errShadow = &shadowErr{}
-
-type shadowErr struct{}
-
-func (*shadowErr) Error() string { return "no such challenger" }
-
-// TestRecoveryShadowRearm checkpoints an orchestrator mid-shadow and
-// restores it: Start must re-arm the live mirror against the restored
-// challenger (the mirror died with the old process), and when the
-// challenger cannot be mirrored the machine must fall back to idle
+// TestRecoveryShadowResume checkpoints an orchestrator mid-shadow and
+// restores it into a fresh stack over the same registry: it must resume
+// shadowing with the live snapshots it had counted, and new traffic must
+// bring it to a verdict. Restored over a registry that lost the
+// challenger, it must fall back to idle with the restore-shadow error
 // rather than refuse to boot.
-func TestRecoveryShadowRearm(t *testing.T) {
+func TestRecoveryShadowResume(t *testing.T) {
+	cfg := Config{ShadowSnapshots: 10}
+	st := newStack(t, cfg, serve.Config{Shards: 2})
+	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
+	i := 0
+	trainChallenger(t, st, &i, 60, lawB)
+	for n := 0; n < 3; n++ {
+		feedOne(t, st, i, lawB)
+		i++
+	}
+	was := st.orch.Status()
+	data, err := st.orch.MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.orch.Close()
+	st.srv.Close()
+
+	st2 := startStack(t, st.reg, cfg, serve.Config{Shards: 2}, data)
+	if s := st2.orch.Status(); s.State != "shadowing" || s.Challenger != was.Challenger ||
+		s.LiveShadowSnapshots != 3 {
+		t.Fatalf("restored status %+v, want shadowing %s with 3 live snapshots", s, was.Challenger)
+	}
+	final := driveUntil(t, st2, &i, lawB, 60*time.Second, "verdict after restore",
+		func(s Status) bool { return s.State != "shadowing" })
+	if final.LastVerdict != "promoted" || final.Retrains != 1 || final.LiveShadowSnapshots < 10 {
+		t.Errorf("status %+v, want the restored challenger promoted on >= 10 live snapshots", final)
+	}
+
+	// Same checkpoint over a registry without the challenger: idle fallback.
 	reg := registry.New()
 	if err := reg.Add("v1", mkModel(t, 10, 1, 2), registry.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Names:         testNames,
-		Spec:          models.FeatureSpec{Name: "test", Counters: testNames},
-		CheckInterval: time.Hour, // keep the loop quiet; only Start matters
-	}
-	o, err := New(reg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.mu.Lock()
-	o.state = stateShadowing
-	o.challenger = "auto-1"
-	o.champion = "v1"
-	o.live = accum{n: 7, champSSE: 3, challSSE: 2, minA: 1, maxA: 9}
-	o.mu.Unlock()
-	data, err := o.MarshalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Close()
-
-	restored, err := New(reg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if err := restored.RestoreCheckpoint(data); err != nil {
-		t.Fatal(err)
-	}
-	eng := &recordEngine{started: make(chan string, 1)}
-	if err := restored.Start(eng); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-eng.started:
-		if v != "auto-1" {
-			t.Fatalf("re-armed shadow against %q, want auto-1", v)
-		}
-	default:
-		t.Fatal("Start did not re-arm the shadow mirror")
-	}
-	if s := restored.Status(); s.State != "shadowing" || s.LiveShadowSnapshots != 7 {
-		t.Fatalf("restored status %+v, want shadowing with 7 live snapshots", s)
-	}
-
-	// Same checkpoint, but the engine refuses the mirror: idle fallback.
-	broken, err := New(reg, cfg)
+	broken, err := New(reg, Config{
+		Names: testNames,
+		Spec:  models.FeatureSpec{Name: "test", Counters: testNames},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +146,11 @@ func TestRecoveryShadowRearm(t *testing.T) {
 	if err := broken.RestoreCheckpoint(data); err != nil {
 		t.Fatal(err)
 	}
-	if err := broken.Start(&recordEngine{fail: true}); err != nil {
+	if err := broken.Start(nopEngine{}); err != nil {
 		t.Fatal(err)
 	}
-	if s := broken.Status(); s.State != "idle" || s.LastError == "" {
-		t.Fatalf("status %+v, want idle with the re-arm error recorded", s)
+	if s := broken.Status(); s.State != "idle" || !strings.HasPrefix(s.LastError, "restore-shadow: ") {
+		t.Fatalf("status %+v, want idle with the restore-shadow error recorded", s)
 	}
 }
 
@@ -250,12 +212,11 @@ func TestRecoveryMidProbationResume(t *testing.T) {
 		t.Fatalf("restored state %q, want probation (resume, not skip)", s.State)
 	}
 	srv2, err := serve.New(st.reg, serve.Config{
-		Names:         testNames,
-		Shards:        2,
-		BaselineRMSE:  1,
-		BatchWindow:   200 * time.Microsecond,
-		Labeled:       orch2.Ingest,
-		ShadowObserve: orch2.ObserveShadow,
+		Names:        testNames,
+		Shards:       2,
+		BaselineRMSE: 1,
+		BatchWindow:  200 * time.Microsecond,
+		Labeled:      orch2.Ingest,
 	})
 	if err != nil {
 		t.Fatal(err)

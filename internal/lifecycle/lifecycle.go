@@ -4,17 +4,16 @@
 // background orchestrator that watches the serving layer's drift monitor
 // and labeled-sample buffers, retrains a challenger model off the hot
 // path when triggered, shadow-scores it against the live champion on a
-// held-out recent window plus mirrored live traffic (challenger
-// predictions are computed but never returned to clients), and promotes
-// it through the registry's atomic hot-swap only when it beats the
-// champion on dynamic-range error by a configurable margin — with
-// automatic rollback if post-promotion error regresses inside a
-// probation window.
+// held-out recent window plus the labeled live traffic that arrives after
+// it was trained (challenger predictions are computed here, never returned
+// to clients), and promotes it through the registry's atomic hot-swap only
+// when it beats the champion on dynamic-range error by a configurable
+// margin — with automatic rollback if post-promotion error regresses
+// inside a probation window.
 //
 // The orchestrator never touches the request path: the serving layer
-// feeds it labeled snapshots and mirrored shadow scores through cheap
-// callbacks, and every heavy step (fitting, window scoring) runs on the
-// orchestrator's own goroutine.
+// feeds it labeled snapshots through one cheap callback, and every heavy
+// step (fitting, window scoring) runs on the orchestrator's own goroutine.
 package lifecycle
 
 import (
@@ -38,8 +37,7 @@ var (
 )
 
 // Engine is the serving surface the orchestrator drives: the serve-side
-// drift alarm, and shadow mirroring of live traffic against a challenger
-// version. *serve.Server implements it; lifecycle stays decoupled from
+// drift alarm. *serve.Server implements it; lifecycle stays decoupled from
 // the HTTP layer.
 type Engine interface {
 	// Drifted reports whether the serve-path drift monitor has alarmed.
@@ -47,12 +45,6 @@ type Engine interface {
 	// ResetDrift clears the drift alarm after a retrain resolves (or
 	// fails to resolve) it, so the monitor re-arms on fresh residuals.
 	ResetDrift()
-	// StartShadow begins mirroring live traffic against the named
-	// registry version: challenger predictions are computed in the worker
-	// shards but never returned to clients.
-	StartShadow(version string) error
-	// StopShadow ends the mirror.
-	StopShadow()
 }
 
 // Config tunes the orchestrator. Zero values take defaults.
@@ -80,9 +72,9 @@ type Config struct {
 	// window holds at least this many snapshots (default 64). Manual
 	// triggers bypass it.
 	MinTrainSnapshots int
-	// ShadowSnapshots is how many live mirrored metered snapshots must
-	// accumulate before the verdict (default 32). Zero decides on the
-	// held-out window alone.
+	// ShadowSnapshots is how many labeled live snapshots must arrive after
+	// the challenger is trained before the verdict. Zero, the default,
+	// decides on the held-out window alone.
 	ShadowSnapshots int
 	// PromoteMargin is the fraction by which the challenger's
 	// dynamic-range error must beat the champion's to promote
@@ -134,12 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MinTrainSnapshots <= 0 {
 		c.MinTrainSnapshots = 64
 	}
-	if c.ShadowSnapshots < 0 {
-		c.ShadowSnapshots = 0
-	}
-	if c.ShadowSnapshots == 0 && c.PromoteMargin == 0 {
-		// keep default margin below
-	}
 	if c.PromoteMargin <= 0 {
 		c.PromoteMargin = 0.05
 	}
@@ -182,34 +168,6 @@ func (s state) String() string {
 	return "unknown"
 }
 
-// accum accumulates mirrored live scoring: squared errors of champion and
-// challenger against the metered cluster watts.
-type accum struct {
-	n        int
-	champSSE float64
-	challSSE float64
-	minA     float64
-	maxA     float64
-}
-
-func (a *accum) add(champ, chall, actual float64) {
-	if a.n == 0 {
-		a.minA, a.maxA = actual, actual
-	} else {
-		if actual < a.minA {
-			a.minA = actual
-		}
-		if actual > a.maxA {
-			a.maxA = actual
-		}
-	}
-	a.n++
-	dc := champ - actual
-	dl := chall - actual
-	a.champSSE += dc * dc
-	a.challSSE += dl * dl
-}
-
 // probAccum accumulates the promoted model's post-swap live error.
 type probAccum struct {
 	n   int
@@ -217,8 +175,8 @@ type probAccum struct {
 }
 
 // Orchestrator is the closed-loop model lifecycle driver. Create with
-// New, wire its Ingest/ObserveShadow hooks into the serving layer, call
-// Start with the engine, and Close on shutdown.
+// New, wire its Ingest hook into the serving layer, call Start with the
+// engine, and Close on shutdown.
 type Orchestrator struct {
 	reg *registry.Registry
 	cfg Config
@@ -243,7 +201,9 @@ type Orchestrator struct {
 	champion   string
 	heldChamp  Score
 	heldChall  Score
-	live       accum
+	// liveN counts the labeled snapshots ingested while shadowing: the
+	// newest liveN entries of the held-out ring are the live window.
+	liveN int
 
 	// probation
 	promotedVersion string
@@ -298,10 +258,9 @@ func New(reg *registry.Registry, cfg Config) (*Orchestrator, error) {
 	return o, nil
 }
 
-// Start binds the serving engine and launches the background loop. When a
-// restored checkpoint left the machine shadowing, the live mirror is
-// re-armed here — the mirror itself died with the old process; only the
-// accumulated scores survived.
+// Start binds the serving engine and launches the background loop. A
+// restored checkpoint that left the machine shadowing resumes shadowing,
+// provided its challenger is still in the registry.
 func (o *Orchestrator) Start(eng Engine) error {
 	if eng == nil {
 		return fmt.Errorf("lifecycle: nil engine")
@@ -317,29 +276,26 @@ func (o *Orchestrator) Start(eng Engine) error {
 	}
 	o.eng = eng
 	o.startedAt = o.now()
-	rearm := ""
-	if o.state == stateShadowing && o.challenger != "" {
-		rearm = o.challenger
-	}
-	o.mu.Unlock()
-	if rearm != "" {
-		if err := eng.StartShadow(rearm); err != nil {
+	var lost error
+	if o.state == stateShadowing {
+		if _, ok := o.reg.Get(o.challenger); !ok {
 			// The challenger may be gone (e.g. its admission was the lost
 			// journal tail). Fall back to idle rather than refuse to boot.
-			o.mu.Lock()
+			lost = fmt.Errorf("lifecycle: challenger %q not in the registry", o.challenger)
 			o.state = stateIdle
 			o.challenger = ""
-			o.lastErr = "restore-shadow: " + err.Error()
-			o.mu.Unlock()
-			o.emit("lifecycle_error", map[string]any{"stage": "restore-shadow", "error": err.Error()})
+			o.lastErr = "restore-shadow: " + lost.Error()
 		}
+	}
+	o.mu.Unlock()
+	if lost != nil {
+		o.emit("lifecycle_error", map[string]any{"stage": "restore-shadow", "error": lost.Error()})
 	}
 	go o.run()
 	return nil
 }
 
-// Close stops the loop and any active shadow mirror. Safe to call more
-// than once, and before Start.
+// Close stops the loop. Safe to call more than once, and before Start.
 func (o *Orchestrator) Close() {
 	o.mu.Lock()
 	if o.closed {
@@ -348,26 +304,22 @@ func (o *Orchestrator) Close() {
 	}
 	o.closed = true
 	started := o.eng != nil
-	eng := o.eng
-	wasShadowing := o.state == stateShadowing
 	o.mu.Unlock()
 	close(o.stop)
 	if started {
 		<-o.done
-	}
-	if wasShadowing && eng != nil {
-		eng.StopShadow()
 	}
 }
 
 // Ingest receives one fully-served metered snapshot from the serving
 // layer: the samples, the per-machine metered watts, the cluster estimate
 // answered, and the version that served it. It feeds the retrain buffers,
-// the held-out scoring window, and — during probation — the promoted
-// model's live error (only snapshots the promoted version itself served
-// count: requests in flight across the swap were answered by the old
-// champion and say nothing about the new model). Counter rows are copied;
-// callers may reuse them.
+// the held-out scoring window (whose newest entries are, while shadowing,
+// the live window the verdict scores), and — during probation — the
+// promoted model's live error (only snapshots the promoted version itself
+// served count: requests in flight across the swap were answered by the
+// old champion and say nothing about the new model). Counter rows are
+// copied; callers may reuse them.
 func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estimated float64, version string) {
 	if len(samples) == 0 || len(metered) != len(samples) {
 		return
@@ -399,27 +351,14 @@ func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estima
 		o.heldFull = true
 	}
 	o.sinceRetrain++
+	if o.state == stateShadowing {
+		o.liveN++
+	}
 	if o.state == stateProbation && version == o.promotedVersion &&
 		!math.IsNaN(estimated) && !math.IsInf(estimated, 0) {
 		d := estimated - actual
 		o.probation.n++
 		o.probation.sse += d * d
-	}
-	o.mu.Unlock()
-}
-
-// ObserveShadow receives one mirrored snapshot score from the serving
-// layer: the champion's cluster estimate, the shadow challenger's (never
-// returned to clients), and the metered cluster watts.
-func (o *Orchestrator) ObserveShadow(champ, chall, actual float64) {
-	for _, v := range []float64{champ, chall, actual} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return
-		}
-	}
-	o.mu.Lock()
-	if o.state == stateShadowing {
-		o.live.add(champ, chall, actual)
 	}
 	o.mu.Unlock()
 }
@@ -486,7 +425,7 @@ func (o *Orchestrator) Status() Status {
 		Rollbacks:             o.rollbacks,
 		SnapshotsSinceRetrain: o.sinceRetrain,
 		HeldOutSnapshots:      held,
-		LiveShadowSnapshots:   o.live.n,
+		LiveShadowSnapshots:   o.liveN,
 		ProbationSnapshots:    o.probation.n,
 		LastTrigger:           o.lastTrigger,
 		LastVerdict:           o.lastVerdict,
@@ -516,7 +455,7 @@ func (o *Orchestrator) run() {
 }
 
 // tick advances the state machine. Heavy work (fitting, scoring) runs
-// with the mutex released so Ingest/ObserveShadow never block on it.
+// with the mutex released so Ingest never blocks on it.
 func (o *Orchestrator) tick() {
 	o.mu.Lock()
 	switch o.state {
@@ -535,7 +474,7 @@ func (o *Orchestrator) tick() {
 		o.emit("retrain_triggered", map[string]any{"reason": reason})
 		o.train(reason)
 	case stateShadowing:
-		if o.cfg.ShadowSnapshots > 0 && o.live.n < o.cfg.ShadowSnapshots {
+		if o.liveN < o.cfg.ShadowSnapshots {
 			o.mu.Unlock()
 			return
 		}
@@ -601,7 +540,7 @@ func (o *Orchestrator) fail(stage string, err error) {
 
 // train fits the challenger from the retrain buffers, admits it to the
 // registry (inactive), scores the held-out window for both contenders,
-// and starts the live shadow mirror.
+// and starts counting the live window.
 func (o *Orchestrator) train(reason string) {
 	start := time.Now()
 	cm, err := o.rt.Retrain(o.cfg.Tech, o.cfg.Spec)
@@ -634,24 +573,9 @@ func (o *Orchestrator) train(reason string) {
 		return
 	}
 	lcRetrains.Inc()
-	champEntry, ok := o.reg.Get(champion)
-	if !ok {
-		o.fail("score", fmt.Errorf("lifecycle: champion %q vanished", champion))
-		return
-	}
-	win := o.window()
-	champScore, err := ScoreWindow(champEntry.Model, o.cfg.Names, win)
+	champScore, challScore, err := o.scorePair(champion, version, o.window())
 	if err != nil {
 		o.fail("score", err)
-		return
-	}
-	challScore, err := ScoreWindow(cm, o.cfg.Names, win)
-	if err != nil {
-		o.fail("score", err)
-		return
-	}
-	if err := o.eng.StartShadow(version); err != nil {
-		o.fail("shadow", err)
 		return
 	}
 	o.mu.Lock()
@@ -660,7 +584,7 @@ func (o *Orchestrator) train(reason string) {
 	o.champion = champion
 	o.heldChamp = champScore
 	o.heldChall = challScore
-	o.live = accum{}
+	o.liveN = 0
 	o.retrains++
 	o.mu.Unlock()
 	o.emit("challenger_trained", map[string]any{
@@ -671,41 +595,49 @@ func (o *Orchestrator) train(reason string) {
 	})
 }
 
-// verdict combines the held-out and live-mirror scores into the
-// promotion decision and either hot-swaps the challenger in or leaves
-// the champion serving.
+// verdict scores both contenders on the live window, combines that with
+// the held-out scores into the promotion decision, and either hot-swaps
+// the challenger in or leaves the champion serving.
 func (o *Orchestrator) verdict() {
 	o.mu.Lock()
 	version, champion := o.challenger, o.champion
-	hc, hl, live := o.heldChamp, o.heldChall, o.live
+	hc, hl, liveN := o.heldChamp, o.heldChall, o.liveN
+	win := o.windowLocked()
 	o.mu.Unlock()
+	if liveN < len(win) {
+		win = win[len(win)-liveN:]
+	}
+	lc, ll, err := o.scorePair(champion, version, win)
+	if err != nil {
+		o.fail("score", err)
+		return
+	}
 
-	champErr, challErr, rng := combinedError(hc, hl, live)
-	// The live-mirror gate: the challenger must not be worse than the
-	// champion on the traffic it actually mirrored, regardless of how the
+	champErr, challErr, rng := combinedError(hc, hl, lc, ll)
+	// The live gate: the challenger must not be worse than the champion on
+	// the traffic that arrived after it was trained, regardless of how the
 	// held-out window reads — a corrupted label stretch in the buffers
 	// makes a garbage challenger look like a perfect fit on the held-out
-	// window, but it cannot fake the live mirror. The reported error ratio
-	// follows the same logic: live when mirrored, held-out otherwise.
+	// window, but it cannot fake fresh traffic. It must also score every
+	// live snapshot the champion did, so both RMSEs cover the same
+	// traffic. The reported error ratio follows the same logic: live when
+	// there was live traffic, held-out otherwise.
 	liveOK := true
 	ratio := errorRatio(challErr, champErr)
-	if live.n > 0 {
-		champLive := math.Sqrt(live.champSSE / float64(live.n))
-		challLive := math.Sqrt(live.challSSE / float64(live.n))
-		liveOK = challLive <= champLive+1e-12
-		ratio = errorRatio(challLive, champLive)
+	if lc.N > 0 {
+		liveOK = ll.N == lc.N && ll.RMSE <= lc.RMSE+1e-12
+		ratio = errorRatio(ll.RMSE, lc.RMSE)
 	}
-	promote := challErr <= champErr*(1-o.cfg.PromoteMargin) && liveOK &&
-		(hc.N+live.n) > 0
+	n := hl.N + ll.N
+	promote := challErr <= champErr*(1-o.cfg.PromoteMargin) && liveOK && n > 0
 
-	o.eng.StopShadow()
 	lcShadowRatio.Set(ratio)
 	o.emit("shadow_verdict", map[string]any{
 		"champion": champion, "challenger": version,
 		"promote":   promote,
 		"champ_dre": champErr, "chall_dre": challErr, "ratio": ratio,
 		"dynamic_range_w": rng,
-		"heldout":         hc.N, "live": live.n,
+		"heldout":         hc.N, "live": lc.N,
 	})
 
 	if !promote {
@@ -726,8 +658,7 @@ func (o *Orchestrator) verdict() {
 	o.eng.ResetDrift()
 	// The challenger's combined RMSE is the error level probation holds
 	// the promoted model to.
-	n := hc.N + live.n
-	shadowRMSE := math.Sqrt((hl.SSE + live.challSSE) / float64(n))
+	shadowRMSE := math.Sqrt((hl.SSE + ll.SSE) / float64(n))
 	o.mu.Lock()
 	o.promotions++
 	o.lastVerdict = "promoted"
@@ -808,6 +739,22 @@ func (o *Orchestrator) window() []Snapshot {
 	return o.windowLocked()
 }
 
+// scorePair scores the champion and challenger versions over one window.
+func (o *Orchestrator) scorePair(champion, challenger string, win []Snapshot) (Score, Score, error) {
+	var sc [2]Score
+	for i, v := range [2]string{champion, challenger} {
+		e, ok := o.reg.Get(v)
+		if !ok {
+			return Score{}, Score{}, fmt.Errorf("lifecycle: version %q vanished", v)
+		}
+		var err error
+		if sc[i], err = ScoreWindow(e.Model, o.cfg.Names, win); err != nil {
+			return Score{}, Score{}, err
+		}
+	}
+	return sc[0], sc[1], nil
+}
+
 // emit sends one lifecycle event when a sink is configured.
 func (o *Orchestrator) emit(event string, fields map[string]any) {
 	if o.cfg.Events != nil {
@@ -815,28 +762,23 @@ func (o *Orchestrator) emit(event string, fields map[string]any) {
 	}
 }
 
-// combinedError merges the held-out scores with the live mirror into one
+// combinedError merges each contender's held-out and live scores (hc and
+// lc for the champion, hl and ll for the challenger) into one
 // dynamic-range error per contender. Both contenders score the same
-// actuals, so the shared dynamic range makes DRE and RMSE order
-// identically — DRE is still reported because it is the paper's
-// platform-independent measure.
-func combinedError(hc, hl Score, live accum) (champErr, challErr, rng float64) {
-	champN, challN := hc.N+live.n, hl.N+live.n
+// actuals, so the shared dynamic range — the champion's — makes DRE and
+// RMSE order identically; DRE is still reported because it is the
+// paper's platform-independent measure.
+func combinedError(hc, hl, lc, ll Score) (champErr, challErr, rng float64) {
+	champN, challN := hc.N+lc.N, hl.N+ll.N
 	if champN == 0 || challN == 0 {
 		return math.Inf(1), math.Inf(1), 0
 	}
-	champRMSE := math.Sqrt((hc.SSE + live.champSSE) / float64(champN))
-	challRMSE := math.Sqrt((hl.SSE + live.challSSE) / float64(challN))
+	champRMSE := math.Sqrt((hc.SSE + lc.SSE) / float64(champN))
+	challRMSE := math.Sqrt((hl.SSE + ll.SSE) / float64(challN))
 	minA, maxA := math.Inf(1), math.Inf(-1)
-	if hc.N > 0 {
-		minA, maxA = hc.MinActual, hc.MaxActual
-	}
-	if live.n > 0 {
-		if live.minA < minA {
-			minA = live.minA
-		}
-		if live.maxA > maxA {
-			maxA = live.maxA
+	for _, sc := range [2]Score{hc, lc} {
+		if sc.N > 0 {
+			minA, maxA = math.Min(minA, sc.MinActual), math.Max(maxA, sc.MaxActual)
 		}
 	}
 	rng = maxA - minA

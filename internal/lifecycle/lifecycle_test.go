@@ -1,13 +1,17 @@
 package lifecycle
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/registry"
 	"repro/internal/serve"
@@ -47,6 +51,13 @@ func newStack(t *testing.T, lcfg Config, scfg serve.Config) *stack {
 	if err := reg.Add("v1", mkModel(t, 10, 1, 2), registry.Meta{Description: "champion"}); err != nil {
 		t.Fatal(err)
 	}
+	return startStack(t, reg, lcfg, scfg, nil)
+}
+
+// startStack wires an orchestrator and a serving engine over reg, first
+// restoring the orchestrator from ckpt when it is non-nil.
+func startStack(t *testing.T, reg *registry.Registry, lcfg Config, scfg serve.Config, ckpt []byte) *stack {
+	t.Helper()
 	if lcfg.Names == nil {
 		lcfg.Names = testNames
 	}
@@ -63,9 +74,13 @@ func newStack(t *testing.T, lcfg Config, scfg serve.Config) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ckpt != nil {
+		if err := orch.RestoreCheckpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
 	scfg.Names = testNames
 	scfg.Labeled = orch.Ingest
-	scfg.ShadowObserve = orch.ObserveShadow
 	if scfg.BatchWindow == 0 {
 		scfg.BatchWindow = 200 * time.Microsecond
 	}
@@ -129,10 +144,46 @@ func driveUntil(t *testing.T, st *stack, i *int, label func(a, b float64) float6
 	}
 }
 
+// trainChallenger feeds n labeled snapshots, triggers a manual retrain,
+// and waits, feeding nothing more, until the challenger is shadowing.
+func trainChallenger(t *testing.T, st *stack, i *int, n int, label func(a, b float64) float64) {
+	t.Helper()
+	for end := *i + n; *i < end; *i++ {
+		feedOne(t, st, *i, label)
+	}
+	if err := st.orch.TriggerRetrain("test"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st.orch.Status().State != "shadowing" {
+		if time.Now().After(deadline) {
+			t.Fatalf("challenger never reached shadowing; status %+v", st.orch.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitVerdict waits, feeding nothing, until the orchestrator has decided
+// on its challenger.
+func waitVerdict(t *testing.T, st *stack) Status {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s := st.orch.Status()
+		if s.LastVerdict != "" {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no verdict; status %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestLifecycleDriftRetrainPromote is the happy path end to end: a
 // workload shift makes the champion's residuals alarm the drift monitor,
 // the orchestrator retrains a challenger off the hot path, the challenger
-// wins shadow evaluation on mirrored live traffic, is promoted through
+// wins shadow evaluation on live traffic, is promoted through
 // the registry hot-swap with zero dropped or torn requests in flight, and
 // survives probation.
 func TestLifecycleDriftRetrainPromote(t *testing.T) {
@@ -231,7 +282,7 @@ func TestLifecycleDriftRetrainPromote(t *testing.T) {
 // deliberately poisoned labels (the fault-injection story: a corrupted
 // meter lies to the buffers), triggers a retrain, and then serves clean
 // traffic during the shadow phase. The challenger — a perfect fit of the
-// garbage — must lose the live-mirror gate and never promote.
+// garbage — must lose the live gate and never promote.
 func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 	st := newStack(t, Config{
 		ShadowSnapshots: 20,
@@ -248,7 +299,7 @@ func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 	if err := st.orch.TriggerRetrain("test-corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the challenger to be fitted and the mirror to start; no
+	// Wait for the challenger to be fitted and shadowing to start; no
 	// feeding needed — training runs on the orchestrator goroutine.
 	deadline := time.Now().Add(30 * time.Second)
 	for st.orch.Status().State != "shadowing" {
@@ -257,7 +308,7 @@ func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Phase 2: clean traffic during the mirror. The champion nails it, the
+	// Phase 2: clean traffic while shadowing. The champion nails it, the
 	// poisoned challenger is wildly off.
 	verdict := driveUntil(t, st, &i, truth, 60*time.Second, "verdict",
 		func(s Status) bool { return s.State == "idle" && s.Retrains >= 1 })
@@ -273,6 +324,143 @@ func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 	}
 	if verdict.ShadowErrorRatio <= 1 {
 		t.Errorf("shadow error ratio = %g, want > 1 (challenger worse)", verdict.ShadowErrorRatio)
+	}
+}
+
+// TestLifecycleLiveEvidence pins what the verdict scores as live traffic:
+// exactly the labeled snapshots ingested after the challenger was
+// trained. One goroutine feeds a fixed sequence through a lag-free stack —
+// law B before the retrain, B plus a per-snapshot offset after it — and
+// the verdict's live count, live error ratio, combined DREs and the
+// promoted shadow RMSE must equal the figures computed here from the two
+// models' predictions, with the pre-training snapshots in the held-out
+// figures only.
+func TestLifecycleLiveEvidence(t *testing.T) {
+	const pre, live = 60, 20
+	var events bytes.Buffer
+	st := newStack(t, Config{
+		ShadowSnapshots: live,
+		Events:          obs.NewEventSink(&events),
+	}, serve.Config{Shards: 2})
+
+	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
+	// label is snapshot j's metering law.
+	label := func(j int) func(a, b float64) float64 {
+		if j < pre {
+			return lawB
+		}
+		return func(a, b float64) float64 { return lawB(a, b) + float64(j%3) }
+	}
+	i := 0
+	trainChallenger(t, st, &i, pre, lawB)
+	for ; i < pre+live; i++ {
+		feedOne(t, st, i, label(i))
+	}
+	waitVerdict(t, st)
+	st.orch.Close() // the loop has exited: every event is written
+	if s := st.orch.Status(); s.LiveShadowSnapshots != live || s.LastVerdict != "promoted" {
+		t.Fatalf("status %+v, want %d live snapshots and a promotion", s, live)
+	}
+
+	// Replay the fed sequence: the held-out window is the pre-training
+	// snapshots, the live window everything after.
+	var win []Snapshot
+	for j := 0; j < pre+live; j++ {
+		snap := Snapshot{Samples: snapshotSamples(j)}
+		for _, s := range snap.Samples {
+			snap.Actual += label(j)(s.Counters[0], s.Counters[1])
+		}
+		win = append(win, snap)
+	}
+	champ, ok := st.reg.Get("v1")
+	chall, ok2 := st.reg.Get("auto-1")
+	if !ok || !ok2 {
+		t.Fatal("champion v1 or challenger auto-1 missing from the registry")
+	}
+	// sse sums a model's squared cluster error in ScoreWindow's order.
+	sse := func(cm *models.ClusterModel, snaps []Snapshot) float64 {
+		total := 0.0
+		for _, snap := range snaps {
+			sum := 0.0
+			for _, s := range snap.Samples {
+				sum += cm.ByPlatform[s.Platform].Model.Predict(s.Counters)
+			}
+			d := sum - snap.Actual
+			total += d * d
+		}
+		return total
+	}
+	hc, lc := sse(champ.Model, win[:pre]), sse(champ.Model, win[pre:])
+	hl, ll := sse(chall.Model, win[:pre]), sse(chall.Model, win[pre:])
+	minA, maxA := math.Inf(1), math.Inf(-1)
+	for _, snap := range win {
+		minA, maxA = math.Min(minA, snap.Actual), math.Max(maxA, snap.Actual)
+	}
+	n := float64(pre + live)
+	want := map[string]map[string]float64{
+		"shadow_verdict": {
+			"heldout":   pre,
+			"live":      live,
+			"ratio":     math.Sqrt(ll/live) / math.Sqrt(lc/live),
+			"champ_dre": math.Sqrt((hc+lc)/n) / (maxA - minA),
+			"chall_dre": math.Sqrt((hl+ll)/n) / (maxA - minA),
+		},
+		"promoted": {"shadow_rmse_w": math.Sqrt((hl + ll) / n)},
+	}
+	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		name, _ := ev["event"].(string)
+		for k, w := range want[name] {
+			if got := ev[k]; got != w {
+				t.Errorf("%s %s = %v, want %v", name, k, got, w)
+			}
+		}
+		delete(want, name)
+	}
+	if len(want) != 0 {
+		t.Errorf("events never emitted: %v", want)
+	}
+}
+
+// TestLifecycleLiveGateSameSnapshots: a machine of a new platform joins
+// while the challenger shadows. The champion serves it, but the
+// challenger, fitted before it appeared, cannot predict it, so the
+// challenger scores none of the live snapshots the champion scores. Its
+// near-perfect held-out fit must not win on that smaller set: the live
+// gate rejects it and the champion keeps serving.
+func TestLifecycleLiveGateSameSnapshots(t *testing.T) {
+	p := mkModel(t, 10, 1, 2).ByPlatform["p"]
+	q := *p
+	q.Platform = "q"
+	champ, err := models.NewClusterModel(p, &q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New()
+	if err := reg.Add("v1", champ, registry.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	st := startStack(t, reg, Config{ShadowSnapshots: 20}, serve.Config{Shards: 2}, nil)
+
+	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
+	i := 0
+	trainChallenger(t, st, &i, 60, lawB)
+	for ; i < 80; i++ {
+		samples := append(snapshotSamples(i),
+			online.Sample{MachineID: "q0", Platform: "q", Counters: []float64{float64(i % 5), 1}})
+		metered := make([]float64, len(samples))
+		for j, s := range samples {
+			metered[j] = lawB(s.Counters[0], s.Counters[1])
+		}
+		if _, err := st.srv.Estimate(samples, 5*time.Second, metered); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := waitVerdict(t, st); s.LastVerdict != "rejected" || reg.ActiveVersion() != "v1" {
+		t.Errorf("status %+v, active %s: want the challenger rejected and v1 serving", s, reg.ActiveVersion())
 	}
 }
 

@@ -18,25 +18,9 @@ type MachineBuffer struct {
 	Power    []float64   `json:"power"`
 }
 
-// chronological extracts a ring's contents oldest-first (snapshot returns
-// storage order, which is rotated once the ring wraps).
-func (r *ring) chronological() ([][]float64, []float64) {
-	if !r.full {
-		return r.rows[:r.next], r.power[:r.next]
-	}
-	n := len(r.rows)
-	rows := make([][]float64, 0, n)
-	power := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (r.next + i) % n
-		rows = append(rows, r.rows[idx])
-		power = append(power, r.power[idx])
-	}
-	return rows, power
-}
-
-// State snapshots the buffers for checkpointing. Rows are deep-copied so
-// the state stays consistent while the retrainer keeps ingesting.
+// State snapshots the buffers for checkpointing. The snapshot stays
+// consistent while the retrainer keeps ingesting: chronological copies
+// each ring, and stored rows are never mutated.
 func (rt *Retrainer) State() RetrainerState {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -47,15 +31,7 @@ func (rt *Retrainer) State() RetrainerState {
 	}
 	for id, b := range rt.buffers {
 		rows, power := b.chronological()
-		mb := MachineBuffer{
-			Platform: rt.platform[id],
-			Rows:     make([][]float64, len(rows)),
-			Power:    append([]float64(nil), power...),
-		}
-		for i, row := range rows {
-			mb.Rows[i] = append([]float64(nil), row...)
-		}
-		st.Machines[id] = mb
+		st.Machines[id] = MachineBuffer{Platform: rt.platform[id], Rows: rows, Power: power}
 	}
 	return st
 }

@@ -1,10 +1,77 @@
 package online
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/counters"
+	"repro/internal/models"
 )
+
+// synthNames is the counter order of synthSecond's samples.
+var synthNames = []string{counters.CPUTotal, counters.CPUFreqCore0, "c", "d"}
+
+// synthSecond is machine m's labeled second i: four counters sweeping
+// co-prime cycles, and metered watts that depend on them and on the
+// previous second's frequency.
+func synthSecond(m, i int) (Sample, float64) {
+	freq := func(i int) float64 { return 1600 + 200*float64((i/7+m)%5) }
+	u := float64((i*37 + m*11) % 101)
+	c := float64((i * 53) % 89)
+	d := float64((i*29 + m) % 61)
+	w := 50 + 0.3*u + 0.01*freq(i) + 0.02*freq(i-1) + 0.1*c + 0.001*u*d
+	return Sample{MachineID: "m" + string(rune('0'+m)), Platform: "p",
+		Counters: []float64{u, freq(i), c, d}}, w
+}
+
+// TestRecoveryRetrainAcrossRestore retrains from wrapped rings before and
+// after a State→Restore round trip. Both fits must read every machine's
+// seconds oldest-first, so the two models serialize identically — for a
+// lag-free spec and for a lagged-frequency spec, whose lag column reads
+// the previous row.
+func TestRecoveryRetrainAcrossRestore(t *testing.T) {
+	for _, spec := range []models.FeatureSpec{
+		{Name: "lag-free", Counters: synthNames},
+		{Name: "lagged", Counters: synthNames, LagFreq: true},
+	} {
+		t.Run(spec.Name, func(t *testing.T) {
+			rt, err := NewRetrainer(synthNames, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 450 seconds into 300 slots: both rings wrap.
+			for i := 0; i < 450; i++ {
+				for m := 0; m < 2; m++ {
+					if err := rt.Add(synthSecond(m, i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rt2, err := NewRetrainer(synthNames, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt2.Restore(rt.State()); err != nil {
+				t.Fatal(err)
+			}
+			var docs [2][]byte
+			for k, r := range []*Retrainer{rt, rt2} {
+				cm, err := r.Retrain(models.TechLinear, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if docs[k], err = json.Marshal(cm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(docs[0], docs[1]) {
+				t.Errorf("retrain differs across State/Restore:\nbefore %s\nafter  %s", docs[0], docs[1])
+			}
+		})
+	}
+}
 
 // TestRecoveryRetrainerState round-trips the retrain buffers through the
 // serialized checkpoint form, including a wrapped ring whose chronological

@@ -10,6 +10,7 @@ package online
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -349,16 +350,27 @@ func (r *ring) add(row []float64, watts float64) {
 	}
 }
 
-func (r *ring) snapshot() ([][]float64, []float64) {
-	n := r.next
+// len returns the number of labeled seconds held.
+func (r *ring) len() int {
 	if r.full {
-		n = len(r.rows)
+		return len(r.rows)
 	}
-	rows := make([][]float64, 0, n)
-	power := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, r.rows[i])
-		power = append(power, r.power[i])
+	return r.next
+}
+
+// chronological copies the ring's contents out oldest-first (storage
+// order is rotated once the ring wraps). The rows themselves are shared:
+// add stores a fresh copy and never mutates a stored row.
+func (r *ring) chronological() ([][]float64, []float64) {
+	start := 0
+	if r.full {
+		start = r.next
+	}
+	rows := make([][]float64, r.len())
+	power := make([]float64, len(rows))
+	for i := range rows {
+		j := (start + i) % len(r.rows)
+		rows[i], power[i] = r.rows[j], r.power[j]
 	}
 	return rows, power
 }
@@ -409,18 +421,31 @@ func (rt *Retrainer) Buffered(machineID string) int {
 	if b == nil {
 		return 0
 	}
-	rows, _ := b.snapshot()
-	return len(rows)
+	return b.len()
 }
 
 // Retrain fits a fresh cluster model of the given technique and spec from
 // the buffered samples, pooling machines per platform like the offline
-// pipeline does.
+// pipeline does. The buffers are copied oldest-first under the lock and
+// fitted without it, so Add never waits for a fit.
 func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*models.ClusterModel, error) {
 	span := obs.StartSpan("online.retrain", obs.String("tech", string(tech)))
 	defer span.End()
+	type buffered struct {
+		id, platform string
+		rows         [][]float64
+		power        []float64
+	}
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	bufs := make([]buffered, 0, len(rt.buffers))
+	for id, b := range rt.buffers {
+		rows, power := b.chronological()
+		bufs = append(bufs, buffered{id, rt.platform[id], rows, power})
+	}
+	rt.mu.Unlock()
+	// Machine-ID order fixes the order of each platform's pooled traces,
+	// so the same buffers always fit the same model.
+	sort.Slice(bufs, func(i, j int) bool { return bufs[i].id < bufs[j].id })
 	// A machine with fewer rows than the design width would make the
 	// normal equations rank-deficient and the fit degenerate (an exact
 	// interpolation of noise at best; regress.OLS itself demands strictly
@@ -428,18 +453,17 @@ func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*m
 	// than hand a garbage model or a cryptic solver error to the caller.
 	minRows := spec.NumInputs() + 2
 	byPlatform := map[string][]*trace.Trace{}
-	for id, b := range rt.buffers {
-		rows, power := b.snapshot()
-		if len(rows) == 0 {
+	for _, b := range bufs {
+		if len(b.rows) == 0 {
 			continue
 		}
-		if len(rows) < minRows {
+		if len(b.rows) < minRows {
 			return nil, fmt.Errorf("online: machine %s has %d buffered samples, need at least %d (features + intercept + 1) to retrain",
-				id, len(rows), minRows)
+				b.id, len(b.rows), minRows)
 		}
-		builder := trace.NewBuilder(rt.platform[id], "online", id, 0, rt.names, 0)
-		for i := range rows {
-			if err := builder.Add(rows[i], power[i], power[i]); err != nil {
+		builder := trace.NewBuilder(b.platform, "online", b.id, 0, rt.names, 0)
+		for i := range b.rows {
+			if err := builder.Add(b.rows[i], b.power[i], b.power[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -447,8 +471,7 @@ func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*m
 		if err != nil {
 			return nil, err
 		}
-		p := rt.platform[id]
-		byPlatform[p] = append(byPlatform[p], t)
+		byPlatform[b.platform] = append(byPlatform[b.platform], t)
 	}
 	if len(byPlatform) == 0 {
 		return nil, fmt.Errorf("online: no buffered samples to retrain from")

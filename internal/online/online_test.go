@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -296,6 +297,54 @@ func TestRetrainerValidation(t *testing.T) {
 	}
 	if _, err := rt.Retrain(models.TechLinear, models.CPUOnlySpec()); err == nil {
 		t.Error("expected error with no buffered data")
+	}
+}
+
+// TestRetrainerAddDuringFit: Add runs on the serving path, so it must not
+// wait for a fit. Adds sent while a quadratic Retrain runs must each
+// return long before the fit does.
+func TestRetrainerAddDuringFit(t *testing.T) {
+	rt, err := NewRetrainer(synthNames, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1024; i++ {
+		for m := 0; m < 2; m++ {
+			if err := rt.Add(synthSecond(m, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := rt.Retrain(models.TechQuadratic, models.FeatureSpec{Name: "quad", Counters: synthNames})
+		done <- err
+	}()
+	var worst time.Duration
+	for i := 1024; ; i++ {
+		select {
+		case err := <-done:
+			fit := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if worst > fit/4 {
+				t.Fatalf("an Add waited %v during a %v fit", worst, fit)
+			}
+			t.Logf("worst Add wait %v during a %v fit", worst, fit)
+			return
+		default:
+		}
+		s, w := synthSecond(i%2, i)
+		t0 := time.Now()
+		if err := rt.Add(s, w); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(t0); d > worst {
+			worst = d
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 

@@ -8,8 +8,8 @@ const (
 	// LevelTrim: shrink the batch fill window so queued work drains with
 	// less artificial latency (smaller batches, faster turnaround).
 	LevelTrim = 1
-	// LevelShedAux: additionally pause shadow mirroring and stop
-	// sampling new traces — auxiliary work is the first real casualty.
+	// LevelShedAux: additionally stop sampling new traces — auxiliary
+	// work is the first real casualty.
 	LevelShedAux = 2
 	// LevelPartial: additionally stop fanning out /v1/estimate/cluster
 	// to peers and serve coverage-partial local-slice answers.

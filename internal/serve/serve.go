@@ -69,11 +69,6 @@ type Config struct {
 	// from the request goroutine after the response is complete, so it
 	// must be cheap (the lifecycle hook copies and returns).
 	Labeled func(samples []online.Sample, metered []float64, estimated float64, version string)
-	// ShadowObserve, when set, receives one mirrored score per fully
-	// shadowed metered snapshot: the champion's cluster estimate, the
-	// shadow challenger's (computed in the shards, never returned to
-	// clients), and the metered cluster watts.
-	ShadowObserve func(champion, challenger, actual float64)
 	// Traces, when set, enables request-scoped tracing: sampled requests
 	// (and every request carrying a traceparent header) record queue /
 	// batch / predict / respond spans into this store, retrievable at
@@ -149,17 +144,13 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// taskResult is one sample's outcome. shadowWatts carries the shadow
-// challenger's prediction for the same sample when a mirror is active; it
-// never reaches the response payload.
+// taskResult is one sample's outcome.
 type taskResult struct {
-	watts       float64
-	version     string
-	err         error
-	shed        bool
-	late        bool
-	shadowWatts float64
-	shadowOK    bool
+	watts   float64
+	version string
+	err     error
+	shed    bool
+	late    bool
 }
 
 // pending is the gather side of one estimate request: tasks write their
@@ -210,12 +201,6 @@ type Server struct {
 	// ov, when non-nil, owns the per-shard adaptive limiters and the
 	// brownout ladder (Config.Overload).
 	ov *overload.Controller
-
-	// shadow, when non-nil, is the challenger entry every shard mirrors:
-	// workers predict it alongside the champion (one extra batch predict on
-	// the shard's own goroutine — no new locks) and the gathered cluster
-	// score flows to cfg.ShadowObserve. One atomic load per batch.
-	shadow atomic.Pointer[registry.Entry]
 
 	lcMu sync.RWMutex // guards lc
 	lc   Lifecycle
@@ -334,24 +319,19 @@ func (s *Server) shardFor(machineID string) *shard {
 // the sharded pool and gathers the per-machine watts. It returns the
 // summed cluster estimate, the per-machine map, and the model version(s)
 // used. Queue overflow surfaces as ErrOverloaded, an expired deadline as
-// ErrDeadline.
+// ErrDeadline. The request is untraced and admitted at Interactive
+// priority.
 func (s *Server) Estimate(samples []online.Sample, deadline time.Duration, metered []float64) (*Result, error) {
-	return s.EstimateTraced(samples, deadline, metered, nil)
+	return s.EstimatePriority(samples, deadline, metered, nil, overload.Interactive)
 }
 
-// EstimateTraced is Estimate with a request trace riding along: each
-// queued task carries the trace, and the shard workers record
-// queue/batch/predict spans into it as the sample moves through the
-// pipeline. at may be nil (untraced). The request is admitted at
-// Interactive priority.
-func (s *Server) EstimateTraced(samples []online.Sample, deadline time.Duration, metered []float64, at *obs.ActiveTrace) (*Result, error) {
-	return s.EstimatePriority(samples, deadline, metered, at, overload.Interactive)
-}
-
-// EstimatePriority is EstimateTraced with an explicit priority class.
-// With adaptive admission enabled the whole snapshot is admitted or shed
-// atomically against each touched shard's limiter, so a partially-shed
-// request never burns predictor capacity on samples it cannot answer.
+// EstimatePriority is Estimate with a request trace riding along and an
+// explicit priority class. Each queued task carries the trace, and the
+// shard workers record queue/batch/predict spans into it as the sample
+// moves through the pipeline; at may be nil (untraced). With adaptive
+// admission enabled the whole snapshot is admitted or shed atomically
+// against each touched shard's limiter, so a partially-shed request never
+// burns predictor capacity on samples it cannot answer.
 func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duration, metered []float64, at *obs.ActiveTrace, prio overload.Priority) (*Result, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("serve: no samples")
@@ -420,8 +400,6 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 
 	res := &Result{PerMachine: make(map[string]float64, len(samples))}
 	versions := map[string]bool{}
-	var shadowSum float64
-	shadowN := 0
 	for i, tr := range p.results {
 		switch {
 		case tr.shed:
@@ -434,10 +412,6 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 			res.PerMachine[samples[i].MachineID] = tr.watts
 			res.ClusterWatts += tr.watts
 			versions[tr.version] = true
-			if tr.shadowOK {
-				shadowSum += tr.shadowWatts
-				shadowN++
-			}
 		}
 	}
 	for v := range versions {
@@ -453,14 +427,13 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 	if res.Err != nil {
 		return res, res.Err
 	}
-	s.observe(res, samples, metered, shadowSum, shadowN)
+	s.observe(res, samples, metered)
 	return res, nil
 }
 
 // observe feeds a fully-served snapshot with complete meter readings into
-// the drift monitor, the shadow-mirror score stream, and the labeled-
-// snapshot hook.
-func (s *Server) observe(res *Result, samples []online.Sample, metered []float64, shadowSum float64, shadowN int) {
+// the drift monitor and the labeled-snapshot hooks.
+func (s *Server) observe(res *Result, samples []online.Sample, metered []float64) {
 	if len(metered) != len(samples) {
 		return
 	}
@@ -476,12 +449,6 @@ func (s *Server) observe(res *Result, samples []online.Sample, metered []float64
 				"source":     "serve",
 			})
 		}
-	}
-	// Only fully mirrored snapshots score the shadow: a partial mirror
-	// (mirror started mid-snapshot, or one shard's shadow predictor failed)
-	// would bias the cluster-level comparison.
-	if s.cfg.ShadowObserve != nil && shadowN == len(samples) {
-		s.cfg.ShadowObserve(res.ClusterWatts, shadowSum, actual)
 	}
 	if s.cfg.Labeled != nil {
 		s.cfg.Labeled(samples, metered, res.ClusterWatts, res.Version())
@@ -511,33 +478,6 @@ func (s *Server) ResetDrift() {
 		s.monitor.Reset()
 	}
 	s.drifted.Store(false)
-}
-
-// StartShadow begins mirroring live traffic against the named registry
-// version: every shard predicts it alongside the champion, and fully
-// mirrored metered snapshots flow to Config.ShadowObserve. Shadow
-// predictions are never returned to clients.
-func (s *Server) StartShadow(version string) error {
-	e, ok := s.reg.Get(version)
-	if !ok {
-		return fmt.Errorf("serve: unknown shadow version %q", version)
-	}
-	if err := s.ValidateCompatible(e); err != nil {
-		return err
-	}
-	s.shadow.Store(e)
-	return nil
-}
-
-// StopShadow ends the mirror.
-func (s *Server) StopShadow() { s.shadow.Store(nil) }
-
-// ShadowVersion returns the version being mirrored, or "" when none.
-func (s *Server) ShadowVersion() string {
-	if e := s.shadow.Load(); e != nil {
-		return e.Version
-	}
-	return ""
 }
 
 // Result is the outcome of one Estimate call.
@@ -696,32 +636,12 @@ func (s *Server) process(sh *shard, batch []*task) {
 				machine, obs.String("version", entry.Version))
 		}
 	}
-
-	// Mirror the batch against the shadow challenger, if one is active.
-	// Same samples, same shard goroutine, its own per-shard predictor (own
-	// lag history) — one extra PredictBatch, no new lock contention. A
-	// shadow predictor failure silently skips the mirror for this batch;
-	// the serving path is never affected.
-	// Brownout rung 2 pauses the mirror: under pressure, the champion's
-	// capacity must not be spent double-predicting for the challenger.
-	var shadowItems []online.BatchItem
-	if se := s.shadow.Load(); se != nil && se.Version != entry.Version &&
-		(s.ov == nil || s.ov.Level() < overload.LevelShedAux) {
-		if sp, err := s.predictorFor(sh, se); err == nil {
-			shadowItems = sp.PredictBatch(samples)
-		}
-	}
 	for i, t := range live {
 		if items[i].Err != nil {
 			s.finish(sh, t, taskResult{err: items[i].Err})
 		} else {
 			samplesServed.Inc()
-			tr := taskResult{watts: items[i].Watts, version: entry.Version}
-			if shadowItems != nil && shadowItems[i].Err == nil {
-				tr.shadowWatts = shadowItems[i].Watts
-				tr.shadowOK = true
-			}
-			s.finish(sh, t, tr)
+			s.finish(sh, t, taskResult{watts: items[i].Watts, version: entry.Version})
 		}
 	}
 }
@@ -741,14 +661,10 @@ func (s *Server) predictorFor(sh *shard, entry *registry.Entry) (*online.Predict
 	swapPredictors.Inc()
 	if len(sh.preds) >= 8 {
 		// Prune everything except the versions still in play: the entry
-		// being built, the active champion, and the shadow challenger (so
-		// mirroring never evicts the mirror's own lag history).
+		// being built and the active champion.
 		keep := map[string]bool{entry.Version: true}
 		if ae := s.reg.Active(); ae != nil {
 			keep[ae.Version] = true
-		}
-		if se := s.shadow.Load(); se != nil {
-			keep[se.Version] = true
 		}
 		for v := range sh.preds {
 			if !keep[v] {

@@ -617,151 +617,6 @@ func TestServeCloseAnswersQueued(t *testing.T) {
 	}
 }
 
-// TestLifecycleShadowMirrorInvisible locks the shadow-mirroring contract
-// the lifecycle orchestrator depends on: while a mirror is active, every
-// fully-metered snapshot produces one ShadowObserve callback scoring the
-// challenger against the champion — and the challenger's predictions
-// never leak into any response field.
-func TestLifecycleShadowMirrorInvisible(t *testing.T) {
-	type obs3 struct{ champ, chall, actual float64 }
-	var mu sync.Mutex
-	var observed []obs3
-	var labeled []string
-	s, _ := newTestServer(t, Config{
-		ShadowObserve: func(champ, chall, actual float64) {
-			mu.Lock()
-			observed = append(observed, obs3{champ, chall, actual})
-			mu.Unlock()
-		},
-		Labeled: func(_ []online.Sample, _ []float64, _ float64, version string) {
-			mu.Lock()
-			labeled = append(labeled, version)
-			mu.Unlock()
-		},
-	})
-
-	samples := []online.Sample{
-		{MachineID: "m1", Platform: "p", Counters: []float64{3, 4}}, // v1: 21, v2: 31
-		{MachineID: "m2", Platform: "p", Counters: []float64{1, 1}}, // v1: 13, v2: 23
-	}
-	metered := []float64{21, 13}
-
-	// Mirror management: unknown versions are rejected, v2 is accepted.
-	if err := s.StartShadow("nope"); err == nil {
-		t.Fatal("StartShadow accepted an unknown version")
-	}
-	if s.ShadowVersion() != "" {
-		t.Fatalf("shadow version = %q before any mirror", s.ShadowVersion())
-	}
-	if err := s.StartShadow("v2"); err != nil {
-		t.Fatal(err)
-	}
-	if s.ShadowVersion() != "v2" {
-		t.Fatalf("shadow version = %q, want v2", s.ShadowVersion())
-	}
-
-	res, err := s.Estimate(samples, time.Second, metered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The response is pure champion: v1 watts, v1 version, no trace of v2.
-	if res.ClusterWatts != 34 || res.PerMachine["m1"] != 21 || res.PerMachine["m2"] != 13 {
-		t.Errorf("mirrored response carries wrong watts: %+v", res)
-	}
-	if res.Version() != "v1" {
-		t.Errorf("mirrored response version = %q, want champion v1", res.Version())
-	}
-	// The mirror scored exactly one snapshot: champion 34, challenger 54.
-	mu.Lock()
-	if len(observed) != 1 || observed[0] != (obs3{34, 54, 34}) {
-		t.Errorf("shadow observations = %+v, want [{34 54 34}]", observed)
-	}
-	if len(labeled) != 1 || labeled[0] != "v1" {
-		t.Errorf("labeled versions = %v, want [v1]", labeled)
-	}
-	mu.Unlock()
-
-	// Unmetered traffic mirrors silently: no observation, no label.
-	if _, err := s.Estimate(samples, time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	// After StopShadow the mirror is gone.
-	s.StopShadow()
-	if s.ShadowVersion() != "" {
-		t.Fatalf("shadow version = %q after StopShadow", s.ShadowVersion())
-	}
-	if _, err := s.Estimate(samples, time.Second, metered); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(observed) != 1 {
-		t.Errorf("%d shadow observations after StopShadow, want still 1", len(observed))
-	}
-	mu.Unlock()
-}
-
-// TestLifecycleShadowMirrorUnderSwap races the mirror against hot-swaps:
-// mirroring must never fail a request, and once the shadow version is
-// promoted (shadow == active) the mirror yields no self-comparisons.
-func TestLifecycleShadowMirrorUnderSwap(t *testing.T) {
-	var selfCompare atomic.Int64
-	var observations atomic.Int64
-	s, _ := newTestServer(t, Config{
-		Shards: 2,
-		ShadowObserve: func(champ, chall, actual float64) {
-			observations.Add(1)
-			if champ == chall {
-				// v1 and v2 differ by 10 W per machine on every row, so a
-				// self-comparison means the mirror scored active vs active.
-				selfCompare.Add(1)
-			}
-		},
-	})
-	if err := s.StartShadow("v2"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			id := fmt.Sprintf("sw%d", w)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				samples := []online.Sample{{MachineID: id, Platform: "p", Counters: []float64{float64(i % 7), 1}}}
-				if _, err := s.Estimate(samples, 5*time.Second, []float64{15}); err != nil {
-					t.Errorf("estimate under mirror+swap: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	// Ping-pong activation v1 <-> v2 while the mirror targets v2.
-	for i := 0; i < 40; i++ {
-		v := "v1"
-		if i%2 == 1 {
-			v = "v2"
-		}
-		if err := s.reg.Activate(v); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if selfCompare.Load() != 0 {
-		t.Errorf("%d self-comparisons (shadow scored against itself)", selfCompare.Load())
-	}
-	if observations.Load() == 0 {
-		t.Error("mirror never produced an observation")
-	}
-}
-
 // TestDistServeOwnershipRejection: a node with a partition check rejects
 // estimates for machines it does not own with 421 and a redirect hint —
 // serving them locally would use predictors whose lag history lives on
