@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// TestClusterBenchRunAndCheck: -cluster produces a valid, reproducible
-// document that -check accepts.
+// TestClusterBenchRunAndCheck: -cluster -quick produces a valid,
+// reproducible document that -check accepts.
 func TestClusterBenchRunAndCheck(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "cluster.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-cluster", "-cluster-machines", "100,200", "-sim-seconds", "120", "-out", out}
+	args := []string{"-cluster", "-quick", "-out", out}
 	if code := realMain(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("chaos-bench -cluster exited %d: %s", code, stderr.String())
 	}

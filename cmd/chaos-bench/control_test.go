@@ -9,13 +9,13 @@ import (
 	"testing"
 )
 
-// TestControlBenchRunAndCheck: -control closes the capping loop at two
-// fleet sizes, holds the budgets against ground truth, and produces a
-// reproducible document that -check accepts.
+// TestControlBenchRunAndCheck: -control -quick closes the capping loop
+// at two fleet sizes, holds the budgets against ground truth, and
+// produces a reproducible document that -check accepts.
 func TestControlBenchRunAndCheck(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "control.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-control", "-control-machines", "100,1000", "-control-seconds", "300", "-out", out}
+	args := []string{"-control", "-quick", "-out", out}
 	if code := realMain(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("chaos-bench -control exited %d: %s", code, stderr.String())
 	}

@@ -1,104 +1,34 @@
-// chaos-bench measures the serving path end to end and writes the
-// result as a schema-versioned JSON document (BENCH_serve.json) meant to
-// be committed, so performance changes show up in review diffs instead
-// of anecdotes.
+// chaos-bench writes the three benchmark documents that perfbench (the
+// repo's benchmark, see BENCHMARK.json and perfbench/NOTES.md) does not
+// cover, each as schema-versioned JSON meant to be committed, so
+// performance changes show up in review diffs instead of anecdotes:
 //
-// Each grid cell boots a fresh in-process server (registry + sharded
-// batching engine + HTTP listener), replays a fixed-seed simulated
-// cluster workload through the public API with the in-repo load
-// generator, and records estimates/sec, client and server p50/p99, and
-// allocations per estimate. Batch size 1 exercises /v1/estimate; larger
-// sizes pack /v1/estimate/batch. A final paired run measures the
-// throughput cost of request tracing at the default sampling rate.
+//   - -cluster: how fast the event-driven datacenter simulator runs a
+//     heterogeneous fleet of 100, 1,000 and 20,000 machines
+//     (BENCH_cluster.json);
+//   - -control: how well the model-predictive capping loop holds rack
+//     budgets against ground truth at the same sizes (BENCH_control.json);
+//   - -overload: per-priority goodput when a pinned-capacity engine is
+//     offered 1x, 2x and 5x its capacity (BENCH_overload.json).
 //
-// The workload is reproducible: the same -seed yields byte-identical
-// telemetry (the sha256 workload digest in the output proves it); only
-// the timings vary run to run.
+// Every mode reruns its first cell and records repro_verified only when
+// the rerun reproduces the cell's digest. -check validates a document
+// against the contract of the schema it names.
 //
 // Usage:
 //
-//	chaos-bench -out BENCH_serve.json
-//	chaos-bench -quick -out /tmp/bench.json      # CI smoke: small grid
-//	chaos-bench -check BENCH_serve.json          # validate an existing file
+//	chaos-bench -cluster                           # writes BENCH_cluster.json
+//	chaos-bench -overload -quick -out /tmp/o.json  # CI smoke: reduced grid
+//	chaos-bench -check BENCH_control.json          # validate an existing file
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/counters"
-	"repro/internal/models"
-	"repro/internal/obs"
-	"repro/internal/registry"
-	"repro/internal/serve"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
-
-// Schema identifies the document layout; bump on incompatible change.
-const Schema = "chaos-bench/v1"
-
-// Doc is the benchmark document written to -out.
-type Doc struct {
-	Schema    string `json:"schema"`
-	GoVersion string `json:"go_version"`
-	NumCPU    int    `json:"num_cpu"`
-	Seed      int64  `json:"seed"`
-	Platform  string `json:"platform"`
-	Workloads string `json:"workloads"`
-	// WorkloadDigest is the sha256 over the replayed power series for
-	// every machine count in the grid: rerunning with the same seed must
-	// reproduce it exactly.
-	WorkloadDigest string    `json:"workload_digest"`
-	Snapshots      int       `json:"snapshots_per_cell"`
-	Cells          []Cell    `json:"cells"`
-	TraceOverhead  *Overhead `json:"trace_overhead,omitempty"`
-}
-
-// Cell is one (machines, batch) measurement.
-type Cell struct {
-	Machines        int     `json:"machines"`
-	Batch           int     `json:"batch"`
-	Endpoint        string  `json:"endpoint"`
-	Snapshots       int     `json:"snapshots"`
-	EstimatesPerSec float64 `json:"estimates_per_sec"`
-	SnapshotsPerSec float64 `json:"snapshots_per_sec"`
-	P50Ms           float64 `json:"p50_ms"`
-	P99Ms           float64 `json:"p99_ms"`
-	ServerP50Ms     float64 `json:"server_p50_ms"`
-	ServerP99Ms     float64 `json:"server_p99_ms"`
-	// ServerTailSaturated flags a ServerP99Ms that hit the latency
-	// histogram's +Inf bucket — the value is the top finite bound, a
-	// floor on the true p99 rather than an estimate.
-	ServerTailSaturated bool    `json:"server_tail_saturated,omitempty"`
-	AllocsPerEstimate   float64 `json:"allocs_per_estimate"`
-	Shed                int     `json:"shed"`
-	Late                int     `json:"late"`
-	Failed              int     `json:"failed"`
-}
-
-// Overhead is the paired tracing-cost measurement: the same cell run
-// untraced and traced at the default 1-in-N sampling.
-type Overhead struct {
-	Machines        int     `json:"machines"`
-	Batch           int     `json:"batch"`
-	SampleEvery     int     `json:"sample_every"`
-	BaseEstPerSec   float64 `json:"base_estimates_per_sec"`
-	TracedEstPerSec float64 `json:"traced_estimates_per_sec"`
-	OverheadPct     float64 `json:"overhead_pct"`
-}
 
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -108,112 +38,54 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chaos-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out       = fs.String("out", "BENCH_serve.json", "write the benchmark document here")
-		check     = fs.String("check", "", "validate an existing benchmark document and exit")
-		quick     = fs.Bool("quick", false, "small grid for CI smoke runs")
-		seed      = fs.Int64("seed", 7, "simulation seed (fixes the replayed workload)")
-		machines  = fs.String("machines", "3,6,12", "comma-separated cluster sizes")
-		batches   = fs.String("batches", "1,4,16,64", "comma-separated snapshots-per-request; 1 uses /v1/estimate")
-		snapshots = fs.Int("snapshots", 1500, "snapshots replayed per cell (after warmup)")
-		platform  = fs.String("platform", "Core2", "simulated platform class")
-		workloads = fs.String("workloads", "Prime,Sort", "workload sequence to replay")
-
-		clusterMode = fs.Bool("cluster", false, "benchmark the event-driven datacenter simulator instead of the serving path")
-		clusterMs   = fs.String("cluster-machines", "100,1000,20000", "comma-separated fleet sizes for -cluster")
-		simSeconds  = fs.Int64("sim-seconds", 3600, "simulated seconds per -cluster cell")
-
-		controlMode = fs.Bool("control", false, "benchmark the model-predictive power-capping loop instead of the serving path")
-		controlMs   = fs.String("control-machines", "100,1000,20000", "comma-separated fleet sizes for -control")
-		controlSecs = fs.Int64("control-seconds", 1200, "simulated seconds per -control cell")
-
-		overloadMode  = fs.Bool("overload", false, "benchmark priority goodput under overload instead of the serving path")
-		overloadLoads = fs.String("overload-loads", "1,2,5", "comma-separated load multiples of pinned capacity for -overload")
-		overloadSecs  = fs.Int("overload-seconds", 4, "seconds of offered load per -overload cell")
+		out          = fs.String("out", "", "write the benchmark document here (default BENCH_<mode>.json)")
+		check        = fs.String("check", "", "validate an existing benchmark document and exit")
+		quick        = fs.Bool("quick", false, "reduced grid for CI smoke runs")
+		seed         = fs.Int64("seed", 7, "simulation seed (fixes every replayed workload)")
+		clusterMode  = fs.Bool("cluster", false, "benchmark the event-driven datacenter simulator")
+		controlMode  = fs.Bool("control", false, "benchmark the model-predictive power-capping loop")
+		overloadMode = fs.Bool("overload", false, "benchmark priority goodput under overload")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *check != "" {
-		if err := checkDoc(*check, stdout); err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
+	modes := 0
+	for _, on := range []bool{*check != "", *clusterMode, *controlMode, *overloadMode} {
+		if on {
+			modes++
 		}
-		return 0
 	}
-	if *overloadMode {
-		loads, err := parseInts(*overloadLoads)
-		if err == nil {
-			if *quick {
-				loads = firstTwo(loads)
-				if *overloadSecs > 2 {
-					*overloadSecs = 2
-				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_overload.json"
-			}
-			err = runOverloadBench(stdout, *out, *seed, loads, *overloadSecs)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
-		}
-		return 0
+	if modes != 1 || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "chaos-bench: give exactly one of -cluster, -control, -overload or -check FILE")
+		fs.Usage()
+		return 2
 	}
-	if *controlMode {
-		sizes, err := parseInts(*controlMs)
-		if err == nil {
-			if *quick {
-				if len(sizes) > 2 {
-					sizes = sizes[:2]
-				}
-				if *controlSecs > 300 {
-					*controlSecs = 300
-				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_control.json"
-			}
-			err = runControlBench(stdout, *out, *seed, sizes, *controlSecs)
+
+	// Each mode's grid is fixed, so every committed document measures the
+	// same cells; -quick keeps the two smallest fleets (the lightest and
+	// the heaviest load) for a shorter run.
+	var err error
+	switch {
+	case *check != "":
+		err = checkDoc(*check, stdout)
+	case *clusterMode:
+		sizes, simSeconds := []int{100, 1000, 20000}, int64(3600)
+		if *quick {
+			sizes, simSeconds = sizes[:2], 300
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
+		err = runClusterBench(stdout, outPath(*out, "BENCH_cluster.json"), *seed, sizes, simSeconds)
+	case *controlMode:
+		sizes, simSeconds := []int{100, 1000, 20000}, int64(1200)
+		if *quick {
+			sizes, simSeconds = sizes[:2], 300
 		}
-		return 0
-	}
-	if *clusterMode {
-		sizes, err := parseInts(*clusterMs)
-		if err == nil {
-			if *quick {
-				if len(sizes) > 2 {
-					sizes = sizes[:2]
-				}
-				if *simSeconds > 300 {
-					*simSeconds = 300
-				}
-			}
-			if *out == "BENCH_serve.json" {
-				*out = "BENCH_cluster.json"
-			}
-			err = runClusterBench(stdout, *out, *seed, sizes, *simSeconds)
+		err = runControlBench(stdout, outPath(*out, "BENCH_control.json"), *seed, sizes, simSeconds)
+	case *overloadMode:
+		loads, seconds := []int{1, 2, 5}, 4
+		if *quick {
+			loads, seconds = []int{1, 5}, 2
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "chaos-bench:", err)
-			return 1
-		}
-		return 0
-	}
-	ms, err := parseInts(*machines)
-	if err == nil {
-		var bs []int
-		if bs, err = parseInts(*batches); err == nil {
-			if *quick {
-				ms, bs = ms[:1], firstTwo(bs)
-				*snapshots = min(*snapshots, 300)
-			}
-			err = runBench(stdout, *out, *seed, ms, bs, *snapshots, *platform, *workloads)
-		}
+		err = runOverloadBench(stdout, outPath(*out, "BENCH_overload.json"), *seed, loads, seconds)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "chaos-bench:", err)
@@ -222,244 +94,25 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad list entry %q", s)
-		}
-		out = append(out, n)
+func outPath(out, def string) string {
+	if out == "" {
+		return def
 	}
-	sort.Ints(out)
-	return out, nil
+	return out
 }
 
-func firstTwo(xs []int) []int {
-	if len(xs) > 2 {
-		return []int{xs[0], xs[len(xs)-1]}
-	}
-	return xs
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// simulate builds the fixed-seed replay substrate for one cluster size
-// and folds its power series into the digest.
-func simulate(platform string, n int, seed int64, workloads []string, digest *floatDigest) ([]*trace.Trace, error) {
-	cluster, err := telemetry.New(platform, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	traces, err := cluster.RunSequence(workloads, 10, 3000, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range traces {
-		digest.WriteFloats(t.Power)
-	}
-	return traces, nil
-}
-
-// fitModel trains the linear cluster model every cell serves.
-func fitModel(traces []*trace.Trace) (*models.ClusterModel, error) {
-	spec := core.ClusterSpec([]string{counters.CPUTotal, counters.CPUFreqCore0})
-	var train []*trace.Trace
-	for _, t := range traces {
-		train = append(train, trace.Subsample(t, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechLinear, train, spec,
-		models.FitOptions{FreqCol: spec.FreqInputIndex()})
-	if err != nil {
-		return nil, err
-	}
-	return models.NewClusterModel(mm)
-}
-
-// cellServer boots a fresh engine + listener for one measurement.
-func cellServer(cm *models.ClusterModel, names []string, traceStore *obs.TraceStore, sampleEvery int) (close func(), addr string, err error) {
-	reg := registry.New()
-	if err := reg.Add("v1", cm, registry.Meta{Description: "bench", Source: "sim"}); err != nil {
-		return nil, "", err
-	}
-	srv, err := serve.New(reg, serve.Config{
-		Shards: 4, QueueDepth: 8192, BatchMax: 256,
-		Names: names, Traces: traceStore, TraceSample: sampleEvery,
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	httpSrv, err := serve.Serve("127.0.0.1:0", srv)
-	if err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	return func() { httpSrv.Close(); srv.Close() }, httpSrv.Addr(), nil
-}
-
-// measure replays one cell and returns its stats plus allocations per
-// estimate (end to end: client encode + server decode/predict/encode).
-func measure(addr string, traces []*trace.Trace, batch, snapshots int) (*serve.LoadStats, float64, error) {
-	base := "http://" + addr
-	// Warmup: fill connection pools and JIT the steady state.
-	warm := snapshots / 10
-	if warm < 50 {
-		warm = 50
-	}
-	if _, err := serve.RunLoadGen(serve.LoadGenConfig{
-		TargetURL: base, Traces: traces, Snapshots: warm, Clients: 4, Batch: batch,
-	}); err != nil {
-		return nil, 0, err
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	stats, err := serve.RunLoadGen(serve.LoadGenConfig{
-		TargetURL: base, Traces: traces, Snapshots: snapshots, Clients: 4, Batch: batch,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(maxInt(stats.Samples, 1))
-	return stats, allocs, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func runBench(w io.Writer, out string, seed int64, ms, bs []int, snapshots int, platform, workloadCSV string) error {
-	workloads := strings.Split(workloadCSV, ",")
-	digest := newDigest()
-	doc := &Doc{
-		Schema: Schema, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Seed: seed, Platform: platform, Workloads: workloadCSV, Snapshots: snapshots,
-	}
-
-	type sized struct {
-		traces []*trace.Trace
-		model  *models.ClusterModel
-	}
-	sizes := make(map[int]sized, len(ms))
-	for _, m := range ms {
-		traces, err := simulate(platform, m, seed, workloads, digest)
-		if err != nil {
-			return err
-		}
-		cm, err := fitModel(traces)
-		if err != nil {
-			return err
-		}
-		sizes[m] = sized{traces, cm}
-	}
-	doc.WorkloadDigest = digest.Hex()
-
-	for _, m := range ms {
-		sz := sizes[m]
-		for _, b := range bs {
-			closeSrv, addr, err := cellServer(sz.model, sz.traces[0].Names, nil, 0)
-			if err != nil {
-				return err
-			}
-			stats, allocs, err := measure(addr, sz.traces, b, snapshots)
-			closeSrv()
-			if err != nil {
-				return err
-			}
-			endpoint := "/v1/estimate/batch"
-			if b == 1 {
-				endpoint = "/v1/estimate"
-			}
-			cell := Cell{
-				Machines: m, Batch: b, Endpoint: endpoint, Snapshots: stats.Snapshots,
-				EstimatesPerSec: round1(stats.SamplesPerSec),
-				SnapshotsPerSec: round1(stats.SnapshotsPerSec),
-				P50Ms:           roundMs(stats.LatencyP50), P99Ms: roundMs(stats.LatencyP99),
-				ServerP50Ms: roundMs(stats.ServerP50), ServerP99Ms: roundMs(stats.ServerP99),
-				ServerTailSaturated: stats.ServerTailSaturated,
-				AllocsPerEstimate:   math.Round(allocs*10) / 10,
-				Shed:                stats.Shed, Late: stats.Late, Failed: stats.Failed,
-			}
-			doc.Cells = append(doc.Cells, cell)
-			fmt.Fprintf(w, "machines=%-3d batch=%-3d %10.0f est/s  p99 %-8s allocs/est %.1f\n",
-				m, b, stats.SamplesPerSec, stats.LatencyP99, allocs)
-		}
-	}
-
-	// Tracing overhead: the mid-size cluster at a mid batch, untraced vs
-	// traced at the default 1-in-16 sampling with a production-sized ring.
-	om, ob := ms[len(ms)/2], midBatch(bs)
-	sz := sizes[om]
-	// Interleave base/traced repetitions and keep each side's best, so
-	// scheduler noise does not masquerade as tracing cost.
-	var pair [2]float64
-	for rep := 0; rep < 3; rep++ {
-		for i, sample := range []int{-1, 0} { // -1 disables, 0 takes the default
-			var ts *obs.TraceStore
-			if i == 1 {
-				ts = obs.NewTraceStore(256, 250*time.Millisecond)
-			}
-			closeSrv, addr, err := cellServer(sz.model, sz.traces[0].Names, ts, sample)
-			if err != nil {
-				return err
-			}
-			stats, _, err := measure(addr, sz.traces, ob, snapshots)
-			closeSrv()
-			if err != nil {
-				return err
-			}
-			if stats.SamplesPerSec > pair[i] {
-				pair[i] = stats.SamplesPerSec
-			}
-		}
-	}
-	doc.TraceOverhead = &Overhead{
-		Machines: om, Batch: ob, SampleEvery: 16,
-		BaseEstPerSec:   round1(pair[0]),
-		TracedEstPerSec: round1(pair[1]),
-		OverheadPct:     math.Round((pair[0]-pair[1])/pair[0]*1000) / 10,
-	}
-	fmt.Fprintf(w, "tracing overhead at machines=%d batch=%d: %.1f%% (%.0f -> %.0f est/s)\n",
-		om, ob, doc.TraceOverhead.OverheadPct, pair[0], pair[1])
-
+// writeDoc writes doc as indented JSON with a trailing newline.
+func writeDoc(out string, doc any) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s (%d cells, digest %s)\n", out, len(doc.Cells), doc.WorkloadDigest[:12])
-	return nil
+	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
-func midBatch(bs []int) int {
-	for _, b := range bs {
-		if b > 1 {
-			return b
-		}
-	}
-	return bs[0]
-}
-
-func round1(v float64) float64        { return math.Round(v*10) / 10 }
-func roundMs(d time.Duration) float64 { return math.Round(d.Seconds()*1e5) / 100 }
-
-// checkDoc validates a benchmark document: schema version, grid
-// coverage, and sane measurements. CI runs it against both the committed
-// file and fresh -quick output. The document's schema field picks the
-// validator: serving documents here, cluster documents in
-// checkClusterDoc.
+// checkDoc validates a benchmark document against the contract of the
+// schema its schema field names. CI runs it against both the committed
+// documents and fresh -quick output.
 func checkDoc(path string, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -471,60 +124,14 @@ func checkDoc(path string, w io.Writer) error {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if probe.Schema == ClusterSchema {
+	switch probe.Schema {
+	case ClusterSchema:
 		return checkClusterDoc(path, data, w)
-	}
-	if probe.Schema == ControlSchema {
+	case ControlSchema:
 		return checkControlDoc(path, data, w)
-	}
-	if probe.Schema == OverloadSchema {
+	case OverloadSchema:
 		return checkOverloadDoc(path, data, w)
 	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != Schema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, Schema)
-	}
-	if len(doc.WorkloadDigest) != 64 {
-		return fmt.Errorf("%s: missing workload digest", path)
-	}
-	machines, batches := map[int]bool{}, map[int]bool{}
-	for i, c := range doc.Cells {
-		machines[c.Machines], batches[c.Batch] = true, true
-		if c.EstimatesPerSec <= 0 || c.Snapshots <= 0 {
-			return fmt.Errorf("%s: cell %d has no throughput", path, i)
-		}
-		if c.P99Ms < c.P50Ms {
-			return fmt.Errorf("%s: cell %d p99 < p50", path, i)
-		}
-		if c.Failed > 0 {
-			return fmt.Errorf("%s: cell %d recorded %d failed snapshots", path, i, c.Failed)
-		}
-	}
-	fmt.Fprintf(w, "%s: ok — %d cells, %d machine count(s) x %d batch size(s)\n",
-		path, len(doc.Cells), len(machines), len(batches))
-	return nil
-}
-
-// digest accumulates float series into one sha256.
-type floatDigest struct {
-	h   [32]byte
-	buf []byte
-}
-
-func newDigest() *floatDigest { return &floatDigest{} }
-
-func (d *floatDigest) WriteFloats(xs []float64) {
-	for _, x := range xs {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		d.buf = append(d.buf, b[:]...)
-	}
-}
-
-func (d *floatDigest) Hex() string {
-	sum := sha256.Sum256(d.buf)
-	return fmt.Sprintf("%x", sum)
+	return fmt.Errorf("%s: unknown schema %q, want %s, %s or %s",
+		path, probe.Schema, ClusterSchema, ControlSchema, OverloadSchema)
 }

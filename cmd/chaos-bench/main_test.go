@@ -2,119 +2,54 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// runBenchCLI runs realMain with a tiny grid into dir and returns the
-// decoded document.
-func runBenchCLI(t *testing.T, out string, seed string) Doc {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-out", out, "-seed", seed,
-		"-machines", "2,3", "-batches", "1,8", "-snapshots", "120",
+// TestCLIRequiresOneMode: no mode, or more than one, is a usage error
+// (exit 2) rather than a run of whichever mode the code checks first.
+func TestCLIRequiresOneMode(t *testing.T) {
+	cases := map[string][]string{
+		"none":              {},
+		"quick only":        {"-quick"},
+		"control+overload":  {"-control", "-overload"},
+		"cluster+control":   {"-cluster", "-control", "-quick"},
+		"check+cluster":     {"-check", "BENCH_cluster.json", "-cluster"},
+		"stray argument":    {"-cluster", "extra"},
+		"deleted grid flag": {"-cluster", "-sim-seconds", "120"},
 	}
-	if code := realMain(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("chaos-bench exited %d: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-// TestBenchGridAndCheck runs a small grid end to end: the document must
-// carry the full machines x batches grid, validate under -check, and
-// record the tracing-overhead pair.
-func TestBenchGridAndCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots real servers")
-	}
-	out := filepath.Join(t.TempDir(), "bench.json")
-	doc := runBenchCLI(t, out, "7")
-	if doc.Schema != Schema {
-		t.Fatalf("schema %q", doc.Schema)
-	}
-	if len(doc.Cells) != 4 {
-		t.Fatalf("want 2x2 grid, got %d cells", len(doc.Cells))
-	}
-	for _, c := range doc.Cells {
-		if c.EstimatesPerSec <= 0 || c.Failed != 0 {
-			t.Fatalf("bad cell: %+v", c)
+	for name, args := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", name, code)
 		}
-		wantEndpoint := "/v1/estimate/batch"
-		if c.Batch == 1 {
-			wantEndpoint = "/v1/estimate"
+		if !strings.Contains(stderr.String(), "Usage") {
+			t.Errorf("%s: no usage on stderr: %q", name, stderr.String())
 		}
-		if c.Endpoint != wantEndpoint {
-			t.Fatalf("cell batch=%d endpoint %q", c.Batch, c.Endpoint)
+		if stdout.Len() != 0 {
+			t.Errorf("%s: ran something: %q", name, stdout.String())
 		}
-	}
-	if doc.TraceOverhead == nil || doc.TraceOverhead.BaseEstPerSec <= 0 {
-		t.Fatalf("tracing overhead pair missing: %+v", doc.TraceOverhead)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-check", out}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-check failed: %s", stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "ok") {
-		t.Fatalf("check output: %s", stdout.String())
 	}
 }
 
-// TestBenchDigestReproducible: the same seed must replay a byte-identical
-// workload (the digest proves it); a different seed must not.
-func TestBenchDigestReproducible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots real servers")
-	}
+// TestCheckRejectsUnknownSchema: -check names a schema it has no
+// validator for, the retired serving schema included, rather than
+// validating the document against some other schema's contract.
+func TestCheckRejectsUnknownSchema(t *testing.T) {
 	dir := t.TempDir()
-	a := runBenchCLI(t, filepath.Join(dir, "a.json"), "7")
-	b := runBenchCLI(t, filepath.Join(dir, "b.json"), "7")
-	c := runBenchCLI(t, filepath.Join(dir, "c.json"), "8")
-	if a.WorkloadDigest != b.WorkloadDigest {
-		t.Fatalf("same seed, different workloads: %s vs %s", a.WorkloadDigest, b.WorkloadDigest)
-	}
-	if a.WorkloadDigest == c.WorkloadDigest {
-		t.Fatal("different seeds produced the same workload digest")
-	}
-}
-
-// TestBenchCheckRejectsBadDocs: -check must fail on schema drift and on
-// cells that record failures.
-func TestBenchCheckRejectsBadDocs(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, doc Doc) string {
-		data, _ := json.Marshal(doc)
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
+	for _, schema := range []string{"chaos-bench/v1", ""} {
+		p := filepath.Join(dir, "doc.json")
+		if err := os.WriteFile(p, []byte(`{"schema": "`+schema+`", "cells": []}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}
-	digest := strings.Repeat("ab", 32)
-	good := Cell{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, P50Ms: 1, P99Ms: 2}
-	cases := map[string]Doc{
-		"schema.json": {Schema: "chaos-bench/v0", WorkloadDigest: digest, Cells: []Cell{good}},
-		"digest.json": {Schema: Schema, Cells: []Cell{good}},
-		"failed.json": {Schema: Schema, WorkloadDigest: digest,
-			Cells: []Cell{{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, Failed: 2}}},
-		"tail.json": {Schema: Schema, WorkloadDigest: digest,
-			Cells: []Cell{{Machines: 3, Batch: 1, Snapshots: 10, EstimatesPerSec: 100, P50Ms: 5, P99Ms: 1}}},
-	}
-	for name, doc := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := realMain([]string{"-check", write(name, doc)}, &stdout, &stderr); code == 0 {
-			t.Errorf("%s: -check accepted a bad document", name)
+		if code := realMain([]string{"-check", p}, &stdout, &stderr); code != 1 {
+			t.Errorf("schema %q: exit %d, want 1", schema, code)
+		}
+		if want := `unknown schema "` + schema + `"`; !strings.Contains(stderr.String(), want) {
+			t.Errorf("schema %q: stderr %q does not name it", schema, stderr.String())
 		}
 	}
 }

@@ -11,16 +11,16 @@ import (
 	"repro/internal/overload"
 )
 
-// TestOverloadBenchRunAndCheck: -overload drives a pinned-capacity engine
-// at two load multiples, protects the interactive tier at the top one,
-// and produces a reproducible document that -check accepts.
+// TestOverloadBenchRunAndCheck: -overload -quick drives a pinned-capacity
+// engine at two load multiples, protects the interactive tier at the top
+// one, and produces a reproducible document that -check accepts.
 func TestOverloadBenchRunAndCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second load replay")
 	}
 	out := filepath.Join(t.TempDir(), "overload.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-overload", "-overload-loads", "1,5", "-overload-seconds", "2", "-out", out}
+	args := []string{"-overload", "-quick", "-out", out}
 	if code := realMain(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("chaos-bench -overload exited %d: %s", code, stderr.String())
 	}
@@ -55,15 +55,17 @@ func TestOverloadBenchRunAndCheck(t *testing.T) {
 	}
 }
 
-// TestOverloadBenchCheckRejectsBadDocs: schema drift, missing repro
-// proof, inversion ticks, a top cell below 5x, and inverted survival
-// rates all fail -check.
+// TestOverloadBenchCheckRejectsBadDocs: schema drift (v1 included),
+// missing repro proof, inversion ticks, a top cell below 5x, inverted
+// survival rates, a cell whose offered rate is not its load multiple of
+// capacity, and an under-driven cell all fail -check.
 func TestOverloadBenchCheckRejectsBadDocs(t *testing.T) {
 	dir := t.TempDir()
 	digest := strings.Repeat("ab", 32)
 	cell := func(loadX int, interOK, backOK int) OverloadCell {
 		return OverloadCell{
-			LoadX: loadX, OfferedPS: 800 * loadX, Snapshots: 1600, Shed: 100,
+			LoadX: loadX, OfferedPS: 800 * loadX, AchievedPS: 790 * float64(loadX),
+			Snapshots: 1600, Shed: 100,
 			Tiers: []TierCell{
 				{Priority: "interactive", Sent: 200, OK: interOK, P50Ms: 10, P99Ms: 40},
 				{Priority: "batch", Sent: 600, OK: 300, P50Ms: 10, P99Ms: 60},
@@ -78,6 +80,7 @@ func TestOverloadBenchCheckRejectsBadDocs(t *testing.T) {
 	}
 	cases := map[string]OverloadDoc{
 		"schema.json": func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v0"; return d }(),
+		"v1.json":     func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v1"; return d }(),
 		"repro.json":  func() OverloadDoc { d := good(); d.ReproVerified = false; return d }(),
 		"onecell.json": {Schema: OverloadSchema, CapacityPerSec: 800, ReproVerified: true,
 			Cells: []OverloadCell{cell(5, 190, 80)}},
@@ -91,6 +94,18 @@ func TestOverloadBenchCheckRejectsBadDocs(t *testing.T) {
 			return d
 		}(),
 		"noshed.json": func() OverloadDoc { d := good(); d.Cells[1].Shed = 0; return d }(),
+		"mislabeled.json": func() OverloadDoc {
+			d := good()
+			// Labeled 5x but offering 15x: snapshots/s read as samples/s.
+			d.Cells[1].OfferedPS, d.Cells[1].AchievedPS = 12000, 11800
+			return d
+		}(),
+		"underdriven.json": func() OverloadDoc {
+			d := good()
+			// 48% of the 5x target, the way the v1 document's top cell ran.
+			d.Cells[1].AchievedPS = 0.48 * 4000
+			return d
+		}(),
 	}
 	for name, doc := range cases {
 		data, _ := json.Marshal(doc)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -433,7 +432,8 @@ func sendGroup(client *http.Client, cfg LoadGenConfig, group []snapshotPayload, 
 
 // drawPriority picks a priority class from the weight vector,
 // deterministically in (seed, group): the mix a run replays is a pure
-// function of its config.
+// function of its config. Each group's draw is the first output of its
+// own splitmix64 stream, so it allocates nothing.
 func drawPriority(weights [overload.NumPriorities]int, seed int64, group int) overload.Priority {
 	total := 0
 	for _, w := range weights {
@@ -444,8 +444,8 @@ func drawPriority(weights [overload.NumPriorities]int, seed int64, group int) ov
 	if total == 0 {
 		return overload.Interactive
 	}
-	r := rand.New(rand.NewSource(mathx.DeriveSeed(seed, fmt.Sprintf("loadgen-prio:%d", group))))
-	x := r.Intn(total)
+	k := mathx.NewSeedKey(seed).Str("loadgen-prio:").Int(group)
+	x := mathx.NewSplitMix(k.Seed()).Intn(total)
 	for p, w := range weights {
 		if w <= 0 {
 			continue
