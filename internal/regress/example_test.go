@@ -28,7 +28,7 @@ func ExampleStepwise() {
 
 // The lasso zeroes out irrelevant coefficients entirely — step 3 of
 // Algorithm 1.
-func ExampleLasso() {
+func ExampleLassoSelect() {
 	r := rand.New(rand.NewSource(2))
 	n := 400
 	x := mathx.NewMatrix(n, 4)
@@ -39,7 +39,7 @@ func ExampleLasso() {
 		}
 		y[i] = 3*x.At(i, 1) + r.NormFloat64()*0.1
 	}
-	fit, _ := regress.Lasso(x, y, 0.5, 1000)
-	fmt.Println("selected columns:", fit.Selected())
+	sel, _ := regress.LassoSelect(x, y, 1)
+	fmt.Println("selected columns:", sel)
 	// Output: selected columns: [1]
 }

@@ -8,35 +8,15 @@ import (
 	"repro/internal/obs"
 )
 
-// LassoResult holds an L1-regularized linear fit in the original (not
-// standardized) coordinate system.
-type LassoResult struct {
-	Intercept  float64
-	Coef       []float64
-	Lambda     float64
-	Iterations int
-	Converged  bool
-}
-
-// Selected returns the indices of predictors with nonzero coefficients.
-func (l *LassoResult) Selected() []int {
-	var out []int
-	for j, c := range l.Coef {
-		if c != 0 {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Predict returns the fitted value for one predictor row.
-func (l *LassoResult) Predict(x []float64) float64 {
-	y := l.Intercept
-	for j, c := range l.Coef {
-		y += c * x[j]
-	}
-	return y
-}
+// The lasso path LassoSelect walks: pathLen geometric steps from λmax down
+// to pathRatio·λmax, each a cold-start fit of at most maxSweeps sweeps that
+// stops once no coefficient moves by sweepTol.
+const (
+	pathLen   = 30
+	pathRatio = 1e-3
+	maxSweeps = 2000
+	sweepTol  = 1e-7
+)
 
 func softThreshold(z, gamma float64) float64 {
 	switch {
@@ -49,12 +29,17 @@ func softThreshold(z, gamma float64) float64 {
 	}
 }
 
-// Lasso fits an L1-regularized linear regression by cyclic coordinate
-// descent on standardized predictors (Friedman et al.'s glmnet update).
-// lambda is expressed on the standardized scale; larger values zero out
-// more coefficients. This is step 3 of the paper's Algorithm 1, used to
-// discard irrelevant features in high-dimensional counter spaces.
-func Lasso(x *mathx.Matrix, y []float64, lambda float64, maxIter int) (*LassoResult, error) {
+// LassoSelect is step 3 of the paper's Algorithm 1, which discards
+// irrelevant features in high-dimensional counter spaces and keeps "on the
+// order of 10" of them. It walks a lasso path from λmax, the smallest λ
+// that zeroes every coefficient, down to pathRatio·λmax, and returns the
+// columns of x kept by the first (most regularized) fit with at least
+// targetK nonzero coefficients, or by the least-regularized fit if none has
+// that many. λ is on the standardized scale; the path follows glmnet
+// (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010).
+func LassoSelect(x *mathx.Matrix, y []float64, targetK int) ([]int, error) {
+	span := obs.StartSpan("regress.lasso_select", obs.Int("cols", x.Cols), obs.Int("target_k", targetK))
+	defer span.End()
 	n, p := x.Rows, x.Cols
 	if n != len(y) {
 		return nil, fmt.Errorf("regress: %d rows but %d responses", n, len(y))
@@ -62,43 +47,80 @@ func Lasso(x *mathx.Matrix, y []float64, lambda float64, maxIter int) (*LassoRes
 	if n < 2 {
 		return nil, fmt.Errorf("regress: lasso needs at least 2 observations, got %d", n)
 	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("regress: negative lambda %g", lambda)
-	}
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	// Standardize predictors and center the response.
+	// Standardize predictors and center the response once for the whole
+	// path.
 	cols := make([][]float64, p)
-	means := make([]float64, p)
 	scales := make([]float64, p)
-	for j := 0; j < p; j++ {
-		cols[j], means[j], scales[j] = mathx.Standardize(x.Col(j))
+	for j := range cols {
+		cols[j], _, scales[j] = mathx.Standardize(x.Col(j))
 	}
 	ybar := mathx.Mean(y)
-	resid := make([]float64, n)
-	for i := range resid {
-		resid[i] = y[i] - ybar
+	yc := make([]float64, n)
+	for i, v := range y {
+		yc[i] = v - ybar
 	}
-	beta := make([]float64, p) // standardized-scale coefficients
-	nf := float64(n)
-	var iter int
-	converged := false
-	for iter = 0; iter < maxIter; iter++ {
+	// λmax = max_j |⟨z_j, y − ȳ⟩|/n. When it is 0, the first sweep of every
+	// fit moves no coefficient, so every fit keeps nothing whatever its λ.
+	lmax := 0.0
+	for _, cj := range cols {
+		dot := 0.0
+		for i, c := range cj {
+			dot += c * yc[i]
+		}
+		if a := math.Abs(dot) / float64(n); a > lmax {
+			lmax = a
+		}
+	}
+
+	beta := make([]float64, p)
+	resid := make([]float64, n)
+	var sel []int
+	fits, notConverged := 0, 0
+	for k := 0; k < pathLen; k++ {
+		lambda := lmax * math.Pow(pathRatio, float64(k)/float64(pathLen-1))
+		clear(beta)
+		copy(resid, yc)
+		fits++
+		if !coordinateDescent(cols, resid, beta, lambda) {
+			notConverged++
+		}
+		// A feature is selected when its coefficient is nonzero in the
+		// original units, β_j/σ_j.
+		sel = nil
+		for j, b := range beta {
+			if b != 0 && b/scales[j] != 0 {
+				sel = append(sel, j)
+			}
+		}
+		if len(sel) >= targetK {
+			break
+		}
+	}
+	span.SetAttr(obs.Int("fits", fits), obs.Int("not_converged", notConverged))
+	return sel, nil
+}
+
+// coordinateDescent fits the lasso at lambda by cyclic coordinate descent
+// over unit-variance columns (Friedman et al.'s glmnet update). beta holds
+// the starting coefficients and resid the centred response minus their
+// fit; both are updated in place. It reports whether a sweep moved no
+// coefficient by sweepTol or more within maxSweeps sweeps.
+func coordinateDescent(cols [][]float64, resid, beta []float64, lambda float64) bool {
+	nf := float64(len(resid))
+	for sweep := 0; sweep < maxSweeps; sweep++ {
 		maxDelta := 0.0
-		for j := 0; j < p; j++ {
-			cj := cols[j]
+		for j, cj := range cols {
 			// rho = (1/n) Σ x_ij (resid_i + x_ij β_j); unit variance
 			// columns make the denominator 1.
 			rho := 0.0
-			for i := 0; i < n; i++ {
-				rho += cj[i] * resid[i]
+			for i, c := range cj {
+				rho += c * resid[i]
 			}
 			rho = rho/nf + beta[j]
 			newBeta := softThreshold(rho, lambda)
 			if d := newBeta - beta[j]; d != 0 {
-				for i := 0; i < n; i++ {
-					resid[i] -= d * cj[i]
+				for i, c := range cj {
+					resid[i] -= d * c
 				}
 				if a := math.Abs(d); a > maxDelta {
 					maxDelta = a
@@ -106,96 +128,9 @@ func Lasso(x *mathx.Matrix, y []float64, lambda float64, maxIter int) (*LassoRes
 				beta[j] = newBeta
 			}
 		}
-		if maxDelta < 1e-7 {
-			converged = true
-			break
+		if maxDelta < sweepTol {
+			return true
 		}
 	}
-	// Back-transform to original coordinates.
-	out := &LassoResult{
-		Coef:       make([]float64, p),
-		Lambda:     lambda,
-		Iterations: iter + 1,
-		Converged:  converged,
-	}
-	intercept := ybar
-	for j := 0; j < p; j++ {
-		if beta[j] == 0 {
-			continue
-		}
-		c := beta[j] / scales[j]
-		out.Coef[j] = c
-		intercept -= c * means[j]
-	}
-	out.Intercept = intercept
-	return out, nil
-}
-
-// LassoMaxLambda returns the smallest lambda at which all coefficients are
-// zero for the given data (on the standardized scale). Useful to construct
-// a regularization path.
-func LassoMaxLambda(x *mathx.Matrix, y []float64) float64 {
-	n, p := x.Rows, x.Cols
-	if n == 0 || p == 0 {
-		return 0
-	}
-	ybar := mathx.Mean(y)
-	maxAbs := 0.0
-	for j := 0; j < p; j++ {
-		z, _, _ := mathx.Standardize(x.Col(j))
-		dot := 0.0
-		for i := 0; i < n; i++ {
-			dot += z[i] * (y[i] - ybar)
-		}
-		if a := math.Abs(dot) / float64(n); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return maxAbs
-}
-
-// LassoPath fits the lasso over a geometric grid of nLambda values from
-// LassoMaxLambda down to ratio times it, returning fits from most to least
-// regularized. It is used to pick a lambda that keeps roughly targetK
-// features (Algorithm 1 step 3 wants "on the order of 10").
-func LassoPath(x *mathx.Matrix, y []float64, nLambda int, ratio float64) ([]*LassoResult, error) {
-	if nLambda < 2 {
-		return nil, fmt.Errorf("regress: lasso path needs at least 2 lambdas, got %d", nLambda)
-	}
-	if ratio <= 0 || ratio >= 1 {
-		return nil, fmt.Errorf("regress: lasso path ratio %g out of (0,1)", ratio)
-	}
-	lmax := LassoMaxLambda(x, y)
-	if lmax == 0 {
-		lmax = 1
-	}
-	out := make([]*LassoResult, 0, nLambda)
-	for k := 0; k < nLambda; k++ {
-		frac := float64(k) / float64(nLambda-1)
-		lambda := lmax * math.Pow(ratio, frac)
-		fit, err := Lasso(x, y, lambda, 2000)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fit)
-	}
-	return out, nil
-}
-
-// LassoSelect runs a lasso path and returns the selected feature indices of
-// the first (most regularized) fit that keeps at least targetK features; if
-// none does, it returns the least-regularized fit's selection.
-func LassoSelect(x *mathx.Matrix, y []float64, targetK int) ([]int, error) {
-	span := obs.StartSpan("regress.lasso_select", obs.Int("cols", x.Cols), obs.Int("target_k", targetK))
-	defer span.End()
-	path, err := LassoPath(x, y, 30, 1e-3)
-	if err != nil {
-		return nil, err
-	}
-	for _, fit := range path {
-		if sel := fit.Selected(); len(sel) >= targetK {
-			return sel, nil
-		}
-	}
-	return path[len(path)-1].Selected(), nil
+	return false
 }

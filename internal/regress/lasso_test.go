@@ -3,10 +3,12 @@ package regress
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mathx"
+	"repro/internal/obs"
 )
 
 func TestSoftThreshold(t *testing.T) {
@@ -24,6 +26,38 @@ func TestSoftThreshold(t *testing.T) {
 	}
 }
 
+// fitAt runs coordinateDescent from a cold start at lambda on x's
+// standardized columns and y centred, and returns the coefficients in the
+// original units and whether the fit converged.
+func fitAt(x *mathx.Matrix, y []float64, lambda float64) ([]float64, bool) {
+	cols := make([][]float64, x.Cols)
+	scales := make([]float64, x.Cols)
+	for j := range cols {
+		cols[j], _, scales[j] = mathx.Standardize(x.Col(j))
+	}
+	ybar := mathx.Mean(y)
+	resid := make([]float64, len(y))
+	for i, v := range y {
+		resid[i] = v - ybar
+	}
+	beta := make([]float64, x.Cols)
+	converged := coordinateDescent(cols, resid, beta, lambda)
+	for j := range beta {
+		beta[j] /= scales[j]
+	}
+	return beta, converged
+}
+
+func support(coef []float64) []int {
+	var out []int
+	for j, c := range coef {
+		if c != 0 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 func TestLassoSelectsTrueSupport(t *testing.T) {
 	// 3 real predictors out of 20.
 	r := rand.New(rand.NewSource(10))
@@ -36,110 +70,90 @@ func TestLassoSelectsTrueSupport(t *testing.T) {
 		}
 		y[i] = 10 + 4*x.At(i, 0) - 3*x.At(i, 7) + 2*x.At(i, 13) + r.NormFloat64()*0.2
 	}
-	fit, err := Lasso(x, y, 0.5, 2000)
-	if err != nil {
-		t.Fatalf("Lasso: %v", err)
-	}
-	if !fit.Converged {
+	coef, converged := fitAt(x, y, 0.5)
+	if !converged {
 		t.Error("lasso did not converge")
 	}
-	sel := fit.Selected()
-	want := map[int]bool{0: true, 7: true, 13: true}
-	for _, j := range sel {
-		if !want[j] {
-			t.Errorf("selected spurious feature %d", j)
-		}
+	if sel := support(coef); !reflect.DeepEqual(sel, []int{0, 7, 13}) {
+		t.Errorf("selected = %v, want exactly the 3 true features [0 7 13]", sel)
 	}
-	if len(sel) != 3 {
-		t.Errorf("selected = %v, want exactly the 3 true features", sel)
+	if sel, err := LassoSelect(x, y, 3); err != nil || !reflect.DeepEqual(sel, []int{0, 7, 13}) {
+		t.Errorf("LassoSelect(k=3) = %v, %v; want [0 7 13]", sel, err)
 	}
 }
 
 func TestLassoZeroLambdaApproachesOLS(t *testing.T) {
 	x, y := synthData(11, 300, []float64{2, -1}, 0.05)
-	fit, err := Lasso(x, y, 0, 5000)
-	if err != nil {
-		t.Fatalf("Lasso: %v", err)
-	}
-	if math.Abs(fit.Coef[0]-2) > 0.05 || math.Abs(fit.Coef[1]+1) > 0.05 {
-		t.Errorf("lambda=0 coefs = %v, want ~[2 -1]", fit.Coef)
-	}
-	if math.Abs(fit.Intercept-1.5) > 0.05 {
-		t.Errorf("intercept = %v, want ~1.5", fit.Intercept)
+	coef, _ := fitAt(x, y, 0)
+	if math.Abs(coef[0]-2) > 0.05 || math.Abs(coef[1]+1) > 0.05 {
+		t.Errorf("lambda=0 coefs = %v, want ~[2 -1]", coef)
 	}
 }
 
 func TestLassoValidation(t *testing.T) {
 	x := mathx.NewMatrix(5, 2)
-	if _, err := Lasso(x, []float64{1}, 0.1, 10); err == nil {
-		t.Error("expected length mismatch error")
-	}
-	if _, err := Lasso(x, make([]float64, 5), -1, 10); err == nil {
-		t.Error("expected negative lambda error")
-	}
-	if _, err := Lasso(mathx.NewMatrix(1, 2), []float64{1}, 0.1, 10); err == nil {
-		t.Error("expected too-few-rows error")
+	for _, c := range []struct {
+		name string
+		x    *mathx.Matrix
+		y    []float64
+	}{
+		{"more responses than rows", x, make([]float64, 6)},
+		{"fewer responses than rows", x, []float64{1, 2, 3}},
+		{"too few rows", mathx.NewMatrix(1, 2), []float64{1}},
+	} {
+		if _, err := LassoSelect(c.x, c.y, 1); err == nil {
+			t.Errorf("%s: expected an error", c.name)
+		}
 	}
 }
 
 func TestLassoMaxLambdaKillsEverything(t *testing.T) {
 	x, y := synthData(12, 200, []float64{3, -2, 1}, 0.1)
-	lmax := LassoMaxLambda(x, y)
+	lmax := refMaxLambda(x, y)
 	if lmax <= 0 {
 		t.Fatalf("lmax = %v", lmax)
 	}
-	fit, err := Lasso(x, y, lmax*1.0001, 1000)
-	if err != nil {
-		t.Fatalf("Lasso: %v", err)
-	}
-	if len(fit.Selected()) != 0 {
-		t.Errorf("at lambda >= lmax all coefficients should be zero, got %v", fit.Selected())
+	if coef, _ := fitAt(x, y, lmax*1.0001); len(support(coef)) != 0 {
+		t.Errorf("at lambda >= lmax all coefficients should be zero, got %v", support(coef))
 	}
 	// Just below lmax at least one coefficient should appear.
-	fit2, err := Lasso(x, y, lmax*0.9, 2000)
-	if err != nil {
-		t.Fatalf("Lasso: %v", err)
-	}
-	if len(fit2.Selected()) == 0 {
+	if coef, _ := fitAt(x, y, lmax*0.9); len(support(coef)) == 0 {
 		t.Error("just below lmax, expected at least one active coefficient")
+	}
+	// LassoSelect's path starts at lmax: its first fit keeps nothing, and
+	// its second, at 0.79·lmax, already keeps a feature.
+	if sel, span := lassoSelectSpan(t, x, y, 0); len(sel) != 0 || spanInt(span, "fits") != 1 {
+		t.Errorf("targetK=0: selected %v after %d fits, want none after 1", sel, spanInt(span, "fits"))
+	}
+	if sel, span := lassoSelectSpan(t, x, y, 1); len(sel) == 0 || spanInt(span, "fits") != 2 {
+		t.Errorf("targetK=1: selected %v after %d fits, want some after 2", sel, spanInt(span, "fits"))
 	}
 }
 
 func TestLassoPathMonotoneSupport(t *testing.T) {
 	x, y := synthData(13, 300, []float64{5, 3, -2, 1, 0.5}, 0.2)
-	path, err := LassoPath(x, y, 12, 1e-3)
-	if err != nil {
-		t.Fatalf("LassoPath: %v", err)
-	}
-	if len(path) != 12 {
-		t.Fatalf("path length = %d", len(path))
-	}
-	// Lambdas decrease along the path, support sizes should be
+	lmax := refMaxLambda(x, y)
+	// Lambdas decrease along a 12-point path; support sizes should be
 	// non-decreasing in the aggregate (allow small local wiggle of 1).
 	prev := -1
-	for i, fit := range path {
-		k := len(fit.Selected())
-		if prev >= 0 && k < prev-1 {
-			t.Errorf("support shrank sharply at step %d: %d -> %d", i, prev, k)
+	var last []int
+	for k := 0; k < 12; k++ {
+		coef, _ := fitAt(x, y, lmax*math.Pow(1e-3, float64(k)/11))
+		last = support(coef)
+		if n := len(last); prev >= 0 && n < prev-1 {
+			t.Errorf("support shrank sharply at step %d: %d -> %d", k, prev, n)
 		}
-		prev = k
+		prev = len(last)
 	}
-	last := path[len(path)-1]
-	if len(last.Selected()) != 5 {
-		t.Errorf("least-regularized fit selected %v, want all 5", last.Selected())
+	if len(last) != 5 {
+		t.Errorf("least-regularized fit selected %v, want all 5", last)
 	}
-}
-
-func TestLassoPathValidation(t *testing.T) {
-	x, y := synthData(14, 50, []float64{1}, 0.1)
-	if _, err := LassoPath(x, y, 1, 0.1); err == nil {
-		t.Error("expected nLambda validation error")
-	}
-	if _, err := LassoPath(x, y, 5, 0); err == nil {
-		t.Error("expected ratio validation error")
-	}
-	if _, err := LassoPath(x, y, 5, 1); err == nil {
-		t.Error("expected ratio validation error")
+	// No fit can keep 6 of 5 columns, so LassoSelect walks the whole path
+	// and returns the least-regularized fit's selection.
+	sel, span := lassoSelectSpan(t, x, y, 6)
+	if len(sel) != 5 || spanInt(span, "fits") != pathLen {
+		t.Errorf("targetK=6: selected %v after %d fits, want all 5 after %d",
+			sel, spanInt(span, "fits"), pathLen)
 	}
 }
 
@@ -168,21 +182,255 @@ func TestLassoShrinkageProperty(t *testing.T) {
 			}
 			y[i] = 2*x.At(i, 0) - 3*x.At(i, 2) + r.NormFloat64()
 		}
-		l1 := func(fit *LassoResult) float64 {
+		l1 := func(coef []float64) float64 {
 			s := 0.0
-			for _, c := range fit.Coef {
+			for _, c := range coef {
 				s += math.Abs(c)
 			}
 			return s
 		}
-		small, err1 := Lasso(x, y, 0.05, 3000)
-		big, err2 := Lasso(x, y, 0.8, 3000)
-		if err1 != nil || err2 != nil {
-			return false
-		}
+		small, _ := fitAt(x, y, 0.05)
+		big, _ := fitAt(x, y, 0.8)
 		return l1(big) <= l1(small)+1e-9
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLassoSelectMatchesPerFitPath checks LassoSelect against refPath, a
+// direct transcription of the path that standardizes x again for every fit
+// and for λmax, and runs all 30 cold-start fits before picking one. Over 400
+// designs mixing duplicate, collinear, constant and badly scaled columns,
+// and every targetK from 0 to p+1, selections must be identical, and the
+// span must count the fits the rule needed and those among them that hit
+// the sweep cap.
+func TestLassoSelectMatchesPerFitPath(t *testing.T) {
+	capped := 0
+	for seed := int64(0); seed < 400; seed++ {
+		x, y := randomDesign(seed)
+		path := refPath(x, y)
+		for targetK := 0; targetK <= x.Cols+1; targetK++ {
+			fits := len(path)
+			for k, fit := range path {
+				if len(fit.sel) >= targetK {
+					fits = k + 1
+					break
+				}
+			}
+			notConverged := 0
+			for _, fit := range path[:fits] {
+				if !fit.converged {
+					notConverged++
+				}
+			}
+			if targetK == x.Cols+1 {
+				capped += notConverged
+			}
+			want := path[fits-1].sel
+
+			got, span := lassoSelectSpan(t, x, y, targetK)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%dx%d), targetK %d: LassoSelect = %v, per-fit path = %v",
+					seed, x.Rows, x.Cols, targetK, got, want)
+			}
+			if f, nc := spanInt(span, "fits"), spanInt(span, "not_converged"); f != fits || nc != notConverged {
+				t.Fatalf("seed %d, targetK %d: span fits=%d not_converged=%d, want %d and %d",
+					seed, targetK, f, nc, fits, notConverged)
+			}
+		}
+	}
+	if capped == 0 {
+		t.Error("no design hit the sweep cap; the not_converged count went unchecked")
+	}
+}
+
+// randomDesign draws a small design whose columns are, at random, normal,
+// discrete (few distinct values, like a counter), duplicates or scaled
+// copies of an earlier column, collinear combinations of two earlier
+// columns, constant, or scaled by 1e±6. The response is a sparse linear
+// model of the columns plus noise, or occasionally constant.
+func randomDesign(seed int64) (*mathx.Matrix, []float64) {
+	r := rand.New(rand.NewSource(seed))
+	n, p := 4+r.Intn(57), 1+r.Intn(8)
+	x := mathx.NewMatrix(n, p)
+	for j := 0; j < p; j++ {
+		kind := r.Intn(7)
+		if j == 0 && kind >= 2 && kind <= 4 {
+			kind = 0 // copies need an earlier column
+		}
+		a, b := r.Intn(j+1), r.Intn(j+1)
+		wa, wb, off := r.NormFloat64(), r.NormFloat64(), r.NormFloat64()*10
+		scale := math.Pow(10, float64(6*(r.Intn(3)-1)))
+		for i := 0; i < n; i++ {
+			var v float64
+			switch kind {
+			case 0:
+				v = r.NormFloat64()
+			case 1:
+				v = float64(r.Intn(3))
+			case 2:
+				v = x.At(i, a)
+			case 3:
+				v = wa*x.At(i, a) + off
+			case 4:
+				v = wa*x.At(i, a) + wb*x.At(i, b)
+			case 5:
+				v = off
+			case 6:
+				v = r.NormFloat64() * scale
+			}
+			x.Set(i, j, v)
+		}
+	}
+	y := make([]float64, n)
+	if r.Intn(12) == 0 {
+		for i := range y {
+			y[i] = 42
+		}
+		return x, y
+	}
+	coef := make([]float64, p)
+	for j := range coef {
+		if r.Intn(2) == 0 {
+			coef[j] = r.NormFloat64() * 3
+		}
+	}
+	noise := []float64{0, 0.01, 1}[r.Intn(3)]
+	for i := range y {
+		y[i] = 5 + r.NormFloat64()*noise
+		for j, c := range coef {
+			y[i] += c * x.At(i, j)
+		}
+	}
+	return x, y
+}
+
+// lassoSelectSpan runs LassoSelect and returns its selection and the
+// regress.lasso_select span it finished.
+func lassoSelectSpan(t *testing.T, x *mathx.Matrix, y []float64, targetK int) ([]int, obs.SpanData) {
+	t.Helper()
+	var span obs.SpanData
+	tr := obs.DefaultTracer()
+	tr.SetSink(func(d obs.SpanData) {
+		if d.Name == "regress.lasso_select" {
+			span = d
+		}
+	})
+	defer tr.SetSink(nil)
+	sel, err := LassoSelect(x, y, targetK)
+	if err != nil {
+		t.Fatalf("LassoSelect: %v", err)
+	}
+	return sel, span
+}
+
+func spanInt(d obs.SpanData, key string) int {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			if v, ok := a.Value.(int); ok {
+				return v
+			}
+		}
+	}
+	return -1
+}
+
+// refFit is one fit of refPath: the selected columns and whether the fit
+// converged within its sweep budget.
+type refFit struct {
+	sel       []int
+	converged bool
+}
+
+// refPath fits the lasso at 30 geometric steps from refMaxLambda(x, y) (1
+// when that is 0) down to 1e-3 times it, each from a zero start with at
+// most 2,000 sweeps and a 1e-7 tolerance, and standardizing x afresh.
+func refPath(x *mathx.Matrix, y []float64) []refFit {
+	lmax := refMaxLambda(x, y)
+	if lmax == 0 {
+		lmax = 1
+	}
+	out := make([]refFit, 0, 30)
+	for k := 0; k < 30; k++ {
+		frac := float64(k) / float64(30-1)
+		out = append(out, refLasso(x, y, lmax*math.Pow(1e-3, frac)))
+	}
+	return out
+}
+
+// refMaxLambda returns the smallest λ, on the standardized scale, at which
+// every lasso coefficient is zero.
+func refMaxLambda(x *mathx.Matrix, y []float64) float64 {
+	n, p := x.Rows, x.Cols
+	if n == 0 || p == 0 {
+		return 0
+	}
+	ybar := mathx.Mean(y)
+	maxAbs := 0.0
+	for j := 0; j < p; j++ {
+		z, _, _ := mathx.Standardize(x.Col(j))
+		dot := 0.0
+		for i := 0; i < n; i++ {
+			dot += z[i] * (y[i] - ybar)
+		}
+		if a := math.Abs(dot) / float64(n); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	return maxAbs
+}
+
+// refLasso fits the lasso at lambda by cyclic coordinate descent on
+// freshly standardized columns and selects the columns whose coefficient
+// is nonzero in the original units.
+func refLasso(x *mathx.Matrix, y []float64, lambda float64) refFit {
+	n, p := x.Rows, x.Cols
+	cols := make([][]float64, p)
+	scales := make([]float64, p)
+	for j := 0; j < p; j++ {
+		cols[j], _, scales[j] = mathx.Standardize(x.Col(j))
+	}
+	ybar := mathx.Mean(y)
+	resid := make([]float64, n)
+	for i := range resid {
+		resid[i] = y[i] - ybar
+	}
+	beta := make([]float64, p)
+	nf := float64(n)
+	var fit refFit
+	for iter := 0; iter < 2000; iter++ {
+		maxDelta := 0.0
+		for j := 0; j < p; j++ {
+			cj := cols[j]
+			rho := 0.0
+			for i := 0; i < n; i++ {
+				rho += cj[i] * resid[i]
+			}
+			rho = rho/nf + beta[j]
+			newBeta := softThreshold(rho, lambda)
+			if d := newBeta - beta[j]; d != 0 {
+				for i := 0; i < n; i++ {
+					resid[i] -= d * cj[i]
+				}
+				if a := math.Abs(d); a > maxDelta {
+					maxDelta = a
+				}
+				beta[j] = newBeta
+			}
+		}
+		if maxDelta < 1e-7 {
+			fit.converged = true
+			break
+		}
+	}
+	for j := 0; j < p; j++ {
+		if beta[j] == 0 {
+			continue
+		}
+		if c := beta[j] / scales[j]; c != 0 {
+			fit.sel = append(fit.sel, j)
+		}
+	}
+	return fit
 }
