@@ -217,7 +217,7 @@ func fitFold(trainTraces []*trace.Trace, cfg CVConfig) (*models.ClusterModel, er
 	}
 	var mms []*models.MachineModel
 	for _, p := range sortedKeys(byPlatform) {
-		ts := capTraces(byPlatform[p], cfg.MaxTrainRows)
+		ts := trace.CapRows(byPlatform[p], cfg.MaxTrainRows)
 		opts := cfg.FitOpts
 		opts.FreqCol = cfg.Spec.FreqInputIndex()
 		mm, err := models.FitMachineModel(cfg.Tech, ts, cfg.Spec, opts)
@@ -227,24 +227,6 @@ func fitFold(trainTraces []*trace.Trace, cfg CVConfig) (*models.ClusterModel, er
 		mms = append(mms, mm)
 	}
 	return models.NewClusterModel(mms...)
-}
-
-// capTraces further subsamples traces so their pooled row count stays at
-// or under maxRows.
-func capTraces(ts []*trace.Trace, maxRows int) []*trace.Trace {
-	total := 0
-	for _, t := range ts {
-		total += t.Len()
-	}
-	if maxRows <= 0 || total <= maxRows {
-		return ts
-	}
-	step := (total + maxRows - 1) / maxRows
-	out := make([]*trace.Trace, len(ts))
-	for i, t := range ts {
-		out[i] = trace.Subsample(t, step)
-	}
-	return out
 }
 
 // evaluateRun scores the cluster model on one test run: per-machine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,11 +11,16 @@ import (
 )
 
 // testDataset collects a small Core2 cluster dataset once and shares it
-// across tests (collection is deterministic, so sharing is safe).
+// across tests, and testSelection runs Algorithm 1 on it once (collection
+// and selection are deterministic, so sharing is safe).
 var (
 	dsOnce sync.Once
 	dsVal  *Dataset
 	dsErr  error
+
+	selOnce sync.Once
+	selVal  *featsel.Result
+	selErr  error
 )
 
 func testDataset(t *testing.T) *Dataset {
@@ -30,6 +36,16 @@ func testDataset(t *testing.T) *Dataset {
 		t.Fatalf("Collect: %v", dsErr)
 	}
 	return dsVal
+}
+
+func testSelection(t *testing.T) *featsel.Result {
+	t.Helper()
+	ds := testDataset(t)
+	selOnce.Do(func() { selVal, selErr = ds.SelectFeatures(featsel.Options{}) })
+	if selErr != nil {
+		t.Fatalf("SelectFeatures: %v", selErr)
+	}
+	return selVal
 }
 
 func TestCollectDataset(t *testing.T) {
@@ -66,11 +82,7 @@ func TestCollectValidation(t *testing.T) {
 }
 
 func TestSelectFeaturesEndToEnd(t *testing.T) {
-	ds := testDataset(t)
-	res, err := ds.SelectFeatures(featsel.Options{})
-	if err != nil {
-		t.Fatalf("SelectFeatures: %v", err)
-	}
+	res := testSelection(t)
 	if len(res.Features) < 3 || len(res.Features) > 25 {
 		t.Errorf("selected %d features, want a compact set: %v", len(res.Features), res.Features)
 	}
@@ -91,14 +103,11 @@ func TestSelectFeaturesEndToEnd(t *testing.T) {
 	}
 }
 
-func clusterFeatureSpec(t *testing.T, ds *Dataset) models.FeatureSpec {
-	t.Helper()
-	res, err := ds.SelectFeatures(featsel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ensure the frequency counter is available for switching models.
-	spec := ClusterSpec(res.Features)
+// clusterFeatureSpec builds the cluster spec from a selection, ensuring
+// the frequency counter is available for switching models. It copies the
+// features, so appending to the spec never writes into a shared selection.
+func clusterFeatureSpec(res *featsel.Result) models.FeatureSpec {
+	spec := ClusterSpec(slices.Clone(res.Features))
 	if spec.FreqInputIndex() < 0 {
 		spec.Counters = append(spec.Counters, counters.CPUFreqCore0)
 	}
@@ -107,7 +116,7 @@ func clusterFeatureSpec(t *testing.T, ds *Dataset) models.FeatureSpec {
 
 func TestCrossValidateQuadraticBeatsTwelvePercent(t *testing.T) {
 	ds := testDataset(t)
-	spec := clusterFeatureSpec(t, ds)
+	spec := clusterFeatureSpec(testSelection(t))
 	cv, err := CrossValidate(ds.ByWorkload["Prime"], CVConfig{Tech: models.TechQuadratic, Spec: spec})
 	if err != nil {
 		t.Fatalf("CrossValidate: %v", err)
@@ -139,7 +148,7 @@ func TestCrossValidateNeedsRuns(t *testing.T) {
 
 func TestEvaluateGridSkipsAndRanks(t *testing.T) {
 	ds := testDataset(t)
-	spec := clusterFeatureSpec(t, ds)
+	spec := clusterFeatureSpec(testSelection(t))
 	specs := []models.FeatureSpec{models.CPUOnlySpec(), spec}
 	techs := []models.Technique{models.TechLinear, models.TechQuadratic, models.TechSwitching}
 	entries, err := EvaluateGrid(ds.ByWorkload["Prime"], techs, specs, CVConfig{})
@@ -192,7 +201,7 @@ func TestBestEntryEmpty(t *testing.T) {
 
 func TestPredictSeriesAndStrawman(t *testing.T) {
 	ds := testDataset(t)
-	spec := clusterFeatureSpec(t, ds)
+	spec := clusterFeatureSpec(testSelection(t))
 	traces := ds.ByWorkload["Prime"]
 	s, err := PredictSeries(traces, CVConfig{Tech: models.TechQuadratic, Spec: spec}, 0, 1)
 	if err != nil {
@@ -233,7 +242,11 @@ func TestHeterogeneousCollectAndCV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CollectHeterogeneous: %v", err)
 	}
-	spec := clusterFeatureSpec(t, ds)
+	res, err := ds.SelectFeatures(featsel.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := clusterFeatureSpec(res)
 	cv, err := CrossValidate(ds.ByWorkload["Prime"], CVConfig{Tech: models.TechQuadratic, Spec: spec})
 	if err != nil {
 		t.Fatalf("CrossValidate: %v", err)

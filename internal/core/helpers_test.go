@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/models"
-	"repro/internal/trace"
 )
 
 func TestSortedKeys(t *testing.T) {
@@ -15,36 +14,6 @@ func TestSortedKeys(t *testing.T) {
 	}
 	if got := sortedKeys(map[string]int{}); len(got) != 0 {
 		t.Errorf("sortedKeys(empty) = %v", got)
-	}
-}
-
-func TestCapTraces(t *testing.T) {
-	mk := func(n int) *trace.Trace {
-		b := trace.NewBuilder("P", "W", "m", 0, []string{"c"}, 1)
-		for i := 0; i < n; i++ {
-			if err := b.Add([]float64{1}, 1, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	ts := []*trace.Trace{mk(100), mk(100)}
-	capped := capTraces(ts, 50)
-	total := capped[0].Len() + capped[1].Len()
-	if total > 60 {
-		t.Errorf("capTraces kept %d rows, want <= ~50", total)
-	}
-	same := capTraces(ts, 1000)
-	if same[0] != ts[0] {
-		t.Error("under-cap should return originals")
-	}
-	same2 := capTraces(ts, 0)
-	if same2[0] != ts[0] {
-		t.Error("zero cap should disable capping")
 	}
 }
 

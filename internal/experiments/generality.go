@@ -55,7 +55,7 @@ func (s *Suite) Generality(w io.Writer, platform string, unseen []string) (*Gene
 		}
 	}
 	fit := func(ts []*trace.Trace) (*models.ClusterModel, error) {
-		mm, err := models.FitMachineModel(models.TechQuadratic, capTracesForFit(ts, 2400), spec,
+		mm, err := models.FitMachineModel(models.TechQuadratic, trace.CapRows(ts, 2400), spec,
 			models.FitOptions{MaxKnots: 8})
 		if err != nil {
 			return nil, err

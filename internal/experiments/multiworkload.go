@@ -57,7 +57,7 @@ func (s *Suite) MultiWorkload(w io.Writer, platform string) (*MultiWorkloadResul
 			testByWorkload[wl][r] = byRun[r]
 		}
 	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, capTracesForFit(train, 2400), spec,
+	mm, err := models.FitMachineModel(models.TechQuadratic, trace.CapRows(train, 2400), spec,
 		models.FitOptions{MaxKnots: 8})
 	if err != nil {
 		return nil, err
@@ -102,22 +102,4 @@ func (s *Suite) MultiWorkload(w io.Writer, platform string) (*MultiWorkloadResul
 	fmt.Fprintf(w, "overall DRE %.1f%% across %d workloads with ONE model\n",
 		res.Overall*100, len(s.Cfg.Workloads))
 	return res, nil
-}
-
-// capTracesForFit evenly subsamples a trace set down to roughly maxRows
-// pooled rows.
-func capTracesForFit(ts []*trace.Trace, maxRows int) []*trace.Trace {
-	total := 0
-	for _, t := range ts {
-		total += t.Len()
-	}
-	if total <= maxRows {
-		return ts
-	}
-	step := (total + maxRows - 1) / maxRows
-	out := make([]*trace.Trace, len(ts))
-	for i, t := range ts {
-		out[i] = trace.Subsample(t, step)
-	}
-	return out
 }

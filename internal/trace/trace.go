@@ -154,6 +154,26 @@ func Subsample(t *Trace, step int) *Trace {
 	return out
 }
 
+// CapRows evenly subsamples a trace set, every trace with the same step,
+// so its pooled row count comes to about maxRows (at most maxRows plus one
+// per trace). A set already within the cap, or maxRows <= 0, is returned
+// as is.
+func CapRows(ts []*Trace, maxRows int) []*Trace {
+	total := 0
+	for _, t := range ts {
+		total += t.Len()
+	}
+	if maxRows <= 0 || total <= maxRows {
+		return ts
+	}
+	step := (total + maxRows - 1) / maxRows
+	out := make([]*Trace, len(ts))
+	for i, t := range ts {
+		out[i] = Subsample(t, step)
+	}
+	return out
+}
+
 // SelectColumns returns a copy of t keeping only the named counters, in
 // the given order.
 func SelectColumns(t *Trace, names []string) (*Trace, error) {

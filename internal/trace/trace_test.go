@@ -106,6 +106,23 @@ func TestSubsample(t *testing.T) {
 	}
 }
 
+func TestCapRows(t *testing.T) {
+	ts := []*Trace{buildTrace(t, "m0", 0, 100), buildTrace(t, "m1", 0, 100)}
+	capped := CapRows(ts, 50)
+	total := capped[0].Len() + capped[1].Len()
+	if total > 60 {
+		t.Errorf("CapRows kept %d rows, want <= ~50", total)
+	}
+	same := CapRows(ts, 1000)
+	if same[0] != ts[0] {
+		t.Error("under-cap should return originals")
+	}
+	same2 := CapRows(ts, 0)
+	if same2[0] != ts[0] {
+		t.Error("zero cap should disable capping")
+	}
+}
+
 func TestSelectColumns(t *testing.T) {
 	tr := buildTrace(t, "m0", 0, 5)
 	s, err := SelectColumns(tr, []string{"c2", "c0"})
