@@ -444,6 +444,7 @@ func TestServeBatchThroughputAmortization(t *testing.T) {
 	_, base := newTestServer(t, Config{Shards: 2, QueueDepth: 4096, BatchMax: 256})
 	traces := syntheticTraces(t, 3, 200)
 
+	firstErr := math.NaN()
 	run := func(batch int) *LoadStats {
 		stats, err := RunLoadGen(LoadGenConfig{
 			TargetURL:    base,
@@ -462,20 +463,40 @@ func TestServeBatchThroughputAmortization(t *testing.T) {
 		if stats.OK != 2000 {
 			t.Fatalf("batch=%d: ok %d, want 2000", batch, stats.OK)
 		}
+		// Equal error: identical model, identical inputs — identical
+		// estimates on every run, single or batched.
+		if math.IsNaN(firstErr) {
+			firstErr = stats.MeanAbsErr()
+		} else if d := math.Abs(stats.MeanAbsErr() - firstErr); d > 1e-9 {
+			t.Errorf("batch=%d changed accuracy: %.6f W vs %.6f W", batch, stats.MeanAbsErr(), firstErr)
+		}
 		return stats
 	}
-	single := run(1)
-	batched := run(32)
+	best := func(cur, s *LoadStats) *LoadStats {
+		if cur == nil || s.SamplesPerSec > cur.SamplesPerSec {
+			return s
+		}
+		return cur
+	}
+	// One wall-clock run moves with whatever else holds the CPU, so three
+	// single/batched pairs run in alternating order and each side is
+	// judged by its best run.
+	var single, batched *LoadStats
+	for pair := 0; pair < 3; pair++ {
+		if pair%2 == 0 {
+			single = best(single, run(1))
+			batched = best(batched, run(32))
+		} else {
+			batched = best(batched, run(32))
+			single = best(single, run(1))
+		}
+	}
 
 	ratio := batched.SamplesPerSec / single.SamplesPerSec
-	t.Logf("single: %.0f samples/s (p99 %s); batched: %.0f samples/s (p99 %s); ratio %.1fx",
+	t.Logf("best single: %.0f samples/s (p99 %s); best batched: %.0f samples/s (p99 %s); ratio %.1fx",
 		single.SamplesPerSec, single.LatencyP99, batched.SamplesPerSec, batched.LatencyP99, ratio)
 	if ratio < 5 {
 		t.Errorf("batched throughput only %.1fx single, want >= 5x", ratio)
-	}
-	// Equal error: identical model, identical inputs — identical estimates.
-	if d := math.Abs(single.MeanAbsErr() - batched.MeanAbsErr()); d > 1e-9 {
-		t.Errorf("batch path changed accuracy: single %.6f W vs batched %.6f W", single.MeanAbsErr(), batched.MeanAbsErr())
 	}
 }
 
