@@ -14,18 +14,15 @@
 // and rolls it back automatically if it regresses inside the -probation
 // window. Poll /v1/lifecycle/status for the state machine.
 //
-// With -loadgen the process instead replays simulated cluster telemetry
-// against its own API at a configurable rate multiplier and prints
-// throughput, tail latency, shed counts, and accuracy — the in-repo way
-// to measure the serving path. -swap-every rotates model versions
-// mid-load; -faults routes the replay through the resilient client-side
-// collector.
+// With -peers the node joins a static fleet and mounts the
+// /v1/estimate/cluster scatter-gather front door; -faults injects that
+// front door's node faults (peer crash, partition, and slow windows).
 //
 // Usage:
 //
 //	chaos-serve -listen :8080 -model model.json
-//	chaos-serve -loadgen -machines 3 -workloads Prime,Sort -snapshots 2000 -batch 16
-//	chaos-serve -loadgen -swap-every 200 -faults examples/faults-crashy.json -json
+//	chaos-serve -listen :8080 -machines 3 -workloads Prime,Sort -tech quadratic
+//	chaos-serve -listen :9461 -peers n1=127.0.0.1:9461 -node-id n1
 package main
 
 import (
@@ -38,7 +35,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -76,24 +72,12 @@ type config struct {
 	// limits, strict-priority shedding, and the brownout ladder.
 	Overload bool
 
-	// Bootstrap simulation (when no -model given) and loadgen substrate.
+	// Bootstrap simulation (when no -model given).
 	Platform  string
 	Machines  int
 	Workloads []string
 	Seed      int64
 	Tech      string
-
-	// Load generator.
-	Loadgen   bool
-	Rate      float64
-	Snapshots int
-	Clients   int
-	Batch     int
-	SwapEvery int
-	Faults    string
-	// Priorities is the loadgen tier mix "interactive,batch,background"
-	// (integer weights); empty sends everything interactive.
-	Priorities string
 
 	// Closed-loop model lifecycle.
 	Lifecycle         bool
@@ -108,6 +92,9 @@ type config struct {
 	NodeID        string
 	ReplicateFrom string
 	PeerDeadline  time.Duration
+	// Faults is a fault scenario for the front door's node faults (peer
+	// crash, partition, and slow windows); it needs Peers.
+	Faults string
 	// Deadline-budget propagation and hedged scatter-gather.
 	ClusterDeadline time.Duration
 	BudgetMargin    time.Duration
@@ -135,11 +122,9 @@ type config struct {
 	EventLog         string
 	EventLogMaxBytes int64
 
-	// holdOpen, when set, runs after the server is up (daemon mode) in
-	// place of waiting for a signal — tests probe the API through it.
+	// holdOpen, when set, runs after the server is up in place of
+	// waiting for a signal — tests probe the API through it.
 	holdOpen func(addr string)
-	// scenario overrides Faults (tests inject without a file).
-	scenario *faults.Scenario
 }
 
 func main() {
@@ -147,6 +132,20 @@ func main() {
 }
 
 func realMain(args []string, stdout, stderr io.Writer) int {
+	cfg, err := parseConfig(args, stderr)
+	if err != nil {
+		return 2
+	}
+	if err := run(stdout, cfg); err != nil {
+		fmt.Fprintln(stderr, "chaos-serve:", err)
+		return 1
+	}
+	return 0
+}
+
+// parseConfig turns the command line into a config. Flag errors are
+// reported on stderr by the flag package itself.
+func parseConfig(args []string, stderr io.Writer) (config, error) {
 	fs := flag.NewFlagSet("chaos-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -158,20 +157,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "how long a worker widens a batch after the first sample")
 		batchMax    = fs.Int("batch-max", 64, "max samples per predictor batch")
 		deadline    = fs.Duration("deadline", 250*time.Millisecond, "default per-request deadline")
-		platform    = fs.String("platform", "Core2", "bootstrap/loadgen platform class")
-		machines    = fs.Int("machines", 3, "bootstrap/loadgen cluster size")
-		workloads   = fs.String("workloads", "Prime,Sort", "bootstrap/loadgen workload sequence")
+		platform    = fs.String("platform", "Core2", "bootstrap platform class (when no -model is given)")
+		machines    = fs.Int("machines", 3, "bootstrap cluster size (when no -model is given)")
+		workloads   = fs.String("workloads", "Prime,Sort", "bootstrap workload sequence (when no -model is given)")
 		seed        = fs.Int64("seed", 7, "simulation seed")
 		tech        = fs.String("tech", "linear", "bootstrap model technique: linear, piecewise, quadratic, switching")
-		loadgen     = fs.Bool("loadgen", false, "replay simulated telemetry against the API and print throughput/latency stats")
-		rate        = fs.Float64("rate", 0, "loadgen snapshots/sec (0 = as fast as the API absorbs)")
-		snapshots   = fs.Int("snapshots", 2000, "loadgen snapshots to send")
-		clients     = fs.Int("clients", 4, "loadgen concurrent senders")
-		batch       = fs.Int("batch", 1, "loadgen snapshots per request (1 = /v1/estimate, >1 = /v1/estimate/batch)")
-		swapEvery   = fs.Int("swap-every", 0, "loadgen: hot-swap model versions every N snapshots (0 = off)")
-		faultsArg   = fs.String("faults", "", "loadgen: fault scenario JSON for the client-side feeder")
 		overloadOn  = fs.Bool("overload", false, "adaptive overload control: per-shard AIMD admission, strict-priority shedding, brownout ladder")
-		priorities  = fs.String("priorities", "", "loadgen tier mix as integer weights interactive,batch,background (e.g. 1,2,2); empty = all interactive")
 
 		lcEnable   = fs.Bool("lifecycle", false, "run the closed-loop model lifecycle: drift-triggered retraining, shadow evaluation, gated promotion")
 		lcInterval = fs.Duration("lifecycle-interval", 0, "lifecycle: also retrain every wall-clock period (0 = drift/samples/manual only)")
@@ -186,6 +177,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		clusterDL     = fs.Duration("cluster-deadline", 2*time.Second, "whole-request budget for /v1/estimate/cluster when the client sends no deadline_ms")
 		budgetMargin  = fs.Duration("budget-margin", 25*time.Millisecond, "per-hop deadline budget reserved for merging; withheld from every forwarded sub-deadline")
 		hedgeRate     = fs.Float64("hedge-rate", 0.1, "hedged scatter-gather: backup calls per primary call the token budget allows (negative disables hedging)")
+		faultsArg     = fs.String("faults", "", "fault scenario JSON injecting node faults (peer crash, partition, slow) into the -peers front door; requires -peers")
 
 		stateDir   = fs.String("state-dir", "", "durable state directory: journal model admissions/activations and checkpoint the lifecycle so restarts resume the pre-crash state")
 		ckInterval = fs.Duration("checkpoint-interval", 10*time.Second, "how often the lifecycle state checkpoints to -state-dir")
@@ -202,14 +194,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		eventLogBytes = fs.Int64("event-log-max-bytes", 8<<20, "rotate -event-log after this many bytes")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return config{}, err
 	}
 	cfg := config{
 		Listen: *listen, JSON: *jsonOut,
 		Shards: *shards, Queue: *queue, BatchWindow: *batchWindow, BatchMax: *batchMax, Deadline: *deadline,
 		Platform: *platform, Machines: *machines, Workloads: strings.Split(*workloads, ","), Seed: *seed, Tech: *tech,
-		Loadgen: *loadgen, Rate: *rate, Snapshots: *snapshots, Clients: *clients, Batch: *batch,
-		SwapEvery: *swapEvery, Faults: *faultsArg, Overload: *overloadOn, Priorities: *priorities,
+		Overload: *overloadOn, Faults: *faultsArg,
 		Peers: *peersArg, NodeID: *nodeIDArg, ReplicateFrom: *replicateFrom, PeerDeadline: *peerDeadline,
 		ClusterDeadline: *clusterDL, BudgetMargin: *budgetMargin, HedgeRate: *hedgeRate,
 		Lifecycle: *lcEnable, LifecycleInterval: *lcInterval, LifecycleSamples: *lcSamples,
@@ -222,11 +213,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *model != "" {
 		cfg.Models = strings.Split(*model, ",")
 	}
-	if err := run(stdout, cfg); err != nil {
-		fmt.Fprintln(stderr, "chaos-serve:", err)
-		return 1
-	}
-	return 0
+	return cfg, nil
 }
 
 // emitter mirrors chaos-live: text lines and/or JSON events. Both
@@ -254,6 +241,9 @@ func run(w io.Writer, cfg config) error {
 
 	if cfg.Peers != "" && cfg.NodeID == "" {
 		return fmt.Errorf("-peers requires -node-id naming this node in the fleet")
+	}
+	if cfg.Faults != "" && cfg.Peers == "" {
+		return fmt.Errorf("-faults injects node faults into the -peers front door and needs -peers")
 	}
 	if cfg.ReplicateFrom != "" && cfg.StateDir == "" {
 		return fmt.Errorf("-replicate-from requires -state-dir: the follower journals replicated state locally")
@@ -319,7 +309,6 @@ func run(w io.Writer, cfg config) error {
 	recovered := recov != nil && recov.Versions > 0
 
 	var names []string
-	var traces []*trace.Trace
 	var baseline float64
 
 	switch {
@@ -332,11 +321,6 @@ func run(w io.Writer, cfg config) error {
 		}
 		names = meta.Names
 		baseline = meta.BaselineRMSE
-		if cfg.Loadgen {
-			if traces, err = simTraces(cfg); err != nil {
-				return err
-			}
-		}
 	case len(cfg.Models) > 0:
 		// Daemon with pre-trained models: v1, v2, ... in flag order; the
 		// first admitted version serves.
@@ -348,13 +332,6 @@ func run(w io.Writer, cfg config) error {
 		}
 		// The counter stream order is the standard registry's.
 		names = counters.StandardRegistry().Names()
-		if cfg.Loadgen {
-			var err error
-			if traces, err = simTraces(cfg); err != nil {
-				return err
-			}
-			names = traces[0].Names
-		}
 	case cfg.ReplicateFrom != "":
 		// Replica first boot: every model arrives through replication, so
 		// nothing is bootstrapped here. The counter order is the standard
@@ -364,8 +341,8 @@ func run(w io.Writer, cfg config) error {
 	default:
 		// Bootstrap: simulate the cluster, fit v1 with the chosen
 		// technique and v2 linear (the swap/rollback partner), admit both.
-		var err error
-		if traces, err = simTraces(cfg); err != nil {
+		traces, err := simTraces(cfg)
+		if err != nil {
 			return err
 		}
 		names = traces[0].Names
@@ -506,16 +483,12 @@ func run(w io.Writer, cfg config) error {
 	// others point -replicate-from at).
 	mux := serve.NewMux(srv)
 	if part != nil {
-		scen := cfg.scenario
-		if scen == nil && cfg.Faults != "" && !cfg.Loadgen {
-			var err error
-			if scen, err = faults.LoadScenario(cfg.Faults); err != nil {
+		var inj *faults.Injector
+		if cfg.Faults != "" {
+			scen, err := faults.LoadScenario(cfg.Faults)
+			if err != nil {
 				return err
 			}
-		}
-		var inj *faults.Injector
-		if scen != nil {
-			var err error
 			if inj, err = faults.NewInjector(scen, cfg.Seed); err != nil {
 				return err
 			}
@@ -562,9 +535,6 @@ func run(w io.Writer, cfg config) error {
 		return err
 	}
 
-	if cfg.Loadgen {
-		return runLoadgen(em, httpSrv.Addr(), reg, traces, cfg)
-	}
 	if cfg.holdOpen != nil {
 		cfg.holdOpen(httpSrv.Addr())
 		return nil
@@ -652,7 +622,7 @@ func lifecycleSpec(reg *registry.Registry, fromFiles bool) (models.FeatureSpec, 
 }
 
 // simTraces runs the workload sequence on a simulated cluster, giving the
-// loadgen its replay substrate (and the bootstrap its training data).
+// bootstrap its training data.
 func simTraces(cfg config) ([]*trace.Trace, error) {
 	cluster, err := telemetry.New(cfg.Platform, cfg.Machines, cfg.Seed)
 	if err != nil {
@@ -697,114 +667,6 @@ func bootstrapModels(reg *registry.Registry, traces []*trace.Trace, tech models.
 		return 0, err
 	}
 	return metrics.RMSE(pred, actual)
-}
-
-// runLoadgen replays the traces against the freshly started API and
-// reports the stats.
-func runLoadgen(em *emitter, addr string, reg *registry.Registry, traces []*trace.Trace, cfg config) error {
-	scen := cfg.scenario
-	if scen == nil && cfg.Faults != "" {
-		var err error
-		if scen, err = faults.LoadScenario(cfg.Faults); err != nil {
-			return err
-		}
-	}
-	weights, err := parsePriorities(cfg.Priorities)
-	if err != nil {
-		return err
-	}
-	lg := serve.LoadGenConfig{
-		TargetURL:       "http://" + addr,
-		Traces:          traces,
-		Snapshots:       cfg.Snapshots,
-		Rate:            cfg.Rate,
-		Clients:         cfg.Clients,
-		Batch:           cfg.Batch,
-		IncludeMeter:    true,
-		SwapEvery:       cfg.SwapEvery,
-		Scenario:        scen,
-		Seed:            cfg.Seed,
-		PriorityWeights: weights,
-	}
-	if cfg.SwapEvery > 0 {
-		for _, info := range reg.List() {
-			lg.SwapVersions = append(lg.SwapVersions, info.Version)
-		}
-	}
-	stats, err := serve.RunLoadGen(lg)
-	if err != nil {
-		return err
-	}
-	satNote := ""
-	if stats.ServerTailSaturated {
-		satNote = ", p99 saturated: true tail exceeds the top histogram bucket"
-	}
-	// Per-status split: the JSON map keys statuses as strings ("200",
-	// "429", "0" for transport errors) so overload experiments can tell
-	// shed from timeout from breakage without re-deriving from rollups.
-	byStatus := make(map[string]int, len(stats.ByStatus))
-	for code, n := range stats.ByStatus {
-		byStatus[strconv.Itoa(code)] = n
-	}
-	tiers := make(map[string]any, len(stats.Tiers))
-	for i, t := range stats.Tiers {
-		if t.Sent == 0 {
-			continue
-		}
-		tiers[overload.Priority(i).String()] = map[string]any{
-			"sent": t.Sent, "ok": t.OK, "shed": t.Shed, "late": t.Late, "failed": t.Failed,
-			"latency_p50_ms": round2(float64(t.P50) / float64(time.Millisecond)),
-			"latency_p99_ms": round2(float64(t.P99) / float64(time.Millisecond)),
-		}
-	}
-	return em.event("loadgen_complete",
-		fmt.Sprintf("loadgen: %d snapshots (%d samples) in %.2fs — %.0f snap/s, %.0f samples/s\n"+
-			"  latency p50 %s p99 %s (server-side %s / %s over %d requests"+satNote+")\n"+
-			"  ok %d  shed %d  late %d  failed %d  skipped rows %d  swaps %d\n"+
-			"  mean abs cluster err %.2f W over %d metered snapshots",
-			stats.Snapshots, stats.Samples, stats.Duration.Seconds(),
-			stats.SnapshotsPerSec, stats.SamplesPerSec,
-			stats.LatencyP50, stats.LatencyP99,
-			stats.ServerP50, stats.ServerP99, stats.ServerRequests,
-			stats.OK, stats.Shed, stats.Late, stats.Failed, stats.SkippedRows, stats.Swaps,
-			stats.MeanAbsErr(), stats.MeterOK),
-		map[string]any{
-			"snapshots": stats.Snapshots, "samples": stats.Samples,
-			"duration_s":            round2(stats.Duration.Seconds()),
-			"snapshots_per_s":       round2(stats.SnapshotsPerSec),
-			"samples_per_s":         round2(stats.SamplesPerSec),
-			"latency_p50_ms":        round2(float64(stats.LatencyP50) / float64(time.Millisecond)),
-			"latency_p99_ms":        round2(float64(stats.LatencyP99) / float64(time.Millisecond)),
-			"server_p50_ms":         round2(float64(stats.ServerP50) / float64(time.Millisecond)),
-			"server_p99_ms":         round2(float64(stats.ServerP99) / float64(time.Millisecond)),
-			"server_tail_saturated": stats.ServerTailSaturated,
-			"server_requests":       stats.ServerRequests,
-			"ok":                    stats.OK, "shed": stats.Shed, "late": stats.Late, "failed": stats.Failed,
-			"transport_errors": stats.TransportErrors, "by_status": byStatus, "tiers": tiers,
-			"skipped_rows": stats.SkippedRows, "swaps": stats.Swaps,
-			"mean_abs_err_w": round2(stats.MeanAbsErr()), "metered": stats.MeterOK,
-		})
-}
-
-// parsePriorities turns "-priorities 1,2,2" into the loadgen weight
-// vector {interactive, batch, background}.
-func parsePriorities(s string) ([overload.NumPriorities]int, error) {
-	var w [overload.NumPriorities]int
-	if s == "" {
-		return w, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != overload.NumPriorities {
-		return w, fmt.Errorf("-priorities wants %d comma-separated weights, got %q", overload.NumPriorities, s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return w, fmt.Errorf("-priorities weight %q must be a non-negative integer", p)
-		}
-		w[i] = v
-	}
-	return w, nil
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }

@@ -4,25 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/counters"
-	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
-
-// crashyScenario is a lossy client-side feeder: every machine's collector
-// drops half its fetch attempts, so some rows vanish even after retries.
-func crashyScenario() *faults.Scenario {
-	return &faults.Scenario{
-		Name:     "test-lossy",
-		Defaults: faults.MachineFaults{DropProb: 0.5},
-	}
-}
 
 // parseEvents decodes the JSON event lines a -json run emits, keyed by
 // event name (last occurrence wins).
@@ -46,74 +40,146 @@ func parseEvents(t *testing.T, out string) map[string]map[string]any {
 	return events
 }
 
-// TestServeLoadgenEndToEnd boots the daemon in bootstrap+loadgen mode,
-// replays telemetry against its own API with mid-load hot-swaps, and
-// checks the machine-readable summary: nothing failed, the swaps
-// happened, and the served estimates track the metered power.
-func TestServeLoadgenEndToEnd(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{
-		"-listen", "127.0.0.1:0", "-json",
-		"-machines", "2", "-workloads", "Prime",
-		"-loadgen", "-snapshots", "400", "-batch", "8", "-clients", "4",
-		"-swap-every", "100",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+// TestServeBootstrapTracksMeter boots the daemon on its simulated
+// bootstrap and checks the model is accurate on its own data: the
+// trained event's baseline rMSE is a few watts, not garbage, and so is
+// the mean error of served estimates of simulated snapshots against
+// their metered power.
+func TestServeBootstrapTracksMeter(t *testing.T) {
+	var stdout bytes.Buffer
+	cfg := config{
+		Listen: "127.0.0.1:0", JSON: true,
+		Platform: "Core2", Machines: 2, Workloads: []string{"Prime"}, Seed: 7, Tech: "linear",
 	}
-	events := parseEvents(t, stdout.String())
-	for _, name := range []string{"trained", "serving", "loadgen_complete"} {
-		if events[name] == nil {
-			t.Fatalf("missing %q event in output:\n%s", name, stdout.String())
+	probed := false
+	cfg.holdOpen = func(addr string) {
+		probed = true
+		// The simulation is deterministic in cfg: these are the traces
+		// the bootstrap trained on.
+		traces, err := simTraces(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var breq serve.BatchRequest
+		var metered []float64
+		for sec := 0; sec < traces[0].Len(); sec += 10 {
+			var req serve.EstimateRequest
+			sum := 0.0
+			for _, tr := range traces {
+				req.Samples = append(req.Samples, serve.SampleJSON{
+					MachineID: tr.MachineID, Platform: tr.Platform, Counters: tr.X.Row(sec),
+				})
+				sum += tr.Power[sec]
+			}
+			breq.Requests = append(breq.Requests, req)
+			metered = append(metered, sum)
+		}
+		body, _ := json.Marshal(breq)
+		resp, err := http.Post("http://"+addr+"/v1/estimate/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br serve.BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(br.Results) != len(metered) {
+			t.Fatalf("batch = %d with %d results, want 200 with %d", resp.StatusCode, len(br.Results), len(metered))
+		}
+		sumAbs, sumMetered := 0.0, 0.0
+		for i, r := range br.Results {
+			if r.Status != http.StatusOK || r.ModelVersion != "v1" {
+				t.Fatalf("snapshot %d = %d version %q, want 200/v1", i, r.Status, r.ModelVersion)
+			}
+			sumAbs += math.Abs(r.ClusterWatts - metered[i])
+			sumMetered += metered[i]
+		}
+		// The two-machine cluster draws ~50-70 W, so the error bound is
+		// relative: within 5% of the mean metered power.
+		if got, bound := sumAbs/float64(len(metered)), 0.05*sumMetered/float64(len(metered)); got <= 0 || got > bound {
+			t.Errorf("mean abs cluster error = %g W over %d snapshots, want (0, %g]", got, len(metered), bound)
 		}
 	}
-	lg := events["loadgen_complete"]
-	if got := lg["failed"].(float64); got != 0 {
-		t.Errorf("failed = %g, want 0", got)
+	if err := run(&stdout, cfg); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if got := lg["shed"].(float64); got != 0 {
-		t.Errorf("shed = %g, want 0 (queues are deep in this run)", got)
+	if !probed {
+		t.Fatal("holdOpen hook never ran")
 	}
-	if got := lg["swaps"].(float64); got < 2 {
-		t.Errorf("swaps = %g, want >= 2 (swap-every 100 over 400 snapshots)", got)
+	trained := parseEvents(t, stdout.String())["trained"]
+	if trained == nil {
+		t.Fatalf("missing trained event in output:\n%s", stdout.String())
 	}
-	if got := lg["ok"].(float64); got != 400 {
-		t.Errorf("ok = %g, want 400", got)
-	}
-	// The bootstrap model serves its own training distribution: the mean
-	// absolute cluster error should be a few watts, not garbage.
-	if got := lg["mean_abs_err_w"].(float64); got <= 0 || got > 50 {
-		t.Errorf("mean_abs_err_w = %g, want (0, 50]", got)
+	if got := trained["baseline_rmse_w"].(float64); got <= 0 || got > 50 {
+		t.Errorf("baseline_rmse_w = %g, want (0, 50]", got)
 	}
 }
 
-// TestServeLoadgenOverloadSheds squeezes the engine (1 shard, queue depth
-// 1, batch of 1) under many concurrent senders and checks overload
-// surfaces as 429 sheds — never as failures or an unbounded queue.
-func TestServeLoadgenOverloadSheds(t *testing.T) {
-	for attempt := 0; attempt < 3; attempt++ {
-		var stdout, stderr bytes.Buffer
-		code := realMain([]string{
-			"-listen", "127.0.0.1:0", "-json",
-			"-machines", "2", "-workloads", "Prime",
-			"-shards", "1", "-queue", "1", "-batch-max", "1", "-batch-window", "1ms",
-			"-loadgen", "-snapshots", "300", "-clients", "8",
-		}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-		}
-		lg := parseEvents(t, stdout.String())["loadgen_complete"]
-		if lg == nil {
-			t.Fatal("missing loadgen_complete event")
-		}
-		if got := lg["failed"].(float64); got != 0 {
-			t.Fatalf("failed = %g, want 0 — overload must shed, not error", got)
-		}
-		if lg["shed"].(float64) > 0 {
-			return // overload observed and handled as 429
+// TestServeOverloadSheds squeezes the engine through its flags (1 shard,
+// queue depth 1, batch of 1) under 8 concurrent senders and checks that
+// overload surfaces as 429 sheds — never as failures or an unbounded
+// queue.
+func TestServeOverloadSheds(t *testing.T) {
+	cfg, err := parseConfig([]string{
+		"-listen", "127.0.0.1:0",
+		"-machines", "2", "-workloads", "Prime",
+		"-shards", "1", "-queue", "1", "-batch-max", "1", "-batch-window", "1ms",
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := 0
+	cfg.holdOpen = func(addr string) {
+		row := make([]float64, len(counters.StandardRegistry().Names()))
+		body, _ := json.Marshal(serve.EstimateRequest{Samples: []serve.SampleJSON{
+			{MachineID: "m0", Platform: "Core2", Counters: row},
+			{MachineID: "m1", Platform: "Core2", Counters: row},
+		}})
+		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+		defer client.CloseIdleConnections()
+		// Up to three rounds of 8 x 40 requests; the first round that
+		// sheds ends the test.
+		for round := 0; round < 3 && shed == 0; round++ {
+			var mu sync.Mutex
+			byStatus := map[int]int{} // 0: transport error
+			var wg sync.WaitGroup
+			for c := 0; c < 8; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						status := 0
+						resp, err := client.Post("http://"+addr+"/v1/estimate", "application/json", bytes.NewReader(body))
+						if err == nil {
+							io.Copy(io.Discard, resp.Body) //nolint:errcheck
+							resp.Body.Close()
+							status = resp.StatusCode
+						}
+						mu.Lock()
+						byStatus[status]++
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			for status, n := range byStatus {
+				switch status {
+				case http.StatusOK, http.StatusGatewayTimeout:
+				case http.StatusTooManyRequests:
+					shed += n
+				default:
+					t.Errorf("%d request(s) answered %d — overload must shed, not fail", n, status)
+				}
+			}
 		}
 	}
-	t.Error("no sheds in 3 attempts despite queue depth 1 and 8 clients")
+	if err := run(io.Discard, cfg); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if shed == 0 {
+		t.Error("no 429 in 3 rounds despite queue depth 1 and 8 senders")
+	}
 }
 
 // TestServeDaemonServesAPI starts daemon mode via the holdOpen hook and
@@ -201,15 +267,23 @@ func TestServeDaemonServesAPI(t *testing.T) {
 }
 
 // TestServeBadFlagsAndModelPath locks the CLI failure modes: unknown
-// flags exit 2, a missing model file exits 1 with a single clear line.
+// flags exit 2; a missing model file, or -faults without -peers, exits 1
+// with a single clear line.
 func TestServeBadFlagsAndModelPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := realMain([]string{"-definitely-not-a-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 
+	// The flags of the retired load generator are unknown too.
+	for _, f := range []string{"-loadgen", "-rate", "-snapshots", "-clients", "-batch", "-swap-every", "-priorities"} {
+		if code := realMain([]string{f, "1"}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", f, code)
+		}
+	}
+
 	stderr.Reset()
-	code := realMain([]string{"-listen", "127.0.0.1:0", "-model", "/nonexistent/model.json", "-loadgen", "-snapshots", "1"}, &stdout, &stderr)
+	code := realMain([]string{"-listen", "127.0.0.1:0", "-model", "/nonexistent/model.json"}, &stdout, &stderr)
 	if code != 1 {
 		t.Errorf("missing model: exit %d, want 1", code)
 	}
@@ -220,35 +294,17 @@ func TestServeBadFlagsAndModelPath(t *testing.T) {
 	if !strings.Contains(msg, "/nonexistent/model.json") && !strings.Contains(msg, "no such file") {
 		t.Errorf("error should mention the cause: %q", msg)
 	}
-}
 
-// TestServeLoadgenWithFaultFeeder routes the replay through a lossy
-// client-side collector scenario and checks rows are skipped (thinned
-// snapshots) while nothing fails server-side.
-func TestServeLoadgenWithFaultFeeder(t *testing.T) {
-	scen := crashyScenario()
-	var stdout bytes.Buffer
-	cfg := config{
-		Listen: "127.0.0.1:0", JSON: true,
-		Platform: "Core2", Machines: 2, Workloads: []string{"Prime"}, Seed: 7, Tech: "linear",
-		Loadgen: true, Snapshots: 300, Clients: 4, Batch: 4,
-		scenario: scen,
+	// -faults configures the -peers front door; alone it must not be
+	// silently ignored.
+	stderr.Reset()
+	code = realMain([]string{"-listen", "127.0.0.1:0", "-faults", "../../examples/faults-crashy.json"}, &stdout, &stderr)
+	if code != 1 {
+		t.Errorf("-faults without -peers: exit %d, want 1", code)
 	}
-	if err := run(&stdout, cfg); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	lg := parseEvents(t, stdout.String())["loadgen_complete"]
-	if lg == nil {
-		t.Fatal("missing loadgen_complete event")
-	}
-	if got := lg["failed"].(float64); got != 0 {
-		t.Errorf("failed = %g, want 0", got)
-	}
-	if got := lg["skipped_rows"].(float64); got <= 0 {
-		t.Errorf("skipped_rows = %g, want > 0 under a lossy feeder", got)
-	}
-	if got := lg["ok"].(float64); got <= 0 {
-		t.Errorf("ok = %g, want > 0 — thinned snapshots still serve", got)
+	msg = strings.TrimSpace(stderr.String())
+	if !strings.HasPrefix(msg, "chaos-serve:") || strings.Contains(msg, "\n") || !strings.Contains(msg, "-peers") {
+		t.Errorf("-faults without -peers should produce one chaos-serve: line naming -peers, got %q", msg)
 	}
 }
 

@@ -42,12 +42,6 @@ func (e event) less(o event) bool {
 	return e.idx < o.idx
 }
 
-// Evaluator maps a machine's step outcome to the watts recorded in the
-// hierarchy. The default records the simulated power meter's reading
-// (MeterWatts); drivers can substitute a model prediction to compose
-// estimated rather than metered power.
-type Evaluator func(m *MachineNode, served sim.Served, p sim.PowerSample) float64
-
 // ClusterSimulator advances a Topology through simulated time
 // event-drivenly: machines schedule their next state change (burst
 // start, per-second step while active, burst end) on a shared clock, and
@@ -57,7 +51,6 @@ type Evaluator func(m *MachineNode, served sim.Served, p sim.PowerSample) float6
 // RunUntil drives them in bulk.
 type ClusterSimulator struct {
 	topo *Topology
-	eval Evaluator
 
 	heap  []event
 	clock int64
@@ -86,18 +79,11 @@ func NewSimulator(topo *Topology) *ClusterSimulator {
 		topo:   topo,
 		digest: sha256.New(),
 	}
-	cs.eval = func(_ *MachineNode, _ sim.Served, p sim.PowerSample) float64 {
-		return p.MeterWatts
-	}
 	for _, mn := range topo.Machines {
 		cs.scheduleNextBurst(mn, 0)
 	}
 	return cs
 }
-
-// SetEvaluator replaces the leaf evaluator. Call before processing any
-// events so the digest reflects one evaluator throughout.
-func (cs *ClusterSimulator) SetEvaluator(ev Evaluator) { cs.eval = ev }
 
 // Topology returns the simulated topology.
 func (cs *ClusterSimulator) Topology() *Topology { return cs.topo }
@@ -198,7 +184,7 @@ func (cs *ClusterSimulator) ProcessNextEvent() bool {
 	cs.steps++
 	cs.servedCPU += served.CPU
 	mn.trueWatts = p.TrueWatts
-	cs.record(mn, ev.at, cs.eval(mn, served, p))
+	cs.record(mn, ev.at, p.MeterWatts)
 	cs.push(event{at: ev.at + 1, idx: ev.idx, kind: evMachine})
 	return true
 }
@@ -252,7 +238,7 @@ func (cs *ClusterSimulator) SampleSignals(idx int) (map[string]float64, float64,
 	_, sig, p := mn.Machine.Step(sim.Demand{})
 	mn.lastSig = sig
 	mn.trueWatts = p.TrueWatts
-	cs.record(mn, cs.clock, cs.eval(mn, sim.Served{}, p))
+	cs.record(mn, cs.clock, p.MeterWatts)
 	return sig, mn.watts, nil
 }
 

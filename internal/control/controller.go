@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -51,10 +50,8 @@ type target struct {
 // Controller runs the sense→predict→decide→actuate loop. All scheduling
 // goes through the simulator's actuation events, so a controlled run is
 // exactly as deterministic (and digest-reproducible) as an uncontrolled
-// one. The mutex exists for the HTTP surface (StatusJSON /
-// ApplyPolicyJSON), which may run off the simulation goroutine.
+// one. A Controller belongs to the goroutine that drives its simulator.
 type Controller struct {
-	mu   sync.Mutex
 	cs   *cluster.ClusterSimulator
 	pol  *Policy
 	reg  *registry.Registry
@@ -212,8 +209,6 @@ func buildersFor(e *registry.Entry, platforms []string) (map[string]*rowBuilder,
 // Start schedules the first control tick one interval from the current
 // simulated second. Idempotent.
 func (c *Controller) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.started {
 		return
 	}
@@ -225,8 +220,6 @@ func (c *Controller) Start() {
 // (as an actuation event), strictly before any machine step of the same
 // second.
 func (c *Controller) tick(now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.ticks++
 	c.refreshModel()
 	meterOK := c.inj == nil || c.inj.MeterAvailable(int(now))
@@ -544,7 +537,8 @@ type TargetStatus struct {
 	Machines       int     `json:"machines"`
 }
 
-// Status is the /v1/control/status document.
+// Status is the controller's live state: its policy, loop counters and
+// every budget's headroom.
 type Status struct {
 	Policy       string         `json:"policy"`
 	IntervalS    int64          `json:"interval_s"`
@@ -558,10 +552,8 @@ type Status struct {
 	Targets      []TargetStatus `json:"targets"`
 }
 
-// StatusJSON implements the serve.Control surface.
+// StatusJSON returns the live Status.
 func (c *Controller) StatusJSON() any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := Status{
 		Policy:       c.pol.Name,
 		IntervalS:    c.pol.IntervalS,
@@ -588,42 +580,8 @@ func (c *Controller) StatusJSON() any {
 	return s
 }
 
-// ApplyPolicyJSON swaps in a new chaos-capping/v1 policy document at the
-// next tick boundary: budgets are re-resolved against the topology, old
-// budgets are cleared, and the violation latches reset. The running tick
-// schedule is kept; the new interval takes effect from the next
-// reschedule.
-func (c *Controller) ApplyPolicyJSON(doc []byte) error {
-	p, err := ParsePolicy(doc)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range c.targets {
-		t.level.SetBudget(0)
-	}
-	targets, err := c.resolveTargets(p)
-	if err != nil {
-		// Restore the previous budgets: the old policy stays in force.
-		for _, t := range c.targets {
-			t.level.SetBudget(t.budget)
-		}
-		return err
-	}
-	c.pol = p
-	c.targets = targets
-	c.platforms = platformsOf(targets)
-	if builders, berr := buildersFor(c.reg.Active(), c.platforms); berr == nil {
-		c.builders = builders
-	}
-	return nil
-}
-
 // Stats returns cumulative loop counters (ticks, candidate evaluations,
 // cap actuations, migrations).
 func (c *Controller) Stats() (ticks, decisions, freqActs, migActs int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.ticks, c.decisions, c.freqActs, c.migActs
 }

@@ -3,7 +3,6 @@ package control
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -229,9 +228,10 @@ func TestControlSafeHoldDuringMeterDropout(t *testing.T) {
 	}
 }
 
-// TestControlStatusAndApplyPolicy: the HTTP-facing surface — status
-// document shape, live policy swap, and rejection of unresolvable swaps
-// (keeping the old policy in force).
+// TestControlStatusAndApplyPolicy: the policy New applies installs its
+// budget on the named level alone, and the status document reports it —
+// policy name, loop counters, the budgeted level and the serving model
+// version.
 func TestControlStatusAndApplyPolicy(t *testing.T) {
 	topo, err := cluster.Build(ctlSpec(1, 2, 10, 21))
 	if err != nil {
@@ -262,96 +262,69 @@ func TestControlStatusAndApplyPolicy(t *testing.T) {
 	if st.ModelVersion != "boot-1" {
 		t.Fatalf("model version %q", st.ModelVersion)
 	}
-
-	// A swap targeting a nonexistent level fails and leaves the old
-	// budget installed.
-	bad := fmt.Sprintf(`{"version":%q,"name":"bad","interval_s":30,"budgets":[{"level":"nope","watts":10}]}`, PolicyVersion)
-	if err := c.ApplyPolicyJSON([]byte(bad)); err == nil {
-		t.Fatal("unresolvable policy accepted")
-	}
-	l, _ := topo.FindLevel("row-0/rack-0")
-	if l.Budget() != 700 {
-		t.Fatalf("failed swap clobbered the old budget: %v", l.Budget())
-	}
-
-	good := fmt.Sprintf(`{"version":%q,"name":"swap","interval_s":15,"hysteresis_watts":5,"budgets":[{"level":"row-0/rack-1","watts":800}]}`, PolicyVersion)
-	if err := c.ApplyPolicyJSON([]byte(good)); err != nil {
-		t.Fatal(err)
-	}
-	if l.Budget() != 0 {
-		t.Fatalf("old budget not cleared after swap: %v", l.Budget())
-	}
-	l2, _ := topo.FindLevel("row-0/rack-1")
-	if l2.Budget() != 800 {
-		t.Fatalf("new budget not installed: %v", l2.Budget())
-	}
-	raw, _ = json.Marshal(c.StatusJSON())
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Policy != "swap" || st.Targets[0].Level != "row-0/rack-1" {
-		t.Fatalf("status after swap %+v", st)
+	for level, want := range map[string]float64{"row-0/rack-0": 700, "row-0/rack-1": 0} {
+		if l, _ := topo.FindLevel(level); l.Budget() != want {
+			t.Fatalf("%s budget %v, want %v", level, l.Budget(), want)
+		}
 	}
 }
 
 // TestControlInfeasibleBudgetFlagged: a budget below the level's summed
 // idle watts cannot be met by any actuation; the controller reports the
 // floor in status, flags the target, and emits cap_infeasible exactly
-// once instead of silently migrating the level empty.
+// once instead of silently migrating the level empty. A feasible budget
+// on a fresh fleet is not flagged.
 func TestControlInfeasibleBudgetFlagged(t *testing.T) {
-	topo, err := cluster.Build(ctlSpec(1, 2, 10, 33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := cluster.NewSimulator(topo)
-	rack, _ := topo.FindLevel("row-0/rack-0")
-	floor := 0.0
-	for _, mn := range rack.Machines {
-		floor += mn.Machine.IdleWatts()
-	}
-	var events bytes.Buffer
-	c, err := New(cs, Config{
-		Policy:   rackPolicy("row-0/rack-0", floor*0.5, 5, 15),
-		Registry: bootReg(t),
-		Events:   obs.NewEventSink(&events),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	cs.RunUntil(200)
+	// capRack budgets row-0/rack-0 of a fresh fleet at frac × its idle
+	// floor, runs 200 s, and returns the target's status, the floor, and
+	// the emitted events.
+	capRack := func(frac float64) (TargetStatus, float64, string) {
+		topo, err := cluster.Build(ctlSpec(1, 2, 10, 33))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := cluster.NewSimulator(topo)
+		rack, _ := topo.FindLevel("row-0/rack-0")
+		floor := 0.0
+		for _, mn := range rack.Machines {
+			floor += mn.Machine.IdleWatts()
+		}
+		var events bytes.Buffer
+		c, err := New(cs, Config{
+			Policy:   rackPolicy("row-0/rack-0", floor*frac, 5, 15),
+			Registry: bootReg(t),
+			Events:   obs.NewEventSink(&events),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		cs.RunUntil(200)
 
-	raw, err := json.Marshal(c.StatusJSON())
-	if err != nil {
-		t.Fatal(err)
+		raw, err := json.Marshal(c.StatusJSON())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Status
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Targets[0], floor, events.String()
 	}
-	var st Status
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	tgt := st.Targets[0]
+
+	tgt, floor, events := capRack(0.5)
 	if tgt.IdleFloorWatts != floor {
 		t.Fatalf("idle floor %v, want %v", tgt.IdleFloorWatts, floor)
 	}
 	if !tgt.Infeasible {
 		t.Fatalf("budget %v below floor %v not flagged infeasible", tgt.BudgetWatts, floor)
 	}
-	if n := strings.Count(events.String(), `"cap_infeasible"`); n != 1 {
-		t.Fatalf("cap_infeasible emitted %d times, want once:\n%s", n, events.String())
+	if n := strings.Count(events, `"cap_infeasible"`); n != 1 {
+		t.Fatalf("cap_infeasible emitted %d times, want once:\n%s", n, events)
 	}
 
-	// A feasible budget is not flagged.
-	ok := fmt.Sprintf(`{"version":%q,"name":"ok","interval_s":15,"budgets":[{"level":"row-0/rack-0","watts":%f}]}`,
-		PolicyVersion, floor*2)
-	if err := c.ApplyPolicyJSON([]byte(ok)); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = json.Marshal(c.StatusJSON())
-	st = Status{}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Targets[0].Infeasible {
-		t.Fatalf("feasible budget flagged: %+v", st.Targets[0])
+	tgt, _, events = capRack(2)
+	if tgt.Infeasible || strings.Contains(events, `"cap_infeasible"`) {
+		t.Fatalf("feasible budget flagged: %+v\n%s", tgt, events)
 	}
 }

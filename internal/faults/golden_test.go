@@ -59,8 +59,9 @@ func decisionDigest(t *testing.T) uint64 {
 
 // TestFaultDecisionStreamsPinned pins every seeded fault decision to the
 // digest the injector produced when its streams were first recorded.
-// Scenario replays, chaos-live fault runs and the loadgen's collectors
-// all depend on these streams, so a refactor must keep them bit-identical.
+// Scenario replays, chaos-live fault runs and the -peers front door's
+// node faults depend on these streams, so a refactor must keep them
+// bit-identical.
 func TestFaultDecisionStreamsPinned(t *testing.T) {
 	const want uint64 = 0x135e84bf61502eb8
 	if got := decisionDigest(t); got != want {

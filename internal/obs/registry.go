@@ -116,9 +116,9 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// HistState is a point-in-time copy of a histogram, subtractable so a
-// caller can compute quantiles over just the observations between two
-// snapshots (the loadgen's consistency check does exactly that).
+// HistState is a point-in-time copy of a histogram, so a caller can
+// compare two snapshots or compute quantiles without racing new
+// observations.
 type HistState struct {
 	Bounds []float64
 	Counts []uint64 // len(Bounds)+1; last is +Inf
@@ -138,20 +138,6 @@ func (h *Histogram) State() HistState {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Sub returns the bucket-wise difference s - prev (observations recorded
-// between the two snapshots). Mismatched bounds return s unchanged.
-func (s HistState) Sub(prev HistState) HistState {
-	if len(prev.Counts) != len(s.Counts) {
-		return s
-	}
-	out := HistState{Bounds: s.Bounds, Counts: make([]uint64, len(s.Counts)),
-		Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] - prev.Counts[i]
-	}
-	return out
 }
 
 // Quantile returns the bucket upper bound at or below which a q fraction

@@ -31,23 +31,6 @@ var (
 	httpErrsTotal = obs.Default().Counter("chaos_serve_http_errors_total", nil)
 )
 
-// RequestSeconds returns the server-side latency histogram behind
-// chaos_serve_request_seconds{endpoint=...} — the same series /metrics
-// exports. The loadgen sources its reported p50/p99 from here so the
-// summary and the scrape can never diverge. Endpoints: "estimate",
-// "estimate_batch".
-func RequestSeconds(endpoint string) *obs.Histogram {
-	switch endpoint {
-	case "estimate":
-		return estimateSecs
-	case "estimate_batch":
-		return batchSecs
-	default:
-		return obs.Default().Histogram("chaos_serve_request_seconds",
-			obs.Labels{"endpoint": endpoint}, obs.ExpBuckets(1e-6, 4, 12))
-	}
-}
-
 // SampleJSON is one machine's counter vector in the API wire format.
 type SampleJSON struct {
 	MachineID string    `json:"machine_id"`
@@ -148,32 +131,6 @@ func (s *Server) Lifecycle() Lifecycle {
 	return s.lc
 }
 
-// Control is the power-capping controller surface the HTTP layer
-// exposes. The control package implements it; keeping it an interface
-// here means serve never imports control (which imports cluster and
-// registry, the same layers serve builds on).
-type Control interface {
-	// StatusJSON returns the /v1/control/status payload.
-	StatusJSON() any
-	// ApplyPolicyJSON swaps in a new chaos-capping/v1 policy document.
-	ApplyPolicyJSON(doc []byte) error
-}
-
-// AttachControl binds a capping controller to the HTTP surface. Before
-// (or without) attachment the control endpoints answer 404.
-func (s *Server) AttachControl(c Control) {
-	s.ctlMu.Lock()
-	s.ctl = c
-	s.ctlMu.Unlock()
-}
-
-// Control returns the attached controller, nil when capping is disabled.
-func (s *Server) Control() Control {
-	s.ctlMu.RLock()
-	defer s.ctlMu.RUnlock()
-	return s.ctl
-}
-
 // NewMux returns the service mux: the /v1 estimation and model-management
 // API plus the obs endpoints (/metrics, /healthz, pprof) so one listener
 // serves both traffic and scrapes. When tracing is configured the trace
@@ -186,8 +143,6 @@ func NewMux(s *Server) *http.ServeMux {
 	mux.HandleFunc("/v1/models/activate", s.handleActivate)
 	mux.HandleFunc("/v1/lifecycle/status", s.handleLifecycleStatus)
 	mux.HandleFunc("/v1/lifecycle/retrain", s.handleLifecycleRetrain)
-	mux.HandleFunc("/v1/control/status", s.handleControlStatus)
-	mux.HandleFunc("/v1/control/policy", s.handleControlPolicy)
 	mux.HandleFunc("/v1/overload/status", s.handleOverloadStatus)
 	mux.HandleFunc("/v1/version", s.handleVersion)
 	if s.cfg.Traces != nil {
@@ -563,44 +518,6 @@ func (s *Server) handleLifecycleRetrain(w http.ResponseWriter, r *http.Request) 
 	}
 	// 202: the retrain runs asynchronously; poll /v1/lifecycle/status.
 	writeJSON(w, http.StatusAccepted, map[string]any{"status": "accepted", "reason": req.Reason})
-}
-
-func (s *Server) handleControlStatus(w http.ResponseWriter, r *http.Request) {
-	c := s.Control()
-	if c == nil {
-		writeError(w, http.StatusNotFound, "control disabled")
-		return
-	}
-	writeJSON(w, http.StatusOK, c.StatusJSON())
-}
-
-func (s *Server) handleControlPolicy(w http.ResponseWriter, r *http.Request) {
-	c := s.Control()
-	if c == nil {
-		writeError(w, http.StatusNotFound, "control disabled")
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		// GET answers the same live document as /v1/control/status: the
-		// applied policy is visible through the status targets.
-		writeJSON(w, http.StatusOK, c.StatusJSON())
-	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		if err := c.ApplyPolicyJSON(body); err != nil {
-			// A policy is an actuation authorization: rejections are the
-			// caller's problem, and the previous policy stays in force.
-			writeError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "applied"})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
-	}
 }
 
 // activate validates stream compatibility, swaps, and emits the event.

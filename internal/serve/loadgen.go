@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/mathx"
-	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/trace"
 )
@@ -38,15 +36,9 @@ type LoadGenConfig struct {
 	// IncludeMeter attaches metered watts so the server's drift monitor
 	// sees residuals.
 	IncludeMeter bool
-	// SwapEvery activates the next version of SwapVersions every N
-	// snapshots (0 disables) — the hot-swap-under-load exercise.
-	SwapEvery    int
-	SwapVersions []string
-	// Scenario, when set, routes every machine's row fetch through a
-	// resilient faults.Collector — the client-side feeder — so collector
-	// drops and corruption thin the replayed snapshots realistically.
-	// Scenario.Load surge windows additionally scale Rate inside their
-	// windows (deterministic overload storms).
+	// Scenario, when set, scales Rate inside its Load surge windows
+	// (deterministic overload storms); its other faults do not apply to
+	// the replay.
 	Scenario *faults.Scenario
 	Seed     int64
 	// PriorityWeights biases the priority class drawn per request group:
@@ -57,38 +49,18 @@ type LoadGenConfig struct {
 
 // LoadStats is the outcome of one load-generation run.
 type LoadStats struct {
-	Snapshots       int // snapshots attempted
-	Samples         int // machine-samples sent
-	OK              int // snapshots answered 200
-	Shed            int // snapshots answered 429
-	Late            int // snapshots answered 504
-	Failed          int // transport errors or unexpected statuses
-	SkippedRows     int // machine rows lost to the client-side fault feeder
-	Swaps           int // hot-swaps performed mid-load
-	Duration        time.Duration
-	SnapshotsPerSec float64
-	SamplesPerSec   float64
-	LatencyP50      time.Duration // per HTTP request, client-measured
-	LatencyP99      time.Duration
-	// ServerP50/P99 are sourced from the same obs histogram the server
-	// exports at /metrics (chaos_serve_request_seconds, delta over this
-	// run), so the loadgen summary and a Prometheus scrape can never
-	// disagree. Only populated when the target runs in this process —
-	// the chaos-serve -loadgen arrangement. Each value is a histogram
-	// bucket upper bound (ExpBuckets(1e-6, 4, 12): bounds 4x apart, top
-	// finite bound ~4.2s), i.e. a conservative estimate quantized up to
-	// one bucket above the true quantile; when the quantile lands in the
-	// +Inf overflow bucket it is clamped to the top finite bound and
-	// ServerTailSaturated is set.
-	ServerP50 time.Duration
-	ServerP99 time.Duration
-	// ServerTailSaturated means ServerP99 fell in the histogram's +Inf
-	// bucket: the true p99 exceeds the top finite bound and the reported
-	// value is a floor, not an estimate.
-	ServerTailSaturated bool
-	ServerRequests      uint64  // histogram count delta over the run
-	SumAbsErr           float64 // |estimate - metered| summed over OK snapshots with meter
-	MeterOK             int     // OK snapshots that carried metered power
+	Snapshots     int // snapshots attempted
+	Samples       int // machine-samples sent
+	OK            int // snapshots answered 200
+	Shed          int // snapshots answered 429
+	Late          int // snapshots answered 504
+	Failed        int // transport errors or unexpected statuses
+	Duration      time.Duration
+	SamplesPerSec float64
+	LatencyP50    time.Duration // per HTTP request, client-measured
+	LatencyP99    time.Duration
+	SumAbsErr     float64 // |estimate - metered| summed over OK snapshots with meter
+	MeterOK       int     // OK snapshots that carried metered power
 	// ByStatus splits every snapshot outcome by its final HTTP status
 	// (200/429/503/504/...), so "Failed" is never a lumped mystery; the
 	// legacy OK/Shed/Late/Failed counters are kept as rollups.
@@ -187,24 +159,11 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadStats, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 1
 	}
-	if cfg.SwapEvery > 0 && len(cfg.SwapVersions) < 2 {
-		return nil, fmt.Errorf("serve: -swap-every needs at least two versions")
-	}
-
-	// Client-side fault feeders: one resilient collector per machine, fed
-	// in snapshot order by the single producer so stuck-row faults replay
-	// deterministically.
 	var inj *faults.Injector
-	cols := make([]*faults.Collector, len(cfg.Traces))
 	if cfg.Scenario != nil {
 		var err error
 		if inj, err = faults.NewInjector(cfg.Scenario, cfg.Seed); err != nil {
 			return nil, err
-		}
-		for i, t := range cfg.Traces {
-			if cols[i], err = faults.NewCollector(t.MachineID, inj, faults.DefaultRetry(), faults.DefaultBreaker()); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -214,24 +173,13 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadStats, error) {
 		MaxIdleConnsPerHost: cfg.Clients * 2,
 	}}
 
-	// Snapshot the server-side latency histogram so the delta over this
-	// run yields the server's own view of p50/p99 (valid when the target
-	// is in-process, which is how chaos-serve -loadgen runs).
-	endpoint := "estimate_batch"
-	if cfg.Batch == 1 {
-		endpoint = "estimate"
-	}
-	serverHist := RequestSeconds(endpoint)
-	histBefore := serverHist.State()
-
-	// Producer: builds snapshots in order (fault injection needs ordered
-	// seconds), throttled to Rate, grouped Batch per send. Pacing runs on
-	// virtual time so Scenario.Load surge windows scale the instantaneous
-	// rate as a pure function of config: snapshot i is due at vt(i), where
-	// each interval is 1/(Rate × multiplier at the current virtual second).
-	// A sender that falls behind wall clock does not stretch the schedule.
+	// Producer: builds snapshots in order, throttled to Rate, grouped
+	// Batch per send. Pacing runs on virtual time so Scenario.Load surge
+	// windows scale the instantaneous rate as a pure function of config:
+	// snapshot i is due at vt(i), where each interval is 1/(Rate ×
+	// multiplier at the current virtual second). A sender that falls
+	// behind wall clock does not stretch the schedule.
 	work := make(chan []snapshotPayload, cfg.Clients*2)
-	var producerErr error
 	go func() {
 		defer close(work)
 		paceStart := time.Now()
@@ -244,7 +192,6 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadStats, error) {
 		}
 		group := make([]snapshotPayload, 0, cfg.Batch)
 		groupIdx := 0
-		swapIdx := 0
 		for i := 0; i < cfg.Snapshots; i++ {
 			if cfg.Rate > 0 {
 				rate := cfg.Rate
@@ -254,33 +201,7 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadStats, error) {
 				vt += 1 / rate
 				time.Sleep(time.Until(paceStart.Add(time.Duration(vt * float64(time.Second)))))
 			}
-			// Hot-swap mid-load: rotate the active version through the
-			// API while the clients' requests are still in flight.
-			if cfg.SwapEvery > 0 && i > 0 && i%cfg.SwapEvery == 0 {
-				swapIdx++
-				version := cfg.SwapVersions[swapIdx%len(cfg.SwapVersions)]
-				if err := postActivate(client, cfg.TargetURL, version); err != nil {
-					producerErr = err
-					return
-				}
-				stats.mu.Lock()
-				stats.Swaps++
-				stats.mu.Unlock()
-			}
-			t := i % n
-			snap, skipped, err := buildSnapshot(cfg, cols, i, t)
-			if err != nil {
-				producerErr = err
-				return
-			}
-			if skipped > 0 {
-				stats.mu.Lock()
-				stats.SkippedRows += skipped
-				stats.mu.Unlock()
-			}
-			if len(snap.req.Samples) == 0 {
-				continue // every machine's feeder failed this second
-			}
+			snap := buildSnapshot(cfg, i%n)
 			// One deterministic priority draw per group; every snapshot in
 			// the group shares it so batch requests stay single-class.
 			if mixPriorities {
@@ -315,59 +236,18 @@ func RunLoadGen(cfg LoadGenConfig) (*LoadStats, error) {
 	}
 	wg.Wait()
 	stats.Duration = time.Since(start)
-	if producerErr != nil {
-		return nil, producerErr
-	}
 	if stats.Duration > 0 {
-		stats.SnapshotsPerSec = float64(stats.OK+stats.Shed+stats.Late) / stats.Duration.Seconds()
 		stats.SamplesPerSec = float64(stats.Samples) / stats.Duration.Seconds()
 	}
 	stats.finishLatency()
-	delta := serverHist.State().Sub(histBefore)
-	stats.ServerRequests = delta.Count
-	if delta.Count > 0 {
-		stats.ServerP50, _ = quantileDuration(delta, 0.5)
-		stats.ServerP99, stats.ServerTailSaturated = quantileDuration(delta, 0.99)
-	}
 	return stats, nil
 }
 
-// quantileDuration converts a histogram quantile (seconds) to a
-// duration. A quantile in the +Inf overflow bucket has no finite bound;
-// it is clamped to the top finite bound and reported as saturated so
-// callers can flag the value as a floor on the true latency.
-func quantileDuration(s obs.HistState, q float64) (time.Duration, bool) {
-	v := s.Quantile(q)
-	if math.IsInf(v, 1) {
-		if len(s.Bounds) == 0 {
-			return 0, true
-		}
-		return time.Duration(s.Bounds[len(s.Bounds)-1] * float64(time.Second)), true
-	}
-	return time.Duration(v * float64(time.Second)), false
-}
-
-// buildSnapshot assembles cluster second t (replay index i) into a wire
-// request, routing rows through the fault feeders when enabled.
-func buildSnapshot(cfg LoadGenConfig, cols []*faults.Collector, i, t int) (snapshotPayload, int, error) {
+// buildSnapshot assembles cluster second t into a wire request.
+func buildSnapshot(cfg LoadGenConfig, t int) snapshotPayload {
 	snap := snapshotPayload{hasMeter: cfg.IncludeMeter}
-	skipped := 0
-	for k, tr := range cfg.Traces {
-		row := tr.X.Row(t)
-		if cols[k] != nil {
-			res, err := cols[k].Collect(i, func() ([]float64, error) {
-				return append([]float64(nil), tr.X.Row(t)...), nil
-			})
-			if err != nil {
-				return snap, skipped, err
-			}
-			if !res.OK {
-				skipped++
-				continue
-			}
-			row = res.Row
-		}
-		sj := SampleJSON{MachineID: tr.MachineID, Platform: tr.Platform, Counters: row}
+	for _, tr := range cfg.Traces {
+		sj := SampleJSON{MachineID: tr.MachineID, Platform: tr.Platform, Counters: tr.X.Row(t)}
 		if cfg.IncludeMeter {
 			w := tr.Power[t]
 			sj.MeteredWatts = &w
@@ -375,7 +255,7 @@ func buildSnapshot(cfg LoadGenConfig, cols []*faults.Collector, i, t int) (snaps
 		snap.req.Samples = append(snap.req.Samples, sj)
 		snap.actual += tr.Power[t]
 	}
-	return snap, skipped, nil
+	return snap
 }
 
 // sendGroup sends one group as either a single-snapshot request or one
@@ -499,19 +379,6 @@ func postBatch(client *http.Client, url string, req BatchRequest) (int, []Estima
 		return resp.StatusCode, nil, rtt, err
 	}
 	return resp.StatusCode, br.Results, rtt, nil
-}
-
-func postActivate(client *http.Client, base, version string) error {
-	body, _ := json.Marshal(ActivateRequest{Version: version})
-	resp, err := client.Post(base+"/v1/models/activate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: activate %s: status %d", version, resp.StatusCode)
-	}
-	return nil
 }
 
 // finishLatency computes request-latency percentiles from the recorded

@@ -205,9 +205,6 @@ type Server struct {
 	lcMu sync.RWMutex // guards lc
 	lc   Lifecycle
 
-	ctlMu sync.RWMutex // guards ctl
-	ctl   Control
-
 	closeMu sync.RWMutex // guards shard sends vs Close
 	closed  bool
 	drained int // tasks still queued when Close began, all answered
