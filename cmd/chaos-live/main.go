@@ -375,15 +375,10 @@ func run(w io.Writer, cfg config) error {
 			if err != nil {
 				return err
 			}
-			p2, err := online.NewPredictor(cm2, seq[0].Names)
-			if err != nil {
+			// The degraded wrapper predicts through the same predictor,
+			// so one rebind serves both paths.
+			if err := predictor.SetModel(cm2); err != nil {
 				return err
-			}
-			predictor = p2
-			if degraded != nil {
-				if err := degraded.SwapPredictor(p2); err != nil {
-					return err
-				}
 			}
 			monitor.Reset()
 			drifted = false

@@ -7,8 +7,8 @@
 // when the bounded queues fill.
 //
 // With -lifecycle the daemon closes the loop: labeled traffic feeds
-// retrain buffers, drift (or -lifecycle-interval / -lifecycle-samples /
-// POST /v1/lifecycle/retrain) triggers a challenger fit off the hot path,
+// retrain buffers, drift (or -lifecycle-samples / POST
+// /v1/lifecycle/retrain) triggers a challenger fit off the hot path,
 // the orchestrator scores the challenger against the live champion on
 // recent labeled traffic, promotes it only if it wins by -promote-margin,
 // and rolls it back automatically if it regresses inside the -probation
@@ -80,11 +80,10 @@ type config struct {
 	Tech      string
 
 	// Closed-loop model lifecycle.
-	Lifecycle         bool
-	LifecycleInterval time.Duration
-	LifecycleSamples  int
-	PromoteMargin     float64
-	Probation         int
+	Lifecycle        bool
+	LifecycleSamples int
+	PromoteMargin    float64
+	Probation        int
 
 	// Distributed serving: a static peer fleet with rendezvous
 	// partitioning, a scatter-gather front door, and journal replication.
@@ -164,11 +163,10 @@ func parseConfig(args []string, stderr io.Writer) (config, error) {
 		tech        = fs.String("tech", "linear", "bootstrap model technique: linear, piecewise, quadratic, switching")
 		overloadOn  = fs.Bool("overload", false, "adaptive overload control: per-shard AIMD admission, strict-priority shedding, brownout ladder")
 
-		lcEnable   = fs.Bool("lifecycle", false, "run the closed-loop model lifecycle: drift-triggered retraining, shadow evaluation, gated promotion")
-		lcInterval = fs.Duration("lifecycle-interval", 0, "lifecycle: also retrain every wall-clock period (0 = drift/samples/manual only)")
-		lcSamples  = fs.Int("lifecycle-samples", 0, "lifecycle: also retrain every N labeled snapshots (0 = off)")
-		lcMargin   = fs.Float64("promote-margin", 0.05, "lifecycle: challenger must beat the champion's dynamic-range error by this fraction to promote")
-		lcProbe    = fs.Int("probation", 64, "lifecycle: labeled snapshots the promoted model is watched for before rollback is off the table (0 = no probation)")
+		lcEnable  = fs.Bool("lifecycle", false, "run the closed-loop model lifecycle: drift-triggered retraining, shadow evaluation, gated promotion")
+		lcSamples = fs.Int("lifecycle-samples", 0, "lifecycle: also retrain every N labeled snapshots (0 = off)")
+		lcMargin  = fs.Float64("promote-margin", 0.05, "lifecycle: challenger must beat the champion's dynamic-range error by this fraction to promote")
+		lcProbe   = fs.Int("probation", 64, "lifecycle: labeled snapshots the promoted model is watched for before rollback is off the table (0 = no probation)")
 
 		peersArg      = fs.String("peers", "", "static fleet list id=host:port,... — enables distributed serving (requires -node-id naming this node)")
 		nodeIDArg     = fs.String("node-id", "", "this node's peer ID within -peers")
@@ -203,7 +201,7 @@ func parseConfig(args []string, stderr io.Writer) (config, error) {
 		Overload: *overloadOn, Faults: *faultsArg,
 		Peers: *peersArg, NodeID: *nodeIDArg, ReplicateFrom: *replicateFrom, PeerDeadline: *peerDeadline,
 		ClusterDeadline: *clusterDL, BudgetMargin: *budgetMargin, HedgeRate: *hedgeRate,
-		Lifecycle: *lcEnable, LifecycleInterval: *lcInterval, LifecycleSamples: *lcSamples,
+		Lifecycle: *lcEnable, LifecycleSamples: *lcSamples,
 		PromoteMargin: *lcMargin, Probation: *lcProbe,
 		StateDir: *stateDir, CheckpointInterval: *ckInterval,
 		TraceSample: *traceSample, TraceBuffer: *traceBuffer, TraceSlow: *traceSlow,
@@ -419,9 +417,8 @@ func run(w io.Writer, cfg config) error {
 		}
 		orch, err = lifecycle.New(reg, lifecycle.Config{
 			Tech: models.Technique(cfg.Tech), Spec: spec, Names: names,
-			Interval: cfg.LifecycleInterval, TriggerSamples: cfg.LifecycleSamples,
-			PromoteMargin: cfg.PromoteMargin, ProbationSnapshots: cfg.Probation,
-			Events: sink,
+			TriggerSamples: cfg.LifecycleSamples, PromoteMargin: cfg.PromoteMargin,
+			ProbationSnapshots: cfg.Probation, Events: sink,
 		})
 		if err != nil {
 			return err
@@ -497,7 +494,7 @@ func run(w io.Writer, cfg config) error {
 			Self: cfg.NodeID, Peers: peers, Local: srv,
 			PeerDeadline: cfg.PeerDeadline, ClusterDeadline: cfg.ClusterDeadline,
 			BudgetMargin: cfg.BudgetMargin, HedgeRate: cfg.HedgeRate,
-			Level: srv.BrownoutLevel, Events: sink, Injector: inj,
+			Events: sink, Injector: inj,
 		})
 		if err != nil {
 			return err

@@ -275,8 +275,9 @@ func TestServeBadFlagsAndModelPath(t *testing.T) {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 
-	// The flags of the retired load generator are unknown too.
-	for _, f := range []string{"-loadgen", "-rate", "-snapshots", "-clients", "-batch", "-swap-every", "-priorities"} {
+	// Retired flags are unknown too: the load generator's and the
+	// wall-clock lifecycle trigger's.
+	for _, f := range []string{"-loadgen", "-rate", "-snapshots", "-clients", "-batch", "-swap-every", "-priorities", "-lifecycle-interval"} {
 		if code := realMain([]string{f, "1"}, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2", f, code)
 		}

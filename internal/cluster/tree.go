@@ -36,27 +36,6 @@ type Level struct {
 
 	watts float64
 	dirty bool
-
-	// budget is an optional power cap in watts for this subtree, set by a
-	// capping policy. Zero means unbudgeted. The tree only stores it; the
-	// control loop decides how to enforce it.
-	budget float64
-}
-
-// SetBudget installs (or clears, with 0) a power budget on this level.
-func (l *Level) SetBudget(watts float64) { l.budget = watts }
-
-// Budget returns the level's power budget in watts (0 = unbudgeted).
-func (l *Level) Budget() float64 { return l.budget }
-
-// Headroom returns budget minus current aggregate watts. It is negative
-// when the subtree is over budget and meaningless (0, false) when no
-// budget is set.
-func (l *Level) Headroom() (float64, bool) {
-	if l.budget <= 0 {
-		return 0, false
-	}
-	return l.budget - l.Watts(), true
 }
 
 // MachineNode is one simulated machine: the unchanged sim.Machine leaf
@@ -103,9 +82,6 @@ func (m *MachineNode) TrueWatts() float64 { return m.trueWatts }
 
 // Active reports whether the machine is inside a burst.
 func (m *MachineNode) Active() bool { return m.active }
-
-// Rack returns the level the machine hangs off.
-func (m *MachineNode) Rack() *Level { return m.parent }
 
 // Build turns a validated spec into a simulatable topology. Machine
 // seeds, burst streams, and (for grids) platform/profile assignment all

@@ -28,8 +28,8 @@ type Config struct {
 	Events *obs.EventSink
 }
 
-// target is one resolved budget: the level, its machines (deterministic
-// topology order), and the violation latch.
+// target is one resolved budget (its only copy): the level, its machines
+// (deterministic topology order), and the violation latch.
 type target struct {
 	name     string
 	level    *cluster.Level
@@ -141,7 +141,6 @@ func (c *Controller) resolveTargets(p *Policy) ([]*target, error) {
 		if !ok {
 			return nil, fmt.Errorf("control: budget level %q not in topology", b.Level)
 		}
-		l.SetBudget(b.Watts)
 		lbl := obs.Labels{"level": b.Level}
 		machines := machinesUnder(l)
 		floor := 0.0

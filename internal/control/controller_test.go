@@ -88,9 +88,8 @@ func TestControlNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := topo.FindLevel("row-0/rack-0")
-	if l.Budget() != 900 {
-		t.Fatalf("budget not installed on level: %v", l.Budget())
+	if st := c.StatusJSON().(Status); len(st.Targets) != 1 || st.Targets[0].Level != "row-0/rack-0" || st.Targets[0].BudgetWatts != 900 {
+		t.Fatalf("budget not resolved onto its level: %+v", st.Targets)
 	}
 	if len(c.spares) == 0 {
 		t.Fatal("no spares inventoried despite idle machines outside the budget")
@@ -228,10 +227,9 @@ func TestControlSafeHoldDuringMeterDropout(t *testing.T) {
 	}
 }
 
-// TestControlStatusAndApplyPolicy: the policy New applies installs its
-// budget on the named level alone, and the status document reports it —
-// policy name, loop counters, the budgeted level and the serving model
-// version.
+// TestControlStatusAndApplyPolicy: the status document reports the policy
+// New applies — policy name, loop counters, one target for the named
+// level alone with its budget, and the serving model version.
 func TestControlStatusAndApplyPolicy(t *testing.T) {
 	topo, err := cluster.Build(ctlSpec(1, 2, 10, 21))
 	if err != nil {
@@ -261,11 +259,6 @@ func TestControlStatusAndApplyPolicy(t *testing.T) {
 	}
 	if st.ModelVersion != "boot-1" {
 		t.Fatalf("model version %q", st.ModelVersion)
-	}
-	for level, want := range map[string]float64{"row-0/rack-0": 700, "row-0/rack-1": 0} {
-		if l, _ := topo.FindLevel(level); l.Budget() != want {
-			t.Fatalf("%s budget %v, want %v", level, l.Budget(), want)
-		}
 	}
 }
 

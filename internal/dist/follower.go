@@ -21,6 +21,10 @@ import (
 // applied — the replication-health headline (0 = fully caught up).
 var lagGauge = obs.Default().Gauge("chaos_replication_lag_records", nil)
 
+// followerRetry spaces failed leader calls: the jittered exponential
+// backoff the fault-aware collectors use, from 50 ms with jitter 0.5.
+var followerRetry = faults.RetryPolicy{BackoffMS: 50, Jitter: 0.5}
+
 // FollowerConfig wires a replication follower to its leader.
 type FollowerConfig struct {
 	// LeaderURL is the leader's serve base URL ("http://host:port").
@@ -31,18 +35,14 @@ type FollowerConfig struct {
 	// CheckpointPath persists the tail position so a restarted follower
 	// resumes without re-fetching (or re-applying) history.
 	CheckpointPath string
-	// Retry shapes the backoff between failed leader calls — the same
-	// jittered exponential policy the fault-aware collectors use.
-	Retry faults.RetryPolicy
-	// Seed feeds the deterministic backoff jitter.
+	// Seed feeds the deterministic jitter of the backoff between failed
+	// leader calls (followerRetry).
 	Seed int64
 	// NodeID keys this follower's jitter stream (decorrelated from other
 	// followers of the same leader).
 	NodeID string
 	// PollWait is the long-poll window per tail request (default 1s).
 	PollWait time.Duration
-	// Client performs leader HTTP calls (default http.DefaultClient).
-	Client *http.Client
 	// Events, when set, receives replica_synced / replica_caught_up /
 	// replica_resync events.
 	Events *obs.EventSink
@@ -84,13 +84,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
-	if cfg.Retry.BackoffMS <= 0 {
-		cfg.Retry.BackoffMS = 50
-		cfg.Retry.Jitter = 0.5
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{cfg: cfg, ctx: ctx, cancel: cancel, done: make(chan struct{})}
@@ -152,7 +145,7 @@ func (f *Follower) run() {
 		if k > 6 {
 			k = 6
 		}
-		backoff := time.Duration(f.cfg.Retry.BackoffFor(f.cfg.Seed, f.cfg.NodeID, k) * float64(time.Millisecond))
+		backoff := time.Duration(followerRetry.BackoffFor(f.cfg.Seed, f.cfg.NodeID, k) * float64(time.Millisecond))
 		select {
 		case <-f.ctx.Done():
 			return
@@ -175,7 +168,7 @@ func (f *Follower) tailOnce() error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -254,7 +247,7 @@ func (f *Follower) resync() error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

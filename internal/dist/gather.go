@@ -95,10 +95,7 @@ func (n *Node) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if prio == "" {
 		prio = r.Header.Get(serve.PriorityHeader)
 	}
-	level := overload.LevelNormal
-	if n.cfg.Level != nil {
-		level = n.cfg.Level()
-	}
+	level := n.cfg.Local.BrownoutLevel()
 
 	// Split the snapshot by owning peer.
 	byPeer := map[string][]serve.SampleJSON{}
@@ -221,7 +218,7 @@ type attempt struct {
 
 // gatherRemote calls one owning peer within the sub-deadline the budget
 // allows, guarded by its breaker. When the primary call outlives the
-// peer's rolling HedgeQuantile latency and the hedge budget has a token,
+// peer's rolling p95 latency and the hedge budget has a token,
 // a backup call races it; the first 200 wins and the loser is canceled.
 // Breaker and health accounting apply to the winning attempt only, so a
 // canceled loser never fakes a peer-down transition.
@@ -238,7 +235,7 @@ func (n *Node) gatherRemote(peerID string, samples []serve.SampleJSON, sub time.
 	var hedgeDelay time.Duration
 	if n.hedge != nil {
 		if tr := n.trackers[peerID]; tr != nil && tr.Len() >= minHedgeSamples {
-			if q := time.Duration(tr.Quantile(n.cfg.HedgeQuantile) * float64(time.Second)); q > 0 {
+			if q := time.Duration(tr.Quantile(0.95) * float64(time.Second)); q > 0 {
 				hedgeDelay = q
 				if hedgeDelay < time.Millisecond {
 					hedgeDelay = time.Millisecond
@@ -382,7 +379,7 @@ func (n *Node) callPeer(ctx context.Context, peerID string, samples []serve.Samp
 	if prio != "" {
 		httpReq.Header.Set(serve.PriorityHeader, prio)
 	}
-	httpResp, err := n.cfg.Client.Do(httpReq)
+	httpResp, err := http.DefaultClient.Do(httpReq)
 	if err != nil {
 		pr.outcome = "down"
 		return pr

@@ -39,24 +39,15 @@ type Config struct {
 	// and serialization, withheld from every forwarded sub-deadline
 	// (default 25ms).
 	BudgetMargin time.Duration
-	// HedgeQuantile arms a backup request to a slow peer once its
-	// primary call outlives this rolling latency quantile (default
-	// 0.95). Negative disables hedging.
-	HedgeQuantile float64
 	// HedgeRate bounds hedges to roughly this fraction of primary calls
-	// via a token bucket (default 0.1, burst 8). Negative disables
-	// hedging.
+	// via a token bucket (default 0.1, burst 8); a backup request races
+	// a primary call once it outlives the peer's rolling p95 latency.
+	// Negative disables hedging.
 	HedgeRate float64
-	// Level, when set, reports the local brownout rung
-	// (overload.Level*). At overload.LevelPartial the front door stops
-	// fanning out and serves coverage-partial local-only answers.
-	Level func() int
 	// FailThreshold and Cooldown tune the per-peer circuit breaker
 	// (defaults 3 failures, 5s cooldown).
 	FailThreshold int
 	Cooldown      time.Duration
-	// Client performs peer HTTP calls (default http.DefaultClient).
-	Client *http.Client
 	// Events, when set, receives peer_down / peer_recovered transitions.
 	Events *obs.EventSink
 	// Injector, when set, injects node-level chaos (peer crash windows,
@@ -119,9 +110,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.BudgetMargin <= 0 {
 		cfg.BudgetMargin = 25 * time.Millisecond
 	}
-	if cfg.HedgeQuantile == 0 {
-		cfg.HedgeQuantile = 0.95
-	}
 	if cfg.HedgeRate == 0 {
 		cfg.HedgeRate = 0.1
 	}
@@ -131,9 +119,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	n := &Node{
 		cfg:      cfg,
 		part:     part,
@@ -142,7 +127,7 @@ func NewNode(cfg Config) (*Node, error) {
 		breakers: map[string]*faults.Breaker{},
 		lastUp:   map[string]bool{},
 	}
-	if cfg.HedgeQuantile > 0 && cfg.HedgeRate > 0 {
+	if cfg.HedgeRate > 0 {
 		n.hedge = overload.NewHedgeBudget(cfg.HedgeRate, 0)
 	}
 	for _, p := range part.Peers() {

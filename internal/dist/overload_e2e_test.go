@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/overload"
+	"repro/internal/registry"
 	"repro/internal/serve"
 )
 
@@ -196,5 +199,106 @@ func TestOverloadHedgedSlowPeer(t *testing.T) {
 	maxLaunched := uint64(float64(measured+20)*0.2) + 8
 	if launched > maxLaunched {
 		t.Errorf("launched %d hedges, budget allows at most %d", launched, maxLaunched)
+	}
+}
+
+// TestOverloadBrownoutPartialRung drives a real local engine to the
+// partial brownout rung and checks the front door's local-only contract:
+// /v1/estimate/cluster answers 200 with the local slice alone, marks every
+// remote peer "brownout" without calling it, and reports the rung, which
+// /v1/overload/status agrees with.
+func TestOverloadBrownoutPartialRung(t *testing.T) {
+	reg := registry.New()
+	if err := reg.Add("v1", mkModel(t, 10), registry.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	// An hour-long tick leaves every ladder step to the test; one tick of
+	// full shedding climbs one rung.
+	local, err := serve.New(reg, serve.Config{Names: testNames, Overload: &overload.Config{
+		Tick: time.Hour, Ladder: overload.LadderConfig{EnterTicks: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	ov := local.Overload()
+	for i := 0; ov.Level() < overload.LevelPartial; i++ {
+		if i == overload.MaxLevel {
+			t.Fatalf("level %d after %d shedding ticks", ov.Level(), i)
+		}
+		if ov.LimiterFor(i).AcquireN(overload.Interactive, 1000).Admit {
+			t.Fatal("limiter admitted 1000 samples at its initial limit")
+		}
+		ov.Step()
+	}
+
+	// The remote peers' addresses refuse connections, so a fan-out would
+	// read "down", never "brownout".
+	peers := []Peer{{ID: "n1", Addr: "127.0.0.1:1"}, {ID: "n2", Addr: "127.0.0.1:1"}, {ID: "n3", Addr: "127.0.0.1:1"}}
+	node, err := NewNode(Config{Self: "n1", Peers: peers, Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := serve.NewMux(local)
+	node.Mount(mux)
+	front := httptest.NewServer(mux)
+	t.Cleanup(front.Close)
+
+	var req serve.EstimateRequest
+	mine := 0
+	for i := 0; i < 30; i++ {
+		m := fmt.Sprintf("m-%02d", i)
+		req.Samples = append(req.Samples, serve.SampleJSON{MachineID: m, Platform: "p", Counters: []float64{1, 1}})
+		if node.Partition().Local(m) {
+			mine++
+		}
+	}
+	if mine == 0 || mine == len(req.Samples) {
+		t.Fatalf("degenerate split: %d of %d machines local", mine, len(req.Samples))
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(front.URL+"/v1/estimate/cluster", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr ClusterResponse
+	err = json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || cr.Status != http.StatusOK {
+		t.Fatalf("partial-rung gather: http %d, %+v", resp.StatusCode, cr)
+	}
+	if cr.BrownoutLevel != overload.LevelPartial {
+		t.Errorf("brownout_level %d, want %d", cr.BrownoutLevel, overload.LevelPartial)
+	}
+	if len(cr.PerMachine) != mine || len(cr.MissingMachines) != len(req.Samples)-mine {
+		t.Errorf("served %d, missing %d; want the %d local machines only", len(cr.PerMachine), len(cr.MissingMachines), mine)
+	}
+	for m, w := range cr.PerMachine {
+		if !node.Partition().Local(m) || w != 13 {
+			t.Errorf("machine %s served at %v W (local %v), want local machines at 13 W", m, w, node.Partition().Local(m))
+		}
+	}
+	if want := float64(mine) / float64(len(req.Samples)); cr.Coverage != want || cr.Coverage >= 1 {
+		t.Errorf("coverage %v, want %v", cr.Coverage, want)
+	}
+	if want := map[string]string{"n1": "local", "n2": "brownout", "n3": "brownout"}; fmt.Sprint(cr.Peers) != fmt.Sprint(want) {
+		t.Errorf("peer outcomes %v, want %v", cr.Peers, want)
+	}
+
+	sresp, err := http.Get(front.URL + "/v1/overload/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st overload.Status
+	err = json.NewDecoder(sresp.Body).Decode(&st)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sresp.StatusCode != http.StatusOK || st.Level != overload.LevelPartial {
+		t.Errorf("/v1/overload/status: http %d, level %d; want 200, %d", sresp.StatusCode, st.Level, overload.LevelPartial)
 	}
 }

@@ -55,16 +55,11 @@ type Config struct {
 	Spec models.FeatureSpec
 	// Names is the counter order of incoming sample rows. Required.
 	Names []string
-	// RetrainCapacity bounds the per-machine labeled ring (default 2048).
-	RetrainCapacity int
 	// HeldOut is how many recent labeled snapshots the held-out scoring
 	// window keeps (default 256).
 	HeldOut int
 	// CheckInterval is the orchestrator loop cadence (default 250ms).
 	CheckInterval time.Duration
-	// Interval, when positive, triggers a retrain every wall-clock period
-	// regardless of drift.
-	Interval time.Duration
 	// TriggerSamples, when positive, triggers a retrain after this many
 	// labeled snapshots have arrived since the last one.
 	TriggerSamples int
@@ -82,16 +77,10 @@ type Config struct {
 	PromoteMargin float64
 	// ProbationSnapshots is how many metered snapshots the freshly
 	// promoted model is watched for after the swap (default 64). Zero
-	// disables probation.
+	// disables probation. Probation rolls back when the live RMSE exceeds
+	// 2 × the shadow RMSE + 1 W; the watt of slack keeps a near-perfect
+	// shadow fit from making it hair-triggered.
 	ProbationSnapshots int
-	// RollbackRatio triggers automatic rollback when the post-promotion
-	// live RMSE exceeds RollbackRatio * shadowRMSE + RMSEFloor
-	// (default 2).
-	RollbackRatio float64
-	// RMSEFloor is the absolute slack added to the rollback bound so a
-	// near-perfect shadow fit does not make probation hair-triggered
-	// (default 1 watt).
-	RMSEFloor float64
 	// Cooldown is the minimum gap between automatic retrains
 	// (default 30s). Manual triggers bypass it, and so does the first
 	// automatic retrain after startup: until a retrain has actually run
@@ -114,9 +103,6 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Names) == 0 {
 		return c, fmt.Errorf("lifecycle: config needs the counter name order")
 	}
-	if c.RetrainCapacity <= 0 {
-		c.RetrainCapacity = 2048
-	}
 	if c.HeldOut <= 0 {
 		c.HeldOut = 256
 	}
@@ -131,12 +117,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ProbationSnapshots < 0 {
 		c.ProbationSnapshots = 0
-	}
-	if c.RollbackRatio <= 0 {
-		c.RollbackRatio = 2
-	}
-	if c.RMSEFloor <= 0 {
-		c.RMSEFloor = 1
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 30 * time.Second
@@ -193,7 +173,6 @@ type Orchestrator struct {
 
 	sinceRetrain int
 	lastRetrain  time.Time // zero until the first retrain runs
-	startedAt    time.Time // interval-trigger anchor before any retrain
 	manual       []string
 
 	// shadow evaluation
@@ -238,7 +217,8 @@ func New(reg *registry.Registry, cfg Config) (*Orchestrator, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := online.NewRetrainer(cfg.Names, cfg.RetrainCapacity)
+	// Each machine's retrain ring holds its 2,048 newest labeled seconds.
+	rt, err := online.NewRetrainer(cfg.Names, 2048)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +255,6 @@ func (o *Orchestrator) Start(eng Engine) error {
 		return fmt.Errorf("lifecycle: already started")
 	}
 	o.eng = eng
-	o.startedAt = o.now()
 	var lost error
 	if o.state == stateShadowing {
 		if _, ok := o.reg.Get(o.challenger); !ok {
@@ -503,11 +482,10 @@ func (o *Orchestrator) triggerLocked() (string, bool) {
 	if held < o.cfg.MinTrainSnapshots {
 		return "", false
 	}
-	now := o.now()
 	// The cooldown spaces retrains apart; before the first one there is
 	// nothing to cool down from, so only the min-window gate above paces
 	// the warmup and early drift is acted on immediately.
-	if !o.lastRetrain.IsZero() && now.Sub(o.lastRetrain) < o.cfg.Cooldown {
+	if !o.lastRetrain.IsZero() && o.now().Sub(o.lastRetrain) < o.cfg.Cooldown {
 		return "", false
 	}
 	if o.eng != nil && o.eng.Drifted() {
@@ -515,15 +493,6 @@ func (o *Orchestrator) triggerLocked() (string, bool) {
 	}
 	if o.cfg.TriggerSamples > 0 && o.sinceRetrain >= o.cfg.TriggerSamples {
 		return "samples", true
-	}
-	if o.cfg.Interval > 0 {
-		ref := o.lastRetrain
-		if ref.IsZero() {
-			ref = o.startedAt
-		}
-		if now.Sub(ref) >= o.cfg.Interval {
-			return "interval", true
-		}
 	}
 	return "", false
 }
@@ -699,7 +668,7 @@ func (o *Orchestrator) checkProbation() {
 		return
 	}
 	liveRMSE := math.Sqrt(sse / float64(n))
-	limit := o.cfg.RollbackRatio*shadowRMSE + o.cfg.RMSEFloor
+	limit := 2*shadowRMSE + 1
 	if liveRMSE > limit {
 		// Only roll back if the promoted version is still serving — an
 		// operator activating something else mid-probation wins.

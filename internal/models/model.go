@@ -60,8 +60,6 @@ type FitOptions struct {
 	// FreqCol is the index of the CPU-frequency feature, required by the
 	// switching technique (-1 when absent).
 	FreqCol int
-	// MaxTerms bounds MARS basis growth (default 15 piecewise / 17 quadratic).
-	MaxTerms int
 	// MaxKnots bounds MARS knot candidates per feature (default 10).
 	MaxKnots int
 }
@@ -75,22 +73,14 @@ func Fit(tech Technique, x *mathx.Matrix, y []float64, opts FitOptions) (Model, 
 	case TechLinear:
 		return fitLinear(x, y)
 	case TechPiecewise:
-		maxTerms := opts.MaxTerms
-		if maxTerms == 0 {
-			maxTerms = 15
-		}
 		return fitMARS(x, y, TechPiecewise,
-			mars.Options{MaxDegree: 1, MaxTerms: maxTerms, MaxKnots: opts.MaxKnots})
+			mars.Options{MaxDegree: 1, MaxTerms: 15, MaxKnots: opts.MaxKnots})
 	case TechQuadratic:
 		if x.Cols < 2 {
 			return nil, fmt.Errorf("models: quadratic technique requires multiple features, got %d", x.Cols)
 		}
-		maxTerms := opts.MaxTerms
-		if maxTerms == 0 {
-			maxTerms = 17
-		}
 		return fitMARS(x, y, TechQuadratic,
-			mars.Options{MaxDegree: 2, SelfInteraction: true, MaxTerms: maxTerms, MaxKnots: opts.MaxKnots})
+			mars.Options{MaxDegree: 2, SelfInteraction: true, MaxTerms: 17, MaxKnots: opts.MaxKnots})
 	case TechSwitching:
 		if x.Cols < 2 {
 			return nil, fmt.Errorf("models: switching technique requires multiple features, got %d", x.Cols)

@@ -137,18 +137,6 @@ func NewDegradedPredictor(p *Predictor, machineIDs []string, cfg DegradedConfig)
 	return d, nil
 }
 
-// SwapPredictor replaces the underlying model (after a retrain) while
-// preserving staleness and imputation state.
-func (d *DegradedPredictor) SwapPredictor(p *Predictor) error {
-	if p == nil {
-		return fmt.Errorf("online: nil predictor")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pred = p
-	return nil
-}
-
 // Step consumes second t's available samples (any subset of the machine
 // set, possibly corrupt) and returns the degraded-mode estimate. Unlike
 // Predictor.Step it accepts an empty slice: with every machine silent the

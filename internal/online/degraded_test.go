@@ -238,9 +238,6 @@ func TestFaultDegradedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.SwapPredictor(nil); err == nil {
-		t.Error("expected error swapping in nil predictor")
-	}
 	bogus := samplesAt(fx.streams, 0)
 	bogus[0].MachineID = "not-in-cluster"
 	if _, err := dp.Step(0, bogus[:1]); err == nil {

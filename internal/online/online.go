@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -59,9 +60,9 @@ type Estimate struct {
 }
 
 // Predictor turns per-second counter samples into power estimates using a
-// fitted cluster model. It keeps per-machine frequency history so feature
-// specs with lagged inputs work in streaming mode. Predictor is safe for
-// concurrent use (samples from independent collection goroutines).
+// fitted cluster model. It keeps per-machine frequency history, across
+// SetModel too, so feature specs with lagged inputs work in streaming
+// mode. Safe for concurrent use (independent collection goroutines).
 type Predictor struct {
 	mu    sync.Mutex
 	model *models.ClusterModel
@@ -76,11 +77,7 @@ type Predictor struct {
 // names is the counter order of incoming Sample.Counters (typically the
 // full registry order from the collector).
 func NewPredictor(model *models.ClusterModel, names []string) (*Predictor, error) {
-	if model == nil || len(model.ByPlatform) == 0 {
-		return nil, fmt.Errorf("online: nil or empty cluster model")
-	}
 	p := &Predictor{
-		model:   model,
 		names:   append([]string(nil), names...),
 		byName:  map[string]int{},
 		history: map[string][]float64{},
@@ -88,15 +85,30 @@ func NewPredictor(model *models.ClusterModel, names []string) (*Predictor, error
 	for i, n := range p.names {
 		p.byName[n] = i
 	}
-	// Verify every platform's features are resolvable up front.
+	if err := p.SetModel(model); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// SetModel binds another cluster model (a hot-swap or a retrain) with
+// NewPredictor's checks, keeping the bound one on error. The frequency
+// history stays, so lagged inputs do not cold-start.
+func (p *Predictor) SetModel(model *models.ClusterModel) error {
+	if model == nil || len(model.ByPlatform) == 0 {
+		return fmt.Errorf("online: nil or empty cluster model")
+	}
 	for platform, mm := range model.ByPlatform {
 		for _, c := range mm.Spec.Counters {
 			if _, ok := p.byName[c]; !ok {
-				return nil, fmt.Errorf("online: model for %s needs counter %q not present in the stream", platform, c)
+				return fmt.Errorf("online: model for %s needs counter %q not present in the stream", platform, c)
 			}
 		}
 	}
-	return p, nil
+	p.mu.Lock()
+	p.model = model
+	p.mu.Unlock()
+	return nil
 }
 
 // maxLagWindow bounds the frequency history we need to keep.
@@ -198,34 +210,33 @@ func (p *Predictor) PredictBatch(samples []Sample) []BatchItem {
 	return out
 }
 
-// buildRow assembles the model input for one sample, maintaining lag
-// history.
+// buildRow assembles the model input for one sample, then records the
+// sample's frequency in its machine's history whenever the stream carries
+// the counter, whether or not the bound model reads lags.
 func (p *Predictor) buildRow(spec models.FeatureSpec, s Sample) ([]float64, error) {
 	row := make([]float64, 0, spec.NumInputs())
 	for _, c := range spec.Counters {
 		row = append(row, s.Counters[p.byName[c]])
 	}
-	w := spec.NumInputs() - len(spec.Counters)
-	if w > 0 {
-		fi := spec.FreqInputIndex()
-		if fi < 0 {
+	hist := p.history[s.MachineID]
+	fi, hasFreq := p.byName[counters.CPUFreqCore0]
+	if w := spec.NumInputs() - len(spec.Counters); w > 0 {
+		if spec.FreqInputIndex() < 0 {
 			return nil, fmt.Errorf("online: spec %q has lagged inputs but no frequency counter", spec.Name)
 		}
-		cur := row[fi]
-		hist := p.history[s.MachineID]
 		for k := 1; k <= w; k++ {
-			idx := len(hist) - k
-			if idx < 0 {
-				row = append(row, cur) // cold start: clamp to current
-			} else {
-				row = append(row, hist[idx])
+			lag := s.Counters[fi] // cold start: clamp to current
+			if k <= len(hist) {
+				lag = hist[len(hist)-k]
 			}
+			row = append(row, lag)
 		}
-		hist = append(hist, cur)
-		if len(hist) > maxLagWindow {
-			hist = hist[len(hist)-maxLagWindow:]
+	}
+	if hasFreq {
+		if len(hist) == maxLagWindow {
+			hist = append(hist[:0], hist[1:]...) // drop the oldest in place
 		}
-		p.history[s.MachineID] = hist
+		p.history[s.MachineID] = append(hist, s.Counters[fi])
 	}
 	return row, nil
 }

@@ -139,6 +139,44 @@ func TestPredictorLaggedSpecStreaming(t *testing.T) {
 	}
 }
 
+// TestPredictorSetModelKeepsLagHistory: the frequency history is the
+// stream's, recorded whatever model is bound, so rebinding from a lag-free
+// model to a lagged one (watts = freq(t−1)) reads the previous second at
+// once instead of cold-starting on the current one.
+func TestPredictorSetModelKeepsLagHistory(t *testing.T) {
+	names := []string{counters.CPUFreqCore0}
+	model := func(spec models.FeatureSpec, coef ...float64) *models.ClusterModel {
+		cm, err := models.NewClusterModel(&models.MachineModel{Platform: "p", Spec: spec, Model: &models.Linear{Coef: coef}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cm
+	}
+	p, err := NewPredictor(model(models.FeatureSpec{Name: "now", Counters: names}, 1), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(freq float64) float64 {
+		t.Helper()
+		est, err := p.Step([]Sample{{MachineID: "m", Platform: "p", Counters: []float64{freq}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est.ClusterWatts
+	}
+	for f := 1.0; f <= 5; f++ {
+		if got := step(f); got != f {
+			t.Fatalf("lag-free model at freq %g answered %g", f, got)
+		}
+	}
+	if err := p.SetModel(model(models.FeatureSpec{Name: "lag", Counters: names, LagFreq: true}, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := step(6); got != 5 {
+		t.Errorf("first lagged answer after SetModel = %g W, want 5 (the previous second's freq)", got)
+	}
+}
+
 func TestPredictorValidation(t *testing.T) {
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
 	if _, err := NewPredictor(nil, fx.names); err == nil {
@@ -159,6 +197,26 @@ func TestPredictorValidation(t *testing.T) {
 	}
 	if _, err := p.Step([]Sample{{MachineID: "x", Platform: "Core2", Counters: []float64{1}}}); err == nil {
 		t.Error("expected error for short counter row")
+	}
+	// SetModel applies NewPredictor's checks and keeps the bound model on
+	// a refusal.
+	if err := p.SetModel(nil); err == nil {
+		t.Error("expected error rebinding to a nil model")
+	}
+	bogus := &models.ClusterModel{ByPlatform: map[string]*models.MachineModel{"Core2": {
+		Platform: "Core2",
+		Spec:     models.FeatureSpec{Name: "bogus", Counters: []string{"bogus"}},
+		Model:    &models.Linear{Coef: []float64{1}},
+	}}}
+	if err := p.SetModel(bogus); err == nil {
+		t.Error("expected error rebinding to a model with unresolvable counters")
+	}
+	want, _, err := fx.model.PredictCluster(fx.streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est, err := p.Step(samplesAt(fx.streams, 0)); err != nil || math.Abs(est.ClusterWatts-want[0]) > 1e-9 {
+		t.Errorf("after refused rebinds: estimate %v (err %v), want %v from the original model", est, err, want[0])
 	}
 }
 
@@ -529,6 +587,13 @@ func TestConcurrentUse(t *testing.T) {
 				if err != nil {
 					done <- err
 					return
+				}
+				if g == 0 {
+					// Rebinding races the other goroutines' steps.
+					if err := p.SetModel(fx.model); err != nil {
+						done <- err
+						return
+					}
 				}
 				mon.Observe(est.ClusterWatts, est.ClusterWatts+0.5)
 				for k, tr := range fx.streams {

@@ -19,43 +19,28 @@ const (
 	MaxLevel = LevelPartial
 )
 
-// LadderConfig tunes brownout entry/exit. The zero value is usable.
+// Brownout pressure thresholds (limiter shed fraction): at or above
+// ladderEnter[i] level i moves toward level i+1, and strictly below
+// ladderExit[i] level i+1 moves back toward level i. Exit below Enter is
+// the hysteresis.
+var (
+	ladderEnter = [MaxLevel]float64{0.05, 0.25, 0.5}
+	ladderExit  = [MaxLevel]float64{0.02, 0.10, 0.25}
+)
+
+// LadderConfig tunes brownout entry/exit pacing. The zero value is usable.
 type LadderConfig struct {
-	// Enter[i] is the limiter pressure (shed fraction) at or above which
-	// level i moves toward level i+1. Defaults {0.05, 0.25, 0.5}.
-	Enter [MaxLevel]float64
-	// Exit[i] is the pressure strictly below which level i+1 moves back
-	// toward level i. Exit[i] < Enter[i] provides hysteresis.
-	// Defaults {0.02, 0.10, 0.25}.
-	Exit [MaxLevel]float64
 	// EnterTicks is how many consecutive ticks the pressure must sit at
-	// or above Enter before a rung is climbed. Default 2.
+	// or above the entry threshold before a rung is climbed. Default 2.
 	EnterTicks int
 	// ExitTicks is how many consecutive ticks the pressure must sit
-	// below Exit before a rung is descended. Default 8 — exiting is
-	// deliberately slower than entering so the ladder cannot flap.
+	// below the exit threshold before a rung is descended. Default 8 —
+	// exiting is deliberately slower than entering so the ladder cannot
+	// flap.
 	ExitTicks int
 }
 
 func (c LadderConfig) withDefaults() LadderConfig {
-	zero := true
-	for _, v := range c.Enter {
-		if v != 0 {
-			zero = false
-		}
-	}
-	if zero {
-		c.Enter = [MaxLevel]float64{0.05, 0.25, 0.5}
-	}
-	zero = true
-	for _, v := range c.Exit {
-		if v != 0 {
-			zero = false
-		}
-	}
-	if zero {
-		c.Exit = [MaxLevel]float64{0.02, 0.10, 0.25}
-	}
 	if c.EnterTicks <= 0 {
 		c.EnterTicks = 2
 	}
@@ -85,7 +70,7 @@ func NewLadder(cfg LadderConfig) *Ladder {
 // the configured number of consecutive qualifying ticks.
 func (b *Ladder) Observe(pressure float64) (level int, changed bool) {
 	switch {
-	case b.level < MaxLevel && pressure >= b.cfg.Enter[b.level]:
+	case b.level < MaxLevel && pressure >= ladderEnter[b.level]:
 		b.up++
 		b.down = 0
 		if b.up >= b.cfg.EnterTicks {
@@ -93,7 +78,7 @@ func (b *Ladder) Observe(pressure float64) (level int, changed bool) {
 			b.up = 0
 			return b.level, true
 		}
-	case b.level > LevelNormal && pressure < b.cfg.Exit[b.level-1]:
+	case b.level > LevelNormal && pressure < ladderExit[b.level-1]:
 		b.down++
 		b.up = 0
 		if b.down >= b.cfg.ExitTicks {

@@ -53,11 +53,8 @@ type Config struct {
 	// Names is the counter order of incoming sample rows.
 	Names []string
 	// BaselineRMSE, when positive, enables the drift monitor over
-	// requests that carry metered watts.
+	// requests that carry metered watts; it alarms at 16 baselines.
 	BaselineRMSE float64
-	// DriftThreshold is the monitor alarm level in baseline units
-	// (default 16).
-	DriftThreshold float64
 	// Events, when set, receives drift/activation events as JSON lines.
 	Events *obs.EventSink
 	// Labeled, when set, receives every fully-served snapshot that carried
@@ -135,9 +132,6 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Names) == 0 {
 		return c, fmt.Errorf("serve: config needs the counter name order")
 	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 16
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 16
 	}
@@ -176,17 +170,18 @@ type task struct {
 	acquired bool
 }
 
-// shard is one worker's queue plus its per-version predictor cache. Each
-// machine hashes to exactly one shard, so the shard's predictors own that
-// machine's lag history without cross-shard contention.
+// shard is one worker's queue plus its predictor. Each machine hashes to
+// exactly one shard, so the shard's predictor owns that machine's lag
+// history without cross-shard contention, whichever model is bound.
 type shard struct {
 	id    int
 	queue chan *task
 	depth *obs.Gauge
 
-	// preds caches one predictor per model version; only the worker
-	// goroutine touches it.
-	preds map[string]*online.Predictor
+	// pred is bound to model version; only the worker goroutine touches
+	// them.
+	pred    *online.Predictor
+	version string
 }
 
 // Server is the serving engine. Create with New, stop with Close.
@@ -222,7 +217,7 @@ func New(reg *registry.Registry, cfg Config) (*Server, error) {
 	}
 	s := &Server{reg: reg, cfg: cfg}
 	if cfg.BaselineRMSE > 0 {
-		if s.monitor, err = online.NewMonitor(cfg.BaselineRMSE, cfg.DriftThreshold); err != nil {
+		if s.monitor, err = online.NewMonitor(cfg.BaselineRMSE, 16); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +234,6 @@ func New(reg *registry.Registry, cfg Config) (*Server, error) {
 			id:    i,
 			queue: make(chan *task, cfg.QueueDepth),
 			depth: obs.Default().Gauge("chaos_serve_queue_depth", obs.Labels{"shard": strconv.Itoa(i)}),
-			preds: map[string]*online.Predictor{},
 		}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -643,34 +637,25 @@ func (s *Server) process(sh *shard, batch []*task) {
 	}
 }
 
-// predictorFor returns the shard's predictor for the entry's version,
-// building (and caching) it on first use after a hot-swap. Old versions'
-// predictors are pruned lazily so an activate/rollback ping-pong cannot
-// grow the cache without bound.
+// predictorFor returns the shard's predictor bound to the entry's model:
+// built on first use, rebound after a hot-swap or rollback. The lag
+// history stays with the shard across every rebind.
 func (s *Server) predictorFor(sh *shard, entry *registry.Entry) (*online.Predictor, error) {
-	if p, ok := sh.preds[entry.Version]; ok {
-		return p, nil
+	if sh.pred != nil && sh.version == entry.Version {
+		return sh.pred, nil
 	}
-	p, err := online.NewPredictor(entry.Model, s.cfg.Names)
+	var err error
+	if sh.pred == nil {
+		sh.pred, err = online.NewPredictor(entry.Model, s.cfg.Names)
+	} else {
+		err = sh.pred.SetModel(entry.Model)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %s incompatible with stream: %w", entry.Version, err)
 	}
 	swapPredictors.Inc()
-	if len(sh.preds) >= 8 {
-		// Prune everything except the versions still in play: the entry
-		// being built and the active champion.
-		keep := map[string]bool{entry.Version: true}
-		if ae := s.reg.Active(); ae != nil {
-			keep[ae.Version] = true
-		}
-		for v := range sh.preds {
-			if !keep[v] {
-				delete(sh.preds, v)
-			}
-		}
-	}
-	sh.preds[entry.Version] = p
-	return p, nil
+	sh.version = entry.Version
+	return sh.pred, nil
 }
 
 // ValidateCompatible checks that a model can serve the configured counter

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counters"
 	"repro/internal/models"
 	"repro/internal/online"
 	"repro/internal/registry"
@@ -223,6 +224,64 @@ func TestServeModelsListActivateRollback(t *testing.T) {
 	}
 	if er.ModelVersion != "v1" || er.ClusterWatts != 21 {
 		t.Errorf("after rollback: version %q watts %g, want v1/21", er.ModelVersion, er.ClusterWatts)
+	}
+}
+
+// TestServeLagHistorySurvivesRollback: a shard's lag history belongs to
+// the machine's stream, not to a model version. With lagged linear models
+// (v1: watts = freq(t−1); v2: 100 + freq(t−1)), v1 serves seconds 1–10
+// and v2 seconds 11–20, then a rollback hands second 21 back to v1: every
+// answer must read the previous second's frequency, across both swaps.
+func TestServeLagHistorySurvivesRollback(t *testing.T) {
+	names := []string{counters.CPUFreqCore0}
+	lagged := func(intercept float64) *models.ClusterModel {
+		cm, err := models.NewClusterModel(&models.MachineModel{
+			Platform: "p",
+			Spec:     models.FeatureSpec{Name: "lag", Counters: names, LagFreq: true},
+			Model:    &models.Linear{Intercept: intercept, Coef: []float64{0, 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cm
+	}
+	reg := registry.New()
+	if err := reg.Add("v1", lagged(0), registry.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add("v2", lagged(100), registry.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(reg, Config{Names: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	at := func(freq float64) float64 {
+		t.Helper()
+		res, err := s.Estimate([]online.Sample{{MachineID: "m1", Platform: "p", Counters: []float64{freq}}}, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ClusterWatts
+	}
+	for f := 1.0; f <= 10; f++ {
+		at(f)
+	}
+	if err := reg.Activate("v2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := at(11); got != 110 {
+		t.Errorf("second 11 on v2 answered %g W, want 110 (100 + freq 10)", got)
+	}
+	for f := 12.0; f <= 20; f++ {
+		at(f)
+	}
+	if _, err := reg.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := at(21); got != 20 {
+		t.Errorf("second 21 after rollback to v1 answered %g W, want 20 (freq 20)", got)
 	}
 }
 

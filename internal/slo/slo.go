@@ -35,10 +35,6 @@ type Config struct {
 	// EvalEvery evaluates the burn rule every N observations of each
 	// stream. Default: FastWindow/4, minimum 1.
 	EvalEvery int
-	// BurnThreshold is the burn rate (observed/objective for accuracy,
-	// bad-fraction/budget for latency) that must be exceeded in BOTH
-	// windows to trip a violation. Default 1.0.
-	BurnThreshold float64
 	// Events receives slo_violation / slo_recovered; nil drops them.
 	Events *obs.EventSink
 	// Reg carries the chaos_slo_* gauges; nil uses obs.Default().
@@ -57,9 +53,6 @@ func (c Config) withDefaults() Config {
 		if c.EvalEvery < 1 {
 			c.EvalEvery = 1
 		}
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 1.0
 	}
 	if c.Reg == nil {
 		c.Reg = obs.Default()
@@ -253,14 +246,16 @@ func (t *Tracker) evalLatencyLocked() {
 }
 
 // transition runs the multi-window burn rule for one SLO: violation
-// when BOTH the fast and slow windows burn past the threshold (the fast
-// window reacts, the slow window confirms it is not a blip); recovery
-// when BOTH drop back under. Events fire only on edges.
+// when BOTH the fast and slow windows burn at a rate of 1 or more (the
+// fast window reacts, the slow window confirms it is not a blip);
+// recovery when BOTH drop back under 1. A burn of 1 is observed DRE at
+// the objective, or exactly 1% of requests over the p99 objective.
+// Events fire only on edges.
 func (t *Tracker) transition(st *sloState, burnFast, burnSlow float64, fields map[string]any) {
 	t.cfg.Reg.Gauge("chaos_slo_burn", obs.Labels{"slo": st.name, "window": "fast"}).Set(burnFast)
 	t.cfg.Reg.Gauge("chaos_slo_burn", obs.Labels{"slo": st.name, "window": "slow"}).Set(burnSlow)
-	violating := burnFast >= t.cfg.BurnThreshold && burnSlow >= t.cfg.BurnThreshold
-	recovered := burnFast < t.cfg.BurnThreshold && burnSlow < t.cfg.BurnThreshold
+	violating := burnFast >= 1 && burnSlow >= 1
+	recovered := burnFast < 1 && burnSlow < 1
 	var event string
 	switch {
 	case violating && !st.violating:
