@@ -15,7 +15,10 @@ package featsel
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/counters"
 	"repro/internal/mathx"
@@ -144,42 +147,29 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	}
 
 	// Steps 3-4 per machine and workload; step 5 accumulates the
-	// weighted histogram over the union of selections.
+	// weighted histogram over the union of selections, in group order so
+	// that its sums do not depend on which group finished first.
 	s34 := span.Child("featsel.step3_4_per_machine")
 	hist := make(map[int]float64)
 	groups := groupByMachineWorkload(traces)
+	sels := selectGroups(groups, kept, opts)
 	var perMachineSizes []float64
-	for _, g := range groups {
-		x, y, err := trace.Pool(g)
-		if err != nil {
-			return nil, err
+	for _, g := range sels {
+		if g.err != nil {
+			return nil, g.err
 		}
-		x, y = capRows(x, y, opts.MaxRows)
-		sub := x.SelectCols(kept)
-
-		// Step 3: lasso selection.
-		lsel, err := regress.LassoSelect(sub, y, opts.LassoTargetK)
-		if err != nil {
-			return nil, err
-		}
-		if len(lsel) == 0 {
+		if len(g.lasso) == 0 {
 			continue
 		}
-		// Step 4: stepwise elimination over the lasso survivors.
-		sub2 := sub.SelectCols(lsel)
-		sw, err := regress.Stepwise(sub2, y, opts.StepwiseAlpha, opts.MinKeep)
-		if err != nil {
-			return nil, err
-		}
-		perMachineSizes = append(perMachineSizes, float64(len(sw.Kept)))
+		perMachineSizes = append(perMachineSizes, float64(len(g.stepwise)))
 		// Step 5 weights: 1 for stepwise survivors, DroppedWeight for
 		// lasso picks that stepwise discarded.
 		survived := map[int]bool{}
-		for _, j := range sw.Kept {
-			hist[kept[lsel[j]]] += 1
-			survived[lsel[j]] = true
+		for _, j := range g.stepwise {
+			hist[kept[g.lasso[j]]] += 1
+			survived[g.lasso[j]] = true
 		}
-		for _, j := range lsel {
+		for _, j := range g.lasso {
 			if !survived[j] {
 				hist[kept[j]] += opts.DroppedWeight
 			}
@@ -260,6 +250,59 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 		res.Features = append(res.Features, names[j])
 	}
 	return res, nil
+}
+
+// groupSelection is one (machine, workload) group's steps 3 and 4: the
+// lasso's picks, as indices into the columns kept by steps 1-2, and the
+// stepwise survivors among them, as indices into lasso.
+type groupSelection struct {
+	lasso, stepwise []int
+	err             error
+}
+
+// selectGroups runs steps 3 and 4 for every group on up to GOMAXPROCS
+// goroutines and returns the results in group order.
+func selectGroups(groups [][]*trace.Trace, kept []int, opts Options) []groupSelection {
+	out := make([]groupSelection, len(groups))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(groups) {
+					return
+				}
+				out[i] = selectGroup(groups[i], kept, opts)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// selectGroup runs steps 3 and 4 on one group's pooled runs.
+func selectGroup(g []*trace.Trace, kept []int, opts Options) groupSelection {
+	x, y, err := trace.Pool(g)
+	if err != nil {
+		return groupSelection{err: err}
+	}
+	x, y = capRows(x, y, opts.MaxRows)
+	sub := x.SelectCols(kept)
+
+	// Step 3: lasso selection.
+	lsel, err := regress.LassoSelect(sub, y, opts.LassoTargetK)
+	if err != nil || len(lsel) == 0 {
+		return groupSelection{err: err}
+	}
+	// Step 4: stepwise elimination over the lasso survivors.
+	sw, err := regress.Stepwise(sub.SelectCols(lsel), y, opts.StepwiseAlpha, opts.MinKeep)
+	if err != nil {
+		return groupSelection{err: err}
+	}
+	return groupSelection{lasso: lsel, stepwise: sw.Kept}
 }
 
 // indexThrough composes index selections: outer[inner[i]].

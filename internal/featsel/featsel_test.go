@@ -3,6 +3,7 @@ package featsel
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/counters"
@@ -137,6 +138,26 @@ func TestSelectClusterDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Features, b.Features) {
 		t.Errorf("non-deterministic selection: %v vs %v", a.Features, b.Features)
+	}
+}
+
+// TestSelectClusterSameAtAnyParallelism runs the per-group steps on one
+// goroutine and on four: the result, histogram weights included, must be
+// the same bit for bit, since groups merge in group order.
+func TestSelectClusterSameAtAnyParallelism(t *testing.T) {
+	traces := miniTraces(t, 2, 300)
+	var results []*Result
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := SelectCluster(traces, miniRegistry(), Options{InitialThreshold: 2})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("GOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", results[0], results[1])
 	}
 }
 

@@ -100,26 +100,6 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// CorrelationMatrix returns the Pearson correlation matrix of the columns
-// of x.
-func CorrelationMatrix(x *Matrix) *Matrix {
-	n := x.Cols
-	cols := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		cols[j] = x.Col(j)
-	}
-	out := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		out.Set(i, i, 1)
-		for j := i + 1; j < n; j++ {
-			r := Correlation(cols[i], cols[j])
-			out.Set(i, j, r)
-			out.Set(j, i, r)
-		}
-	}
-	return out
-}
-
 // Standardize centers and scales xs to zero mean and unit standard
 // deviation, returning the transformed copy along with the mean and
 // standard deviation used. A constant column is returned as all zeros with

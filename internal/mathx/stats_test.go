@@ -78,30 +78,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestCorrelationMatrix(t *testing.T) {
-	m, _ := FromRows([][]float64{
-		{1, 2, -1},
-		{2, 4, -2},
-		{3, 6, -3},
-		{4, 8, -4},
-	})
-	cm := CorrelationMatrix(m)
-	if cm.Rows != 3 || cm.Cols != 3 {
-		t.Fatalf("dims = %dx%d", cm.Rows, cm.Cols)
-	}
-	for i := 0; i < 3; i++ {
-		if cm.At(i, i) != 1 {
-			t.Errorf("diag(%d) = %v", i, cm.At(i, i))
-		}
-	}
-	if !almostEqual(cm.At(0, 1), 1, 1e-12) || !almostEqual(cm.At(0, 2), -1, 1e-12) {
-		t.Errorf("off-diagonals = %v, %v", cm.At(0, 1), cm.At(0, 2))
-	}
-	if cm.At(1, 2) != cm.At(2, 1) {
-		t.Error("correlation matrix is not symmetric")
-	}
-}
-
 func TestStandardize(t *testing.T) {
 	z, mean, scale := Standardize([]float64{1, 2, 3, 4, 5})
 	if mean != 3 {

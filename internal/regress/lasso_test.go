@@ -30,22 +30,13 @@ func TestSoftThreshold(t *testing.T) {
 // standardized columns and y centred, and returns the coefficients in the
 // original units and whether the fit converged.
 func fitAt(x *mathx.Matrix, y []float64, lambda float64) ([]float64, bool) {
-	cols := make([][]float64, x.Cols)
-	scales := make([]float64, x.Cols)
-	for j := range cols {
-		cols[j], _, scales[j] = mathx.Standardize(x.Col(j))
+	p := newLassoPath(x, y)
+	_, converged := p.coordinateDescent(lambda)
+	coef := make([]float64, x.Cols)
+	for j, b := range p.beta {
+		coef[j] = b / p.scales[j]
 	}
-	ybar := mathx.Mean(y)
-	resid := make([]float64, len(y))
-	for i, v := range y {
-		resid[i] = v - ybar
-	}
-	beta := make([]float64, x.Cols)
-	converged := coordinateDescent(cols, resid, beta, lambda)
-	for j := range beta {
-		beta[j] /= scales[j]
-	}
-	return beta, converged
+	return coef, converged
 }
 
 func support(coef []float64) []int {
@@ -336,11 +327,14 @@ func spanInt(d obs.SpanData, key string) int {
 	return -1
 }
 
-// refFit is one fit of refPath: the selected columns and whether the fit
-// converged within its sweep budget.
+// refFit is one fit of refPath: the selected columns, whether the fit
+// converged within its sweep budget, the sweeps it ran and its
+// coefficients on the standardized scale.
 type refFit struct {
 	sel       []int
 	converged bool
+	sweeps    int
+	beta      []float64
 }
 
 // refPath fits the lasso at 30 geometric steps from refMaxLambda(x, y) (1
@@ -398,8 +392,9 @@ func refLasso(x *mathx.Matrix, y []float64, lambda float64) refFit {
 	}
 	beta := make([]float64, p)
 	nf := float64(n)
-	var fit refFit
+	fit := refFit{beta: beta}
 	for iter := 0; iter < 2000; iter++ {
+		fit.sweeps++
 		maxDelta := 0.0
 		for j := 0; j < p; j++ {
 			cj := cols[j]
@@ -433,4 +428,106 @@ func refLasso(x *mathx.Matrix, y []float64, lambda float64) refFit {
 		}
 	}
 	return fit
+}
+
+// TestCoordinateDescentMatchesUnscreened holds the screened kernel to
+// refLasso, which computes every visit, on designs shaped like Algorithm
+// 1's per-machine fits: 200–700 rows and 40–120 columns, most of them
+// counters the power does not depend on. At every λ on each design's path,
+// β must match bit for bit, after the same number of sweeps and with the
+// same convergence flag. -short leaves out design 0, whose fits hit the
+// sweep cap and take most of the test's time.
+func TestCoordinateDescentMatchesUnscreened(t *testing.T) {
+	var dots, skipped, capped int
+	for seed := int64(0); seed < 6; seed++ {
+		nearDup := seed == 0
+		if nearDup && testing.Short() {
+			continue
+		}
+		x, y := wideDesign(seed, nearDup)
+		p := newLassoPath(x, y)
+		for k := 0; k < pathLen; k++ {
+			lambda := p.lmax * math.Pow(pathRatio, float64(k)/float64(pathLen-1))
+			sweeps, converged := p.coordinateDescent(lambda)
+			want := refLasso(x, y, lambda)
+			if sweeps != want.sweeps || converged != want.converged {
+				t.Fatalf("seed %d (%dx%d), fit %d: %d sweeps (converged %v), unscreened %d (%v)",
+					seed, x.Rows, x.Cols, k, sweeps, converged, want.sweeps, want.converged)
+			}
+			for j, b := range p.beta {
+				if math.Float64bits(b) != math.Float64bits(want.beta[j]) {
+					t.Fatalf("seed %d (%dx%d), fit %d: β_%d = %v, unscreened %v",
+						seed, x.Rows, x.Cols, k, j, b, want.beta[j])
+				}
+			}
+			if !converged {
+				capped++
+			}
+		}
+		dots += p.dots
+		skipped += p.skipped
+	}
+	t.Logf("%d visits computed, %d skipped, %d fits at the sweep cap", dots, skipped, capped)
+	if skipped == 0 {
+		t.Error("screening skipped no visit")
+	}
+	if capped == 0 && !testing.Short() {
+		t.Error("no fit hit the sweep cap")
+	}
+}
+
+// wideDesign draws a design like one (machine, workload) group of
+// Algorithm 1: four latent load signals drive the response, a tenth of the
+// columns are noisy copies of them, and the rest are counters the response
+// does not depend on: small counts, skewed rates, slow drifts and
+// constants. With nearDup, the last two columns copy one signal almost
+// exactly (|r| > 0.9999), so the fits that take that pair in crawl along
+// it and some hit the sweep cap.
+func wideDesign(seed int64, nearDup bool) (*mathx.Matrix, []float64) {
+	r := rand.New(rand.NewSource(seed))
+	n, p := 200+r.Intn(501), 40+r.Intn(81)
+	const signals = 4
+	sig := make([][]float64, signals)
+	for s := range sig {
+		sig[s] = make([]float64, n)
+		level := r.Float64()
+		for i := range sig[s] {
+			if r.Intn(20) == 0 {
+				level = r.Float64()
+			}
+			sig[s][i] = level + 0.05*r.NormFloat64()
+		}
+	}
+	x := mathx.NewMatrix(n, p)
+	for j := 0; j < p; j++ {
+		a := r.Intn(signals)
+		scale := math.Pow(10, float64(r.Intn(7)-2))
+		kind := r.Intn(20)
+		noise := []float64{0.1, 0.3}[r.Intn(2)]
+		if nearDup && j >= p-2 {
+			kind, a, noise = 0, 0, 1e-3
+		}
+		drift := r.NormFloat64()
+		for i := 0; i < n; i++ {
+			var v float64
+			switch kind {
+			case 0, 1:
+				v = sig[a][i] + noise*r.NormFloat64()
+			case 2:
+				v = drift * float64(i) / float64(n)
+			case 3:
+				v = 7
+			case 4, 5, 6, 7, 8, 9, 10:
+				v = r.ExpFloat64()
+			default:
+				v = float64(r.Intn(1 + r.Intn(8)))
+			}
+			x.Set(i, j, v*scale)
+		}
+	}
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = 80 + 30*sig[0][i] + 12*sig[1][i]*sig[1][i] + 4*sig[2][i] + r.NormFloat64()
+	}
+	return x, y
 }

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mathx"
 )
@@ -11,24 +12,47 @@ import (
 // absolute value, keep one representative (the lowest index in each group)
 // and drop the rest. It returns the indices of surviving columns in
 // ascending order and the indices removed.
+//
+// Each kept column, in index order, drops every later kept column too
+// correlated with it, so only pairs of two kept columns are ever read, and
+// only those are computed. Every r equals mathx.Correlation's bit for bit:
+// each column is centred and its squares summed once, with the operations
+// mathx.Correlation repeats for every pair, in the same order.
 func CorrelationPrune(x *mathx.Matrix, threshold float64) (kept, removed []int, err error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, nil, fmt.Errorf("regress: correlation threshold %g out of (0,1]", threshold)
 	}
-	cm := mathx.CorrelationMatrix(x)
 	n := x.Cols
 	dropped := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if dropped[i] {
-			continue
+	// With fewer than 2 rows every correlation is 0 and nothing is dropped.
+	if x.Rows >= 2 {
+		dev := make([][]float64, n)
+		ss := make([]float64, n)
+		for j := range dev {
+			col := x.Col(j)
+			m := mathx.Mean(col)
+			for i, v := range col {
+				d := v - m
+				col[i] = d
+				ss[j] += d * d
+			}
+			dev[j] = col
 		}
-		for j := i + 1; j < n; j++ {
-			if dropped[j] {
+		for i := 0; i < n; i++ {
+			if dropped[i] || ss[i] == 0 {
 				continue
 			}
-			r := cm.At(i, j)
-			if r > threshold || r < -threshold {
-				dropped[j] = true
+			for j := i + 1; j < n; j++ {
+				if dropped[j] || ss[j] == 0 {
+					continue
+				}
+				sxy := 0.0
+				for k, d := range dev[i] {
+					sxy += d * dev[j][k]
+				}
+				if r := sxy / math.Sqrt(ss[i]*ss[j]); r > threshold || r < -threshold {
+					dropped[j] = true
+				}
 			}
 		}
 	}

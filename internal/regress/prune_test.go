@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,6 +77,94 @@ func TestCorrelationPruneValidation(t *testing.T) {
 	if _, _, err := CorrelationPrune(x, 1.5); err == nil {
 		t.Error("expected threshold validation error")
 	}
+}
+
+// TestCorrelationPruneMatchesPairwise checks CorrelationPrune against
+// refCorrelationPrune, which computes mathx.Correlation for every pair, on
+// 300 random designs with constant, duplicate, scaled, negated, noisy-copy
+// and NaN columns, 1 to 40 rows, and thresholds up to 1.
+func TestCorrelationPruneMatchesPairwise(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n, p := 1+r.Intn(40), 1+r.Intn(12)
+		if seed%10 == 0 {
+			n = 1
+		}
+		x := mathx.NewMatrix(n, p)
+		for j := 0; j < p; j++ {
+			a := r.Intn(j + 1)
+			kind := r.Intn(8)
+			if j == 0 && kind >= 2 && kind <= 5 {
+				kind = 0 // copies need an earlier column
+			}
+			w, off := r.NormFloat64()*3, r.NormFloat64()*10
+			for i := 0; i < n; i++ {
+				var v float64
+				switch kind {
+				case 0:
+					v = r.NormFloat64()
+				case 1:
+					v = off
+				case 2:
+					v = x.At(i, a)
+				case 3:
+					v = w*x.At(i, a) + off
+				case 4:
+					v = -x.At(i, a)
+				case 5:
+					v = x.At(i, a) + 0.2*r.NormFloat64()
+				case 6:
+					v = float64(r.Intn(3))
+				case 7:
+					v = r.NormFloat64()
+					if r.Intn(3) == 0 {
+						v = math.NaN()
+					}
+				}
+				x.Set(i, j, v)
+			}
+		}
+		for _, threshold := range []float64{0.3, 0.9, 0.95, 1} {
+			kept, removed, err := CorrelationPrune(x, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKept, wantRemoved := refCorrelationPrune(x, threshold)
+			if !reflect.DeepEqual(kept, wantKept) || !reflect.DeepEqual(removed, wantRemoved) {
+				t.Fatalf("seed %d (%dx%d), threshold %v: kept %v removed %v, pairwise kept %v removed %v",
+					seed, n, p, threshold, kept, removed, wantKept, wantRemoved)
+			}
+		}
+	}
+}
+
+// refCorrelationPrune is step 1 computed from mathx.Correlation of every
+// pair of columns.
+func refCorrelationPrune(x *mathx.Matrix, threshold float64) (kept, removed []int) {
+	p := x.Cols
+	r := make([][]float64, p)
+	for i := range r {
+		r[i] = make([]float64, p)
+		for j := range r[i] {
+			r[i][j] = mathx.Correlation(x.Col(i), x.Col(j))
+		}
+	}
+	dropped := make([]bool, p)
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p && !dropped[i]; j++ {
+			if !dropped[j] && math.Abs(r[i][j]) > threshold {
+				dropped[j] = true
+			}
+		}
+	}
+	for j, d := range dropped {
+		if d {
+			removed = append(removed, j)
+		} else {
+			kept = append(kept, j)
+		}
+	}
+	return kept, removed
 }
 
 func TestCoDependentPrune(t *testing.T) {

@@ -423,7 +423,10 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 }
 
 // observe feeds a fully-served snapshot with complete meter readings into
-// the drift monitor and the labeled-snapshot hooks.
+// the drift monitor and the labeled-snapshot hooks. The monitor judges the
+// active version, so it takes only snapshots that version served whole: a
+// residual of the version a promotion replaced would re-trip the alarm
+// the promotion reset.
 func (s *Server) observe(res *Result, samples []online.Sample, metered []float64) {
 	if len(metered) != len(samples) {
 		return
@@ -432,7 +435,8 @@ func (s *Server) observe(res *Result, samples []online.Sample, metered []float64
 	for _, w := range metered {
 		actual += w
 	}
-	if s.monitor != nil && s.monitor.Observe(res.ClusterWatts, actual) && !s.drifted.Swap(true) {
+	active := len(res.Versions) == 1 && res.Versions[0] == s.reg.ActiveVersion()
+	if s.monitor != nil && active && s.monitor.Observe(res.ClusterWatts, actual) && !s.drifted.Swap(true) {
 		serveDrift.Inc()
 		if s.cfg.Events != nil {
 			s.cfg.Events.Emit("drift", map[string]any{ //nolint:errcheck // telemetry only

@@ -227,6 +227,30 @@ func TestServeModelsListActivateRollback(t *testing.T) {
 	}
 }
 
+// TestServeDriftJudgesOnlyTheActiveVersion promotes v2 over v1 and
+// resets the drift alarm, as lifecycle does after a verdict. A snapshot v1
+// served, observed only now and 50 W off, must not re-trip the alarm, and
+// neither must one a hot-swap split between v1 and v2; one v2 served as
+// far off must.
+func TestServeDriftJudgesOnlyTheActiveVersion(t *testing.T) {
+	s, _ := newTestServer(t, Config{BaselineRMSE: 1})
+	if err := s.Registry().Activate("v2"); err != nil {
+		t.Fatal(err)
+	}
+	s.ResetDrift()
+	samples := []online.Sample{{MachineID: "m1", Platform: "p", Counters: []float64{1, 1}}}
+	for _, versions := range [][]string{{"v1"}, {"v1", "v2"}} {
+		s.observe(&Result{ClusterWatts: 13, Versions: versions}, samples, []float64{63})
+		if s.Drifted() {
+			t.Fatalf("a residual of a snapshot served by %v tripped the drift alarm of v2", versions)
+		}
+	}
+	s.observe(&Result{ClusterWatts: 23, Versions: []string{"v2"}}, samples, []float64{73})
+	if !s.Drifted() {
+		t.Fatal("a v2 residual 50 W off did not trip the drift alarm")
+	}
+}
+
 // TestServeLagHistorySurvivesRollback: a shard's lag history belongs to
 // the machine's stream, not to a model version. With lagged linear models
 // (v1: watts = freq(t−1); v2: 100 + freq(t−1)), v1 serves seconds 1–10
