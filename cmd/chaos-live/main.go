@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/featsel"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -127,7 +126,7 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		return err
 	}

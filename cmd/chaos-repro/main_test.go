@@ -28,8 +28,21 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(io.Discard, tinyCfg(), "table9000"); err == nil {
-		t.Error("expected error for unknown experiment id")
+	err := run(io.Discard, tinyCfg(), "table9000")
+	if err == nil {
+		t.Fatal("expected error for unknown experiment id")
+	}
+	// The error names every id run accepts, the three without a paper
+	// table or figure number included.
+	want := []string{"table1", "fig1", "table2", "fig2", "table3", "fig3", "fig4", "table4", "fig5",
+		"multiworkload", "generality", "hetero", "overhead", "ablations", "calibration", "sensitivity", "variability"}
+	for _, id := range want {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %q", err, id)
+		}
+	}
+	if len(steps) != len(want) {
+		t.Errorf("%d experiments, want %d", len(steps), len(want))
 	}
 }
 

@@ -74,7 +74,7 @@ func run(in, techName, features, out, listen string) error {
 		defer srv.Close()
 		fmt.Printf("metrics listening on http://%s/metrics\n", srv.Addr())
 	}
-	span := obs.StartSpan("train.run", obs.String("tech", techName))
+	span := obs.StartSpan("train.run")
 	defer span.End()
 	traces, err := loadTraces(in)
 	if err != nil {

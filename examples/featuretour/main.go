@@ -20,7 +20,7 @@ func main() {
 	}
 	fmt.Printf("dataset: %d traces x %d counters\n\n", len(ds.AllTraces()), ds.Registry.Len())
 
-	res, err := ds.SelectFeatures(featsel.Options{})
+	res, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
@@ -26,7 +25,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sel, err := ds.SelectFeatures(featsel.Options{})
+		sel, err := ds.SelectFeatures()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/models"
 	"repro/internal/online"
 	"repro/internal/trace"
@@ -23,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

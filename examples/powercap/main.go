@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/trace"
@@ -23,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	traces := ds.ByWorkload["PageRank"]
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/attribution"
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/models"
 	"repro/internal/trace"
 )
@@ -21,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

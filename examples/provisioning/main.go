@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/sim"
@@ -28,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/featsel"
 	"repro/internal/models"
 )
 
@@ -26,7 +25,7 @@ func main() {
 
 	// 2. Select: Algorithm 1 reduces ~250 candidate counters to a small
 	//    cluster-specific feature set.
-	sel, err := ds.SelectFeatures(featsel.Options{})
+	sel, err := ds.SelectFeatures()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func (ds *Dataset) AllTraces() []*trace.Trace {
 
 // SelectFeatures runs Algorithm 1 over the whole dataset (all workloads,
 // machines, and runs) and returns the cluster-specific feature set.
-func (ds *Dataset) SelectFeatures(opts featsel.Options) (*featsel.Result, error) {
-	return featsel.SelectCluster(ds.AllTraces(), ds.Registry, opts)
+func (ds *Dataset) SelectFeatures() (*featsel.Result, error) {
+	return featsel.SelectCluster(ds.AllTraces(), ds.Registry, featsel.Options{})
 }
 
 // ClusterSpec wraps a selected feature list as a models.FeatureSpec named
@@ -115,28 +115,18 @@ func sortedKeys[V any](m map[string]V) []string {
 type CVConfig struct {
 	Tech models.Technique
 	Spec models.FeatureSpec
-	// TrainStep subsamples the training run's rows (default 2, which with
-	// 1 training run vs 4 test runs gives the paper's ~10x smaller
-	// training sets).
-	TrainStep int
-	// MaxTrainRows caps pooled training rows for fitting cost (default 1000).
-	MaxTrainRows int
-	// FitOpts passes through to models.Fit; FreqCol is filled from Spec.
-	FitOpts models.FitOptions
 }
 
-func (c CVConfig) withDefaults() CVConfig {
-	if c.TrainStep == 0 {
-		c.TrainStep = 2
-	}
-	if c.MaxTrainRows == 0 {
-		c.MaxTrainRows = 1000
-	}
-	if c.FitOpts.MaxKnots == 0 {
-		c.FitOpts.MaxKnots = 8
-	}
-	return c
-}
+// How a fold fits its training run.
+const (
+	// trainStep subsamples the training run's rows: with 1 training run
+	// vs 4 test runs it gives the paper's ~10x smaller training sets.
+	trainStep = 2
+	// maxTrainRows caps pooled training rows for fitting cost.
+	maxTrainRows = 1000
+	// maxKnots bounds the MARS knot candidates per feature.
+	maxKnots = 8
+)
 
 // FoldResult is one fold's evaluation.
 type FoldResult struct {
@@ -165,7 +155,6 @@ type CVResult struct {
 // runs form the test set; one pooled machine model is fitted per platform
 // and composed into a cluster model (Eq. 5).
 func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
-	cfg = cfg.withDefaults()
 	runs := trace.Runs(traces)
 	if len(runs) < 2 {
 		return nil, fmt.Errorf("core: cross-validation needs >= 2 runs, got %d", len(runs))
@@ -213,13 +202,12 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 func fitFold(trainTraces []*trace.Trace, cfg CVConfig) (*models.ClusterModel, error) {
 	byPlatform := map[string][]*trace.Trace{}
 	for _, t := range trainTraces {
-		byPlatform[t.Platform] = append(byPlatform[t.Platform], trace.Subsample(t, cfg.TrainStep))
+		byPlatform[t.Platform] = append(byPlatform[t.Platform], trace.Subsample(t, trainStep))
 	}
+	opts := models.FitOptions{FreqCol: cfg.Spec.FreqInputIndex(), MaxKnots: maxKnots}
 	var mms []*models.MachineModel
 	for _, p := range sortedKeys(byPlatform) {
-		ts := trace.CapRows(byPlatform[p], cfg.MaxTrainRows)
-		opts := cfg.FitOpts
-		opts.FreqCol = cfg.Spec.FreqInputIndex()
+		ts := trace.CapRows(byPlatform[p], maxTrainRows)
 		mm, err := models.FitMachineModel(cfg.Tech, ts, cfg.Spec, opts)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", p, err)

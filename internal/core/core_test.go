@@ -41,7 +41,7 @@ func testDataset(t *testing.T) *Dataset {
 func testSelection(t *testing.T) *featsel.Result {
 	t.Helper()
 	ds := testDataset(t)
-	selOnce.Do(func() { selVal, selErr = ds.SelectFeatures(featsel.Options{}) })
+	selOnce.Do(func() { selVal, selErr = ds.SelectFeatures() })
 	if selErr != nil {
 		t.Fatalf("SelectFeatures: %v", selErr)
 	}
@@ -151,7 +151,7 @@ func TestEvaluateGridSkipsAndRanks(t *testing.T) {
 	spec := clusterFeatureSpec(testSelection(t))
 	specs := []models.FeatureSpec{models.CPUOnlySpec(), spec}
 	techs := []models.Technique{models.TechLinear, models.TechQuadratic, models.TechSwitching}
-	entries, err := EvaluateGrid(ds.ByWorkload["Prime"], techs, specs, CVConfig{})
+	entries, err := EvaluateGrid(ds.ByWorkload["Prime"], techs, specs)
 	if err != nil {
 		t.Fatalf("EvaluateGrid: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestHeterogeneousCollectAndCV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CollectHeterogeneous: %v", err)
 	}
-	res, err := ds.SelectFeatures(featsel.Options{})
+	res, err := ds.SelectFeatures()
 	if err != nil {
 		t.Fatal(err)
 	}

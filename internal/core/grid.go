@@ -48,7 +48,7 @@ func DefaultSpecs(clusterFeatures, generalFeatures []string) []models.FeatureSpe
 // frequency counter). Cells are evaluated concurrently — each cell's
 // cross-validation is independent and deterministic — and entries appear
 // in deterministic axis order regardless of completion order.
-func EvaluateGrid(traces []*trace.Trace, techs []models.Technique, specs []models.FeatureSpec, base CVConfig) ([]GridEntry, error) {
+func EvaluateGrid(traces []*trace.Trace, techs []models.Technique, specs []models.FeatureSpec) ([]GridEntry, error) {
 	out := make([]GridEntry, 0, len(techs)*len(specs))
 	for _, tech := range techs {
 		for _, spec := range specs {
@@ -80,10 +80,7 @@ func EvaluateGrid(traces []*trace.Trace, techs []models.Technique, specs []model
 			defer wg.Done()
 			for i := range next {
 				e := &out[i]
-				cfg := base
-				cfg.Tech = e.Tech
-				cfg.Spec = e.Spec
-				cv, err := CrossValidate(traces, cfg)
+				cv, err := CrossValidate(traces, CVConfig{Tech: e.Tech, Spec: e.Spec})
 				if err != nil {
 					errs[i] = fmt.Errorf("core: grid cell %s%s: %w", e.Tech.Short(), e.Spec.Label(), err)
 					continue
@@ -136,7 +133,6 @@ type Series struct {
 // PredictSeries fits the configured model on the training run and returns
 // the cluster-level prediction series for the given test run.
 func PredictSeries(traces []*trace.Trace, cfg CVConfig, trainRun, testRun int) (*Series, error) {
-	cfg = cfg.withDefaults()
 	byRun := trace.ByRun(traces)
 	if len(byRun[trainRun]) == 0 || len(byRun[testRun]) == 0 {
 		return nil, fmt.Errorf("core: missing traces for runs %d/%d", trainRun, testRun)

@@ -38,14 +38,3 @@ func TestSpecConstructors(t *testing.T) {
 		t.Errorf("GeneralSpec = %+v", g)
 	}
 }
-
-func TestCVConfigDefaults(t *testing.T) {
-	cfg := CVConfig{}.withDefaults()
-	if cfg.TrainStep != 2 || cfg.MaxTrainRows != 1000 || cfg.FitOpts.MaxKnots != 8 {
-		t.Errorf("defaults = %+v", cfg)
-	}
-	custom := CVConfig{TrainStep: 5, MaxTrainRows: 10, FitOpts: models.FitOptions{MaxKnots: 3}}.withDefaults()
-	if custom.TrainStep != 5 || custom.MaxTrainRows != 10 || custom.FitOpts.MaxKnots != 3 {
-		t.Errorf("custom overridden: %+v", custom)
-	}
-}

@@ -30,7 +30,7 @@ func (s *Suite) Grid(platform, workload string) ([]core.GridEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, err := core.EvaluateGrid(traces, models.Techniques(), specs, core.CVConfig{})
+	entries, err := core.EvaluateGrid(traces, models.Techniques(), specs)
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func (s *Suite) Features(platform string) (*featsel.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ds.SelectFeatures(featsel.Options{})
+	res, err := ds.SelectFeatures()
 	if err != nil {
 		return nil, err
 	}

@@ -27,39 +27,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes Algorithm 1. Zero values take the paper's defaults.
-type Options struct {
-	CorrThreshold    float64 // step 1 (default 0.95)
-	LassoTargetK     int     // step 3: minimum survivors per machine model (default 12)
-	StepwiseAlpha    float64 // steps 4/6 Wald significance level (default 0.01)
-	InitialThreshold float64 // step 5 histogram threshold (default 5)
-	DroppedWeight    float64 // step 5 weight for lasso-kept-but-stepwise-dropped (default 0.4)
-	MaxRows          int     // per-fit row subsample cap for speed (default 1200)
-	MinKeep          int     // stepwise floor per machine model (default 3)
-}
+// Algorithm 1's fixed parameters (paper §IV-A), and the row caps that
+// bound its fitting cost.
+const (
+	defaultCorrThreshold = 0.95 // step 1
+	lassoTargetK         = 12   // step 3: minimum survivors per machine model
+	stepwiseAlpha        = 0.01 // steps 4 and 6: Wald significance level
+	droppedWeight        = 0.4  // step 5: weight of a lasso pick stepwise dropped
+	maxRows              = 1200 // per-fit row subsample cap
+	minKeep              = 3    // stepwise floor per machine model
+)
 
-func (o Options) withDefaults() Options {
-	if o.CorrThreshold == 0 {
-		o.CorrThreshold = 0.95
-	}
-	if o.LassoTargetK == 0 {
-		o.LassoTargetK = 12
-	}
-	if o.StepwiseAlpha == 0 {
-		o.StepwiseAlpha = 0.01
-	}
-	// InitialThreshold defaults per dataset size in SelectCluster: the
-	// paper starts at 5 with 20 machine x workload combinations (25%).
-	if o.DroppedWeight == 0 {
-		o.DroppedWeight = 0.4
-	}
-	if o.MaxRows == 0 {
-		o.MaxRows = 1200
-	}
-	if o.MinKeep == 0 {
-		o.MinKeep = 3
-	}
-	return o
+// Options tunes Algorithm 1.
+type Options struct {
+	// CorrThreshold is step 1's |r| cut; 0 means the paper's 0.95.
+	CorrThreshold float64
 }
 
 // Result reports a cluster feature selection.
@@ -88,7 +70,10 @@ type Funnel struct {
 // cluster's machines across all workloads and runs; reg supplies counter
 // definitions for step 2.
 func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	corrThreshold := opts.CorrThreshold
+	if corrThreshold == 0 {
+		corrThreshold = defaultCorrThreshold
+	}
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("featsel: no traces")
 	}
@@ -96,7 +81,7 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	if len(names) != reg.Len() {
 		return nil, fmt.Errorf("featsel: traces carry %d counters but registry has %d", len(names), reg.Len())
 	}
-	span := obs.StartSpan("featsel.select_cluster", obs.Int("traces", len(traces)))
+	span := obs.StartSpan("featsel.select_cluster")
 	defer span.End()
 	funnel := Funnel{Candidates: reg.Len()}
 
@@ -104,26 +89,25 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	pooledX, pooledY = capRows(pooledX, pooledY, opts.MaxRows*4)
+	pooledX, pooledY = capRows(pooledX, pooledY, maxRows*4)
 
 	// Pre-step: drop constant counters (dead instances, config values).
 	kept, _ := regress.DropConstant(pooledX)
 	funnel.AfterConstant = len(kept)
 
 	// Step 1: correlation pruning on pooled data across all workloads.
-	s1 := span.Child("featsel.step1_corr_prune")
+	s1 := obs.StartSpan("featsel.step1_corr_prune")
 	sub := pooledX.SelectCols(kept)
-	k1, _, err := regress.CorrelationPrune(sub, opts.CorrThreshold)
+	k1, _, err := regress.CorrelationPrune(sub, corrThreshold)
 	if err != nil {
 		return nil, err
 	}
 	kept = indexThrough(kept, k1)
 	funnel.AfterCorr = len(kept)
-	s1.SetAttr(obs.Int("kept", len(kept)))
 	s1.End()
 
 	// Step 2: co-dependent counters from definitions.
-	s2 := span.Child("featsel.step2_codep_prune")
+	s2 := obs.StartSpan("featsel.step2_codep_prune")
 	keptSet := map[int]bool{}
 	for _, j := range kept {
 		keptSet[j] = true
@@ -140,7 +124,6 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 		}
 	}
 	funnel.AfterCoDep = len(kept)
-	s2.SetAttr(obs.Int("kept", len(kept)))
 	s2.End()
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("featsel: all counters eliminated before regression steps")
@@ -149,10 +132,10 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	// Steps 3-4 per machine and workload; step 5 accumulates the
 	// weighted histogram over the union of selections, in group order so
 	// that its sums do not depend on which group finished first.
-	s34 := span.Child("featsel.step3_4_per_machine")
+	s34 := obs.StartSpan("featsel.step3_4_per_machine")
 	hist := make(map[int]float64)
 	groups := groupByMachineWorkload(traces)
-	sels := selectGroups(groups, kept, opts)
+	sels := selectGroups(groups, kept)
 	var perMachineSizes []float64
 	for _, g := range sels {
 		if g.err != nil {
@@ -162,7 +145,7 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 			continue
 		}
 		perMachineSizes = append(perMachineSizes, float64(len(g.stepwise)))
-		// Step 5 weights: 1 for stepwise survivors, DroppedWeight for
+		// Step 5 weights: 1 for stepwise survivors, droppedWeight for
 		// lasso picks that stepwise discarded.
 		survived := map[int]bool{}
 		for _, j := range g.stepwise {
@@ -171,11 +154,10 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 		}
 		for _, j := range g.lasso {
 			if !survived[j] {
-				hist[kept[j]] += opts.DroppedWeight
+				hist[kept[j]] += droppedWeight
 			}
 		}
 	}
-	s34.SetAttr(obs.Int("groups", len(groups)), obs.Int("survivors", len(hist)))
 	s34.End()
 	if len(hist) == 0 {
 		return nil, fmt.Errorf("featsel: no features survived per-machine selection")
@@ -185,17 +167,11 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	// Steps 5-6: threshold the histogram, then run stepwise on the full
 	// cluster data; if stepwise rejects features, raise the threshold
 	// and repeat until the selected set is stepwise-stable.
-	s56 := span.Child("featsel.step5_6_threshold")
-	threshold := opts.InitialThreshold
-	if threshold == 0 {
-		// The paper starts at a weighted occurrence count of 5 out of 20
-		// machine x workload combinations; scale that 25% to this
-		// dataset, with a floor of 2.
-		threshold = float64(int(0.25*float64(len(groups)) + 0.5))
-		if threshold < 2 {
-			threshold = 2
-		}
-	}
+	s56 := obs.StartSpan("featsel.step5_6_threshold")
+	// The paper starts at a weighted occurrence count of 5 out of 20
+	// machine x workload combinations; scale that 25% to this dataset,
+	// with a floor of 2.
+	threshold := max(float64(int(0.25*float64(len(groups))+0.5)), 2)
 	var final []int
 	var lastSurvivors []int
 	for {
@@ -205,7 +181,7 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 				sel = append(sel, j)
 			}
 		}
-		if len(sel) <= opts.MinKeep {
+		if len(sel) <= minKeep {
 			// The threshold rose past the point of usefulness: keep the
 			// thresholded set itself, the last cluster-stepwise
 			// survivors, or as a last resort the top-weighted features.
@@ -215,12 +191,12 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 			case len(lastSurvivors) > 0:
 				final = lastSurvivors
 			default:
-				final = topK(hist, opts.MinKeep)
+				final = topK(hist, minKeep)
 			}
 			break
 		}
 		sub := pooledX.SelectCols(sel)
-		sw, err := regress.Stepwise(sub, pooledY, opts.StepwiseAlpha, opts.MinKeep)
+		sw, err := regress.Stepwise(sub, pooledY, stepwiseAlpha, minKeep)
 		if err != nil {
 			return nil, err
 		}
@@ -233,9 +209,7 @@ func SelectCluster(traces []*trace.Trace, reg *counters.Registry, opts Options) 
 	}
 	sort.Ints(final)
 	funnel.Final = len(final)
-	s56.SetAttr(obs.Int("final", len(final)), obs.Float("threshold", threshold))
 	s56.End()
-	span.SetAttr(obs.Int("features", len(final)))
 	obs.Default().Gauge("chaos_featsel_selected_features", nil).Set(float64(len(final)))
 
 	res := &Result{
@@ -262,7 +236,7 @@ type groupSelection struct {
 
 // selectGroups runs steps 3 and 4 for every group on up to GOMAXPROCS
 // goroutines and returns the results in group order.
-func selectGroups(groups [][]*trace.Trace, kept []int, opts Options) []groupSelection {
+func selectGroups(groups [][]*trace.Trace, kept []int) []groupSelection {
 	out := make([]groupSelection, len(groups))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -275,7 +249,7 @@ func selectGroups(groups [][]*trace.Trace, kept []int, opts Options) []groupSele
 				if i >= len(groups) {
 					return
 				}
-				out[i] = selectGroup(groups[i], kept, opts)
+				out[i] = selectGroup(groups[i], kept)
 			}
 		}()
 	}
@@ -284,21 +258,21 @@ func selectGroups(groups [][]*trace.Trace, kept []int, opts Options) []groupSele
 }
 
 // selectGroup runs steps 3 and 4 on one group's pooled runs.
-func selectGroup(g []*trace.Trace, kept []int, opts Options) groupSelection {
+func selectGroup(g []*trace.Trace, kept []int) groupSelection {
 	x, y, err := trace.Pool(g)
 	if err != nil {
 		return groupSelection{err: err}
 	}
-	x, y = capRows(x, y, opts.MaxRows)
+	x, y = capRows(x, y, maxRows)
 	sub := x.SelectCols(kept)
 
 	// Step 3: lasso selection.
-	lsel, err := regress.LassoSelect(sub, y, opts.LassoTargetK)
+	lsel, err := regress.LassoSelect(sub, y, lassoTargetK)
 	if err != nil || len(lsel) == 0 {
 		return groupSelection{err: err}
 	}
 	// Step 4: stepwise elimination over the lasso survivors.
-	sw, err := regress.Stepwise(sub.SelectCols(lsel), y, opts.StepwiseAlpha, opts.MinKeep)
+	sw, err := regress.Stepwise(sub.SelectCols(lsel), y, stepwiseAlpha, minKeep)
 	if err != nil {
 		return groupSelection{err: err}
 	}
@@ -343,12 +317,12 @@ func groupByMachineWorkload(traces []*trace.Trace) [][]*trace.Trace {
 	return out
 }
 
-// capRows subsamples x/y evenly down to at most maxRows rows.
-func capRows(x *mathx.Matrix, y []float64, maxRows int) (*mathx.Matrix, []float64) {
-	if maxRows <= 0 || x.Rows <= maxRows {
+// capRows subsamples x/y evenly down to at most limit rows.
+func capRows(x *mathx.Matrix, y []float64, limit int) (*mathx.Matrix, []float64) {
+	if x.Rows <= limit {
 		return x, y
 	}
-	step := (x.Rows + maxRows - 1) / maxRows
+	step := (x.Rows + limit - 1) / limit
 	var rows []int
 	for i := 0; i < x.Rows; i += step {
 		rows = append(rows, i)

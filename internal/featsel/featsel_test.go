@@ -85,7 +85,7 @@ func miniTraces(t *testing.T, runs, perRun int) []*trace.Trace {
 
 func TestSelectClusterMini(t *testing.T) {
 	traces := miniTraces(t, 2, 400)
-	res, err := SelectCluster(traces, miniRegistry(), Options{InitialThreshold: 2})
+	res, err := SelectCluster(traces, miniRegistry(), Options{})
 	if err != nil {
 		t.Fatalf("SelectCluster: %v", err)
 	}
@@ -128,11 +128,11 @@ func TestSelectClusterMini(t *testing.T) {
 }
 
 func TestSelectClusterDeterminism(t *testing.T) {
-	a, err := SelectCluster(miniTraces(t, 2, 300), miniRegistry(), Options{InitialThreshold: 2})
+	a, err := SelectCluster(miniTraces(t, 2, 300), miniRegistry(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectCluster(miniTraces(t, 2, 300), miniRegistry(), Options{InitialThreshold: 2})
+	b, err := SelectCluster(miniTraces(t, 2, 300), miniRegistry(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSelectClusterSameAtAnyParallelism(t *testing.T) {
 	var results []*Result
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		res, err := SelectCluster(traces, miniRegistry(), Options{InitialThreshold: 2})
+		res, err := SelectCluster(traces, miniRegistry(), Options{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -289,11 +289,11 @@ func TestNaivePooledSelectionIsRunFragile(t *testing.T) {
 	}
 
 	// Algorithm 1 on the same two runs is stable.
-	s0, err := SelectCluster(run0, miniRegistry(), Options{InitialThreshold: 2})
+	s0, err := SelectCluster(run0, miniRegistry(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := SelectCluster(run1, miniRegistry(), Options{InitialThreshold: 2})
+	s1, err := SelectCluster(run1, miniRegistry(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

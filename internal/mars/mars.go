@@ -106,19 +106,10 @@ type Options struct {
 	// MaxKnots bounds candidate knots per variable, taken at quantiles
 	// of the observed values. Default 10.
 	MaxKnots int
-	// Penalty is the GCV cost per knot (Friedman's d). Default 3 for
-	// interaction models, 2 for additive models.
-	Penalty float64
 	// SelfInteraction permits a degree-2 term to reuse the same
 	// variable with a different knot, giving x² style curvature as in
 	// the paper's Eq. 3. Only meaningful when MaxDegree >= 2.
 	SelfInteraction bool
-	// Ridge is a relative L2 penalty on basis coefficients (fraction of
-	// the mean Gram diagonal). Hinge bases can be nearly collinear, and
-	// unpenalized least squares then picks huge cancelling coefficients
-	// that extrapolate terribly; a small ridge selects the small-norm
-	// solution instead. Default 1e-3.
-	Ridge float64
 }
 
 func (o Options) withDefaults() Options {
@@ -131,18 +122,15 @@ func (o Options) withDefaults() Options {
 	if o.MaxKnots <= 0 {
 		o.MaxKnots = 10
 	}
-	if o.Penalty <= 0 {
-		if o.MaxDegree > 1 {
-			o.Penalty = 3
-		} else {
-			o.Penalty = 2
-		}
-	}
-	if o.Ridge <= 0 {
-		o.Ridge = 1e-3
-	}
 	return o
 }
+
+// ridge is the relative L2 penalty on basis coefficients, as a fraction of
+// the mean Gram diagonal. Hinge bases can be nearly collinear, and
+// unpenalized least squares then picks huge cancelling coefficients that
+// extrapolate terribly; a small ridge selects the small-norm solution
+// instead.
+const ridge = 1e-3
 
 // Fit builds a MARS model for responses y over the rows of x.
 func Fit(x *mathx.Matrix, y []float64, opts Options) (*Model, error) {
@@ -158,13 +146,12 @@ func Fit(x *mathx.Matrix, y []float64, opts Options) (*Model, error) {
 		return nil, fmt.Errorf("mars: no input variables")
 	}
 
-	span := obs.StartSpan("mars.fit", obs.Int("n", n), obs.Int("p", p), obs.Int("degree", opts.MaxDegree))
+	span := obs.StartSpan("mars.fit")
 	f := &fitter{x: x, y: y, opts: opts, n: n, p: p}
 	f.prepareKnots()
 	f.forward()
 	model := f.backward()
 	model.NumInputs = p
-	span.SetAttr(obs.Int("terms", len(model.Terms)))
 	span.End()
 	return model, nil
 }
@@ -365,7 +352,7 @@ func (f *fitter) rssFor(gram *mathx.Matrix, xty []float64, u, w []float64) (floa
 			rhs[col] = dot(nc, f.y)
 		}
 	}
-	lambda := f.applyRidge(g)
+	lambda := applyRidge(g)
 	beta, err := mathx.CholeskySolve(g, rhs, 1e-3)
 	if err != nil {
 		return 0, false
@@ -394,9 +381,9 @@ func ridgedRSS(yty float64, beta, rhs []float64, lambda float64) float64 {
 // applyRidge adds the relative L2 penalty to a Gram matrix diagonal and
 // returns the absolute penalty used. The first basis (the intercept) is
 // left unpenalized so constant fits remain exact.
-func (f *fitter) applyRidge(g *mathx.Matrix) float64 {
+func applyRidge(g *mathx.Matrix) float64 {
 	n := g.Rows
-	if n < 2 || f.opts.Ridge <= 0 {
+	if n < 2 {
 		return 0
 	}
 	mean := 0.0
@@ -404,7 +391,7 @@ func (f *fitter) applyRidge(g *mathx.Matrix) float64 {
 		mean += g.At(i, i)
 	}
 	mean /= float64(n - 1)
-	add := f.opts.Ridge * mean
+	add := ridge * mean
 	for i := 1; i < n; i++ {
 		g.Set(i, i, g.At(i, i)+add)
 	}
@@ -420,9 +407,14 @@ func dot(a, b []float64) float64 {
 }
 
 // gcv computes Friedman's generalized cross-validation criterion for a
-// model with the given RSS and number of terms.
+// model with the given RSS and number of terms. Its cost per knot,
+// Friedman's d, is 3 for interaction models and 2 for additive ones.
 func (f *fitter) gcv(rss float64, nTerms int) float64 {
-	c := float64(nTerms) + f.opts.Penalty*float64(nTerms-1)/2
+	penalty := 2.0
+	if f.opts.MaxDegree > 1 {
+		penalty = 3
+	}
+	c := float64(nTerms) + penalty*float64(nTerms-1)/2
 	nf := float64(f.n)
 	d := 1 - c/nf
 	if d <= 0 {
@@ -454,7 +446,7 @@ func (f *fitter) backward() *Model {
 			}
 			rhs[a] = dot(f.cols[idx[a]], f.y)
 		}
-		lambda := f.applyRidge(g)
+		lambda := applyRidge(g)
 		beta, err := mathx.CholeskySolve(g, rhs, 1e-3)
 		if err != nil {
 			return 0, nil, false

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/mars"
 	"repro/internal/mathx"
 	"repro/internal/trace"
 )
@@ -98,13 +97,4 @@ func UsedTerms(m Model) int {
 	default:
 		return 0
 	}
-}
-
-// MARSOf exposes the underlying basis expansion of a piecewise/quadratic
-// model for inspection, or nil for other techniques.
-func MARSOf(m Model) *mars.Model {
-	if v, ok := m.(*marsModel); ok {
-		return v.m
-	}
-	return nil
 }

@@ -73,7 +73,7 @@ func TestFeatureImportanceValidation(t *testing.T) {
 	}
 }
 
-func TestUsedTermsAndMARSOf(t *testing.T) {
+func TestUsedTerms(t *testing.T) {
 	train := []*trace.Trace{powerTrace(t, "Core2", "m0", 0, 400, 64)}
 	for _, tech := range Techniques() {
 		opts := FitOptions{MaxKnots: 8}
@@ -86,14 +86,6 @@ func TestUsedTermsAndMARSOf(t *testing.T) {
 		}
 		if n := UsedTerms(mm.Model); n <= 0 {
 			t.Errorf("%s: UsedTerms = %d", tech, n)
-		}
-		m := MARSOf(mm.Model)
-		isMARS := tech == TechPiecewise || tech == TechQuadratic
-		if isMARS && m == nil {
-			t.Errorf("%s: MARSOf returned nil", tech)
-		}
-		if !isMARS && m != nil {
-			t.Errorf("%s: MARSOf should be nil", tech)
 		}
 	}
 }

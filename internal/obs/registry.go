@@ -1,8 +1,9 @@
 // Package obs is the observability layer for the CHAOS pipeline: a
 // lock-cheap metrics registry (counters, gauges, fixed-bucket histograms)
-// exported in Prometheus text format, a span tracer that times pipeline
-// stages, a JSON event sink for machine-readable run logs, and an HTTP
-// exporter serving /metrics, /healthz, and pprof.
+// exported in Prometheus text format, span timers for pipeline stages,
+// sampled request traces for the serving path, a JSON event sink for
+// machine-readable run logs, and an HTTP exporter serving /metrics,
+// /healthz, and pprof.
 //
 // The package is stdlib-only, like the rest of the module. All hot-path
 // operations (Counter.Add, Gauge.Set, Histogram.Observe, Span.End) are a

@@ -55,41 +55,6 @@ func TestTraceparentParseFormat(t *testing.T) {
 	}
 }
 
-func TestTraceSpanIDsAndParentLinks(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg)
-	var got []SpanData
-	tr.SetSink(func(d SpanData) { got = append(got, d) })
-
-	root := tr.Start("root")
-	child := root.Child("child")
-	child.End()
-	root.End()
-
-	if len(got) != 2 {
-		t.Fatalf("want 2 spans, got %d", len(got))
-	}
-	c, r := got[0], got[1]
-	if c.TraceID != r.TraceID {
-		t.Errorf("child trace %s != root trace %s", c.TraceID, r.TraceID)
-	}
-	if c.ParentSpanID != r.SpanID {
-		t.Errorf("child parent span %s != root span %s", c.ParentSpanID, r.SpanID)
-	}
-	if r.ParentSpanID != "" {
-		t.Errorf("root has parent span %s", r.ParentSpanID)
-	}
-	if c.SpanID == r.SpanID || c.SpanID == "" {
-		t.Errorf("bad child span id %q", c.SpanID)
-	}
-
-	ext := tr.StartWith("remote", c.TraceID, c.SpanID)
-	ext.End()
-	if got[2].TraceID != c.TraceID || got[2].ParentSpanID != c.SpanID {
-		t.Errorf("StartWith did not adopt the remote context: %+v", got[2])
-	}
-}
-
 func TestTraceStoreTailRetention(t *testing.T) {
 	ts := NewTraceStore(32, 50*time.Millisecond)
 	// Fill well past the recent ring with fast ok traces, planting one

@@ -1,166 +1,59 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
-
-// Attr is one key/value annotation on a span.
-type Attr struct {
-	Key   string `json:"k"`
-	Value any    `json:"v"`
-}
-
-// String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
-
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
-// SpanData is the record a finished span hands to a tracer sink (and the
-// wire form /debug/traces serves). TraceID groups every span of one
-// request; ParentSpanID links a child to the span that created it.
-type SpanData struct {
-	Name         string        `json:"name"`
-	Parent       string        `json:"parent,omitempty"` // parent span name, "" for roots
-	TraceID      string        `json:"trace_id,omitempty"`
-	SpanID       string        `json:"span_id,omitempty"`
-	ParentSpanID string        `json:"parent_span_id,omitempty"`
-	Start        time.Time     `json:"start"`
-	Duration     time.Duration `json:"duration_ns"`
-	Attrs        []Attr        `json:"attrs,omitempty"`
-}
 
 // spanBuckets covers 10 µs to ~40 s — the span durations the pipeline
 // produces, from single OLS fits to full Algorithm 1 runs.
 var spanBuckets = ExpBuckets(1e-5, 4, 12)
 
-// Tracer creates spans and records their wall time into a registry
-// histogram (chaos_span_seconds{span=name}). An optional sink receives the
-// full SpanData of every finished span.
-type Tracer struct {
-	reg  *Registry
-	now  func() time.Time
-	mu   sync.RWMutex
-	sink func(SpanData)
-	// hist caches the per-name duration histogram so End avoids a registry
-	// lookup (lock + key build) on every span in tight fit loops.
-	hist sync.Map // span name -> *Histogram
-}
+// spanHists caches each span name's chaos_span_seconds histogram in the
+// default registry, so the registry lookup, which builds a series key,
+// happens once per name rather than once per span.
+var (
+	spanMu    sync.RWMutex
+	spanHists = map[string]*Histogram{}
+)
 
-// NewTracer builds a tracer recording into reg.
-func NewTracer(reg *Registry) *Tracer {
-	return &Tracer{reg: reg, now: time.Now}
-}
-
-// SetSink installs a callback invoked (synchronously) with every finished
-// span. Pass nil to remove.
-func (t *Tracer) SetSink(fn func(SpanData)) {
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
-}
-
-var defaultTracer = NewTracer(defaultRegistry)
-
-// DefaultTracer returns the process-wide tracer the pipeline stages use.
-func DefaultTracer() *Tracer { return defaultTracer }
-
-// StartSpan starts a root span on the default tracer.
-func StartSpan(name string, attrs ...Attr) *Span {
-	return defaultTracer.Start(name, attrs...)
-}
-
-// Span is one timed region of work. Spans are not safe for concurrent
-// mutation; give each goroutine its own (child) span.
-type Span struct {
-	t            *Tracer
-	name         string
-	parent       string
-	traceID      string
-	spanID       string
-	parentSpanID string
-	start        time.Time
-	attrs        []Attr
-	ended        bool
-}
-
-// Start begins a root span with a freshly generated trace ID.
-func (t *Tracer) Start(name string, attrs ...Attr) *Span {
-	return &Span{t: t, name: name, traceID: NewTraceID(), spanID: NewSpanID(),
-		start: t.now(), attrs: attrs}
-}
-
-// StartWith begins a root span inside an existing trace — traceID from a
-// caller-supplied traceparent, parentSpanID the remote parent ("" for
-// none). An empty traceID generates a fresh one, like Start.
-func (t *Tracer) StartWith(name, traceID, parentSpanID string, attrs ...Attr) *Span {
-	if traceID == "" {
-		traceID = NewTraceID()
+func spanHist(name string) *Histogram {
+	spanMu.RLock()
+	h := spanHists[name]
+	spanMu.RUnlock()
+	if h == nil {
+		// Registry.Histogram returns the same series to every caller, so
+		// two spans racing to fill the cache store the same pointer.
+		h = defaultRegistry.Histogram("chaos_span_seconds", Labels{"span": name}, spanBuckets)
+		spanMu.Lock()
+		spanHists[name] = h
+		spanMu.Unlock()
 	}
-	return &Span{t: t, name: name, traceID: traceID, spanID: NewSpanID(),
-		parentSpanID: parentSpanID, start: t.now(), attrs: attrs}
+	return h
 }
 
-// Child begins a nested span. The child records its own histogram series
-// under its own name, shares the parent's trace ID, and links back to the
-// parent's span ID.
-func (s *Span) Child(name string, attrs ...Attr) *Span {
-	return &Span{t: s.t, name: name, parent: s.name, traceID: s.traceID,
-		spanID: NewSpanID(), parentSpanID: s.spanID, start: s.t.now(), attrs: attrs}
+// Span times one pipeline stage: End records its wall time into the
+// default registry's chaos_span_seconds{span=name} histogram. A Span is a
+// value on the caller's stack, so starting and ending one allocates
+// nothing.
+type Span struct {
+	h     *Histogram // nil once ended
+	start time.Time
 }
 
-// TraceID returns the span's trace ID (32 hex chars).
-func (s *Span) TraceID() string { return s.traceID }
-
-// SpanID returns the span's own ID (16 hex chars).
-func (s *Span) SpanID() string { return s.spanID }
-
-// SetAttr appends an annotation to the span (visible to the sink).
-func (s *Span) SetAttr(attrs ...Attr) {
-	s.attrs = append(s.attrs, attrs...)
+// StartSpan starts timing the named stage.
+func StartSpan(name string) Span {
+	return Span{h: spanHist(name), start: time.Now()}
 }
 
-// Name returns the span name.
-func (s *Span) Name() string { return s.name }
-
-// End finishes the span, records its wall time, and returns the duration.
-// A second End is a no-op returning zero.
+// End records the span's wall time and returns it. A second End, or End on
+// a nil or zero Span, is a no-op returning zero.
 func (s *Span) End() time.Duration {
-	if s == nil || s.ended {
+	if s == nil || s.h == nil {
 		return 0
 	}
-	s.ended = true
-	d := s.t.now().Sub(s.start)
-	h, ok := s.t.hist.Load(s.name)
-	if !ok {
-		h, _ = s.t.hist.LoadOrStore(s.name,
-			s.t.reg.Histogram("chaos_span_seconds", Labels{"span": s.name}, spanBuckets))
-	}
-	h.(*Histogram).Observe(d.Seconds())
-	s.t.mu.RLock()
-	sink := s.t.sink
-	s.t.mu.RUnlock()
-	if sink != nil {
-		sink(SpanData{Name: s.name, Parent: s.parent, TraceID: s.traceID,
-			SpanID: s.spanID, ParentSpanID: s.parentSpanID,
-			Start: s.start, Duration: d, Attrs: s.attrs})
-	}
+	d := time.Since(s.start)
+	s.h.Observe(d.Seconds())
+	s.h = nil
 	return d
-}
-
-// AttrString renders attrs as "k=v k=v" for log lines.
-func AttrString(attrs []Attr) string {
-	out := ""
-	for i, a := range attrs {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%v", a.Key, a.Value)
-	}
-	return out
 }

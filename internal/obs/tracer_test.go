@@ -1,69 +1,44 @@
 package obs
 
 import (
-	"strings"
+	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
-// fakeClock advances a fixed step on every call, making span durations
-// deterministic.
-type fakeClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	step time.Duration
+// spanState reads a span name's series from the default registry, which
+// accumulates across the package's tests, so tests compare deltas.
+func spanState(name string) (uint64, float64) {
+	h := Default().Histogram("chaos_span_seconds", Labels{"span": name}, nil)
+	return h.Count(), h.Sum()
 }
 
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(c.step)
-	return c.t
-}
-
-func TestSpanRecordsHistogramAndSink(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg)
-	clock := &fakeClock{t: time.Unix(1754000000, 0), step: 10 * time.Millisecond}
-	tr.now = clock.now
-
-	var got []SpanData
-	tr.SetSink(func(d SpanData) { got = append(got, d) })
-
-	root := tr.Start("pipeline", String("job", "Prime"))
-	child := root.Child("fit", Int("features", 12))
-	child.SetAttr(Float("rmse", 1.5))
-	if d := child.End(); d != 10*time.Millisecond {
-		t.Errorf("child duration = %v, want 10ms", d)
-	}
+func TestSpanRecordsHistogram(t *testing.T) {
+	n0, s0 := spanState("obs.test.fit")
+	p0, _ := spanState("obs.test.pipeline")
+	root := StartSpan("obs.test.pipeline")
+	child := StartSpan("obs.test.fit")
+	d := child.End()
 	root.End()
 
-	if len(got) != 2 {
-		t.Fatalf("sink received %d spans, want 2", len(got))
+	n1, s1 := spanState("obs.test.fit")
+	if n1 != n0+1 {
+		t.Errorf("fit span count %d -> %d, want +1", n0, n1)
 	}
-	if got[0].Name != "fit" || got[0].Parent != "pipeline" {
-		t.Errorf("child SpanData = %+v", got[0])
+	if got := s1 - s0; d < 0 || math.Abs(got-d.Seconds()) > 1e-12 {
+		t.Errorf("fit span sum grew by %v, End returned %v", got, d)
 	}
-	if got[1].Name != "pipeline" || got[1].Parent != "" {
-		t.Errorf("root SpanData = %+v", got[1])
+	if p1, _ := spanState("obs.test.pipeline"); p1 != p0+1 {
+		t.Errorf("pipeline span count %d -> %d, want +1", p0, p1)
 	}
-	if len(got[0].Attrs) != 2 {
-		t.Errorf("child attrs = %v", got[0].Attrs)
-	}
-	snap := reg.Snapshot()
-	if snap["chaos_span_seconds{span=fit}_count"] != 1 {
-		t.Errorf("span histogram not recorded: %v", snap)
-	}
-	if snap["chaos_span_seconds{span=pipeline}_count"] != 1 {
-		t.Errorf("root span histogram not recorded: %v", snap)
+	if got := Default().Snapshot()["chaos_span_seconds{span=obs.test.fit}_count"]; got != float64(n1) {
+		t.Errorf("snapshot count = %v, want %d", got, n1)
 	}
 }
 
 func TestSpanDoubleEndAndNil(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg)
-	s := tr.Start("x")
+	n0, _ := spanState("obs.test.x")
+	s := StartSpan("obs.test.x")
 	s.End()
 	if d := s.End(); d != 0 {
 		t.Errorf("second End = %v, want 0", d)
@@ -72,44 +47,59 @@ func TestSpanDoubleEndAndNil(t *testing.T) {
 	if d := nilSpan.End(); d != 0 {
 		t.Errorf("nil End = %v, want 0", d)
 	}
-	if got := reg.Histogram("chaos_span_seconds", Labels{"span": "x"}, nil).Count(); got != 1 {
-		t.Errorf("span recorded %d times, want 1", got)
+	var zero Span
+	if d := zero.End(); d != 0 {
+		t.Errorf("zero-value End = %v, want 0", d)
+	}
+	if n1, _ := spanState("obs.test.x"); n1 != n0+1 {
+		t.Errorf("span recorded %d times, want 1", n1-n0)
 	}
 }
 
+// TestDefaultTracerWritesDefaultRegistry: StartSpan is the package's only
+// span timer, and its spans land in Default(), the registry /metrics serves.
 func TestDefaultTracerWritesDefaultRegistry(t *testing.T) {
-	before := Default().Histogram("chaos_span_seconds", Labels{"span": "obs.test"}, nil).Count()
-	StartSpan("obs.test").End()
-	after := Default().Histogram("chaos_span_seconds", Labels{"span": "obs.test"}, nil).Count()
-	if after != before+1 {
+	before, _ := spanState("obs.test")
+	s := StartSpan("obs.test")
+	s.End()
+	if after, _ := spanState("obs.test"); after != before+1 {
 		t.Errorf("default span count %d -> %d, want +1", before, after)
 	}
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewTracer(reg)
+	w0, _ := spanState("obs.test.worker")
+	i0, _ := spanState("obs.test.inner")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := tr.Start("worker")
-				s.Child("inner").End()
+				s := StartSpan("obs.test.worker")
+				inner := StartSpan("obs.test.inner")
+				inner.End()
 				s.End()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := reg.Histogram("chaos_span_seconds", Labels{"span": "worker"}, nil).Count(); got != 1600 {
-		t.Errorf("worker spans = %d, want 1600", got)
+	if w1, _ := spanState("obs.test.worker"); w1-w0 != 1600 {
+		t.Errorf("worker spans = %d, want 1600", w1-w0)
+	}
+	if i1, _ := spanState("obs.test.inner"); i1-i0 != 1600 {
+		t.Errorf("inner spans = %d, want 1600", i1-i0)
 	}
 }
 
-func TestAttrString(t *testing.T) {
-	s := AttrString([]Attr{String("a", "b"), Int("n", 3)})
-	if !strings.Contains(s, "a=b") || !strings.Contains(s, "n=3") {
-		t.Errorf("AttrString = %q", s)
+// TestSpanAllocFree: a span is a stack value and its histogram is looked
+// up once per name, so timing a stage allocates nothing.
+func TestSpanAllocFree(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		s := StartSpan("obs.test.alloc")
+		defer s.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("StartSpan/End allocates %v objects per span, want 0", allocs)
 	}
 }

@@ -13,6 +13,31 @@ import (
 	"repro/internal/mathx"
 )
 
+// Attr is one key/value annotation on a request-trace span.
+type Attr struct {
+	Key   string `json:"k"`
+	Value any    `json:"v"`
+}
+
+// String builds a string attribute.
+func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+
+// Int builds an integer attribute.
+func Int(k string, v int) Attr { return Attr{Key: k, Value: v} }
+
+// SpanData is one span of a request trace, in the wire form /debug/traces
+// serves. TraceID groups every span of one request; ParentSpanID links a
+// span to the request's root span.
+type SpanData struct {
+	Name         string        `json:"name"`
+	TraceID      string        `json:"trace_id,omitempty"`
+	SpanID       string        `json:"span_id,omitempty"`
+	ParentSpanID string        `json:"parent_span_id,omitempty"`
+	Start        time.Time     `json:"start"`
+	Duration     time.Duration `json:"duration_ns"`
+	Attrs        []Attr        `json:"attrs,omitempty"`
+}
+
 // ---------------------------------------------------------------------------
 // Trace / span IDs and W3C traceparent propagation.
 

@@ -440,7 +440,7 @@ func (rt *Retrainer) Buffered(machineID string) int {
 // pipeline does. The buffers are copied oldest-first under the lock and
 // fitted without it, so Add never waits for a fit.
 func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*models.ClusterModel, error) {
-	span := obs.StartSpan("online.retrain", obs.String("tech", string(tech)))
+	span := obs.StartSpan("online.retrain")
 	defer span.End()
 	type buffered struct {
 		id, platform string

@@ -29,6 +29,14 @@ func softThreshold(z, gamma float64) float64 {
 	}
 }
 
+// The lasso's work, summed over every LassoSelect in the process.
+var (
+	lassoFits         = obs.Default().Counter("chaos_lasso_fits_total", nil)
+	lassoNotConverged = obs.Default().Counter("chaos_lasso_not_converged_total", nil)
+	lassoDots         = obs.Default().Counter("chaos_lasso_dots_total", nil)
+	lassoSkipped      = obs.Default().Counter("chaos_lasso_skipped_total", nil)
+)
+
 // LassoSelect is step 3 of the paper's Algorithm 1, which discards
 // irrelevant features in high-dimensional counter spaces and keeps "on the
 // order of 10" of them. It walks a lasso path from λmax, the smallest λ
@@ -37,23 +45,41 @@ func softThreshold(z, gamma float64) float64 {
 // targetK nonzero coefficients, or by the least-regularized fit if none has
 // that many. λ is on the standardized scale; the path follows glmnet
 // (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010).
+//
+// It adds the fits it ran, those that stopped at the sweep cap, and the
+// coordinate visits it computed and skipped (see coordinateDescent) to
+// chaos_lasso_{fits,not_converged,dots,skipped}_total.
 func LassoSelect(x *mathx.Matrix, y []float64, targetK int) ([]int, error) {
-	span := obs.StartSpan("regress.lasso_select", obs.Int("cols", x.Cols), obs.Int("target_k", targetK))
+	span := obs.StartSpan("regress.lasso_select")
 	defer span.End()
+	sel, st, err := lassoSelect(x, y, targetK)
+	lassoFits.Add(float64(st.fits))
+	lassoNotConverged.Add(float64(st.notConverged))
+	lassoDots.Add(float64(st.dots))
+	lassoSkipped.Add(float64(st.skipped))
+	return sel, err
+}
+
+// lassoStats is the work one LassoSelect did.
+type lassoStats struct {
+	fits, notConverged, dots, skipped int
+}
+
+func lassoSelect(x *mathx.Matrix, y []float64, targetK int) ([]int, lassoStats, error) {
+	var st lassoStats
 	if x.Rows != len(y) {
-		return nil, fmt.Errorf("regress: %d rows but %d responses", x.Rows, len(y))
+		return nil, st, fmt.Errorf("regress: %d rows but %d responses", x.Rows, len(y))
 	}
 	if x.Rows < 2 {
-		return nil, fmt.Errorf("regress: lasso needs at least 2 observations, got %d", x.Rows)
+		return nil, st, fmt.Errorf("regress: lasso needs at least 2 observations, got %d", x.Rows)
 	}
 	p := newLassoPath(x, y)
 	var sel []int
-	fits, notConverged := 0, 0
 	for k := 0; k < pathLen; k++ {
 		lambda := p.lmax * math.Pow(pathRatio, float64(k)/float64(pathLen-1))
-		fits++
+		st.fits++
 		if _, converged := p.coordinateDescent(lambda); !converged {
-			notConverged++
+			st.notConverged++
 		}
 		// A feature is selected when its coefficient is nonzero in the
 		// original units, β_j/σ_j.
@@ -67,9 +93,8 @@ func LassoSelect(x *mathx.Matrix, y []float64, targetK int) ([]int, error) {
 			break
 		}
 	}
-	span.SetAttr(obs.Int("fits", fits), obs.Int("not_converged", notConverged),
-		obs.Int("dots", p.dots), obs.Int("skipped", p.skipped))
-	return sel, nil
+	st.dots, st.skipped = p.dots, p.skipped
+	return sel, st, nil
 }
 
 // lassoPath is what every fit on one design shares: its columns

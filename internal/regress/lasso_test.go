@@ -113,11 +113,11 @@ func TestLassoMaxLambdaKillsEverything(t *testing.T) {
 	}
 	// LassoSelect's path starts at lmax: its first fit keeps nothing, and
 	// its second, at 0.79·lmax, already keeps a feature.
-	if sel, span := lassoSelectSpan(t, x, y, 0); len(sel) != 0 || spanInt(span, "fits") != 1 {
-		t.Errorf("targetK=0: selected %v after %d fits, want none after 1", sel, spanInt(span, "fits"))
+	if sel, st := lassoSelectStats(t, x, y, 0); len(sel) != 0 || st.fits != 1 {
+		t.Errorf("targetK=0: selected %v after %d fits, want none after 1", sel, st.fits)
 	}
-	if sel, span := lassoSelectSpan(t, x, y, 1); len(sel) == 0 || spanInt(span, "fits") != 2 {
-		t.Errorf("targetK=1: selected %v after %d fits, want some after 2", sel, spanInt(span, "fits"))
+	if sel, st := lassoSelectStats(t, x, y, 1); len(sel) == 0 || st.fits != 2 {
+		t.Errorf("targetK=1: selected %v after %d fits, want some after 2", sel, st.fits)
 	}
 }
 
@@ -141,10 +141,10 @@ func TestLassoPathMonotoneSupport(t *testing.T) {
 	}
 	// No fit can keep 6 of 5 columns, so LassoSelect walks the whole path
 	// and returns the least-regularized fit's selection.
-	sel, span := lassoSelectSpan(t, x, y, 6)
-	if len(sel) != 5 || spanInt(span, "fits") != pathLen {
+	sel, st := lassoSelectStats(t, x, y, 6)
+	if len(sel) != 5 || st.fits != pathLen {
 		t.Errorf("targetK=6: selected %v after %d fits, want all 5 after %d",
-			sel, spanInt(span, "fits"), pathLen)
+			sel, st.fits, pathLen)
 	}
 }
 
@@ -193,9 +193,9 @@ func TestLassoShrinkageProperty(t *testing.T) {
 // direct transcription of the path that standardizes x again for every fit
 // and for λmax, and runs all 30 cold-start fits before picking one. Over 400
 // designs mixing duplicate, collinear, constant and badly scaled columns,
-// and every targetK from 0 to p+1, selections must be identical, and the
-// span must count the fits the rule needed and those among them that hit
-// the sweep cap.
+// and every targetK from 0 to p+1, selections must be identical, and it
+// must count the fits the rule needed and those among them that hit the
+// sweep cap.
 func TestLassoSelectMatchesPerFitPath(t *testing.T) {
 	capped := 0
 	for seed := int64(0); seed < 400; seed++ {
@@ -220,14 +220,14 @@ func TestLassoSelectMatchesPerFitPath(t *testing.T) {
 			}
 			want := path[fits-1].sel
 
-			got, span := lassoSelectSpan(t, x, y, targetK)
+			got, st := lassoSelectStats(t, x, y, targetK)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d (%dx%d), targetK %d: LassoSelect = %v, per-fit path = %v",
 					seed, x.Rows, x.Cols, targetK, got, want)
 			}
-			if f, nc := spanInt(span, "fits"), spanInt(span, "not_converged"); f != fits || nc != notConverged {
-				t.Fatalf("seed %d, targetK %d: span fits=%d not_converged=%d, want %d and %d",
-					seed, targetK, f, nc, fits, notConverged)
+			if st.fits != fits || st.notConverged != notConverged {
+				t.Fatalf("seed %d, targetK %d: fits=%d not_converged=%d, want %d and %d",
+					seed, targetK, st.fits, st.notConverged, fits, notConverged)
 			}
 		}
 	}
@@ -297,34 +297,42 @@ func randomDesign(seed int64) (*mathx.Matrix, []float64) {
 	return x, y
 }
 
-// lassoSelectSpan runs LassoSelect and returns its selection and the
-// regress.lasso_select span it finished.
-func lassoSelectSpan(t *testing.T, x *mathx.Matrix, y []float64, targetK int) ([]int, obs.SpanData) {
+// lassoSelectStats runs the selection LassoSelect makes and returns the
+// work it counted.
+func lassoSelectStats(t *testing.T, x *mathx.Matrix, y []float64, targetK int) ([]int, lassoStats) {
 	t.Helper()
-	var span obs.SpanData
-	tr := obs.DefaultTracer()
-	tr.SetSink(func(d obs.SpanData) {
-		if d.Name == "regress.lasso_select" {
-			span = d
-		}
-	})
-	defer tr.SetSink(nil)
-	sel, err := LassoSelect(x, y, targetK)
+	sel, st, err := lassoSelect(x, y, targetK)
 	if err != nil {
 		t.Fatalf("LassoSelect: %v", err)
 	}
-	return sel, span
+	return sel, st
 }
 
-func spanInt(d obs.SpanData, key string) int {
-	for _, a := range d.Attrs {
-		if a.Key == key {
-			if v, ok := a.Value.(int); ok {
-				return v
-			}
+// TestLassoSelectCountsWork: LassoSelect adds exactly the work its
+// selection did to the four lasso counters.
+func TestLassoSelectCountsWork(t *testing.T) {
+	x, y := wideDesign(3, false)
+	counters := []*obs.Counter{lassoFits, lassoNotConverged, lassoDots, lassoSkipped}
+	before := make([]float64, len(counters))
+	for i, c := range counters {
+		before[i] = c.Value()
+	}
+	sel, err := LassoSelect(x, y, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, st := lassoSelectStats(t, x, y, 12)
+	if !reflect.DeepEqual(sel, want) {
+		t.Fatalf("LassoSelect = %v, lassoSelect = %v", sel, want)
+	}
+	for i, n := range []int{st.fits, st.notConverged, st.dots, st.skipped} {
+		if got := counters[i].Value() - before[i]; got != float64(n) {
+			t.Errorf("counter %d grew by %v, want %d", i, got, n)
 		}
 	}
-	return -1
+	if st.fits == 0 || st.dots == 0 || st.skipped == 0 {
+		t.Errorf("stats %+v: want fits, dots and skipped all counted", st)
+	}
 }
 
 // refFit is one fit of refPath: the selected columns, whether the fit

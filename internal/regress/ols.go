@@ -53,7 +53,7 @@ func OLS(x *mathx.Matrix, y []float64) (*OLSResult, error) {
 	if n <= p+1 {
 		return nil, fmt.Errorf("%w: n=%d, p=%d", ErrTooFewRows, n, p)
 	}
-	span := obs.StartSpan("regress.ols", obs.Int("n", n), obs.Int("p", p))
+	span := obs.StartSpan("regress.ols")
 	defer span.End()
 	// Standardize predictors so columns on wildly different scales
 	// (bytes vs percentages) stay numerically well-conditioned, then
@@ -158,7 +158,7 @@ func Stepwise(x *mathx.Matrix, y []float64, alpha float64, minKeep int) (*Stepwi
 	if minKeep < 1 {
 		minKeep = 1
 	}
-	span := obs.StartSpan("regress.stepwise", obs.Int("cols", x.Cols))
+	span := obs.StartSpan("regress.stepwise")
 	defer span.End()
 	kept := make([]int, x.Cols)
 	for j := range kept {

@@ -303,7 +303,7 @@ func (s *Server) RetryAfterHint() time.Duration {
 func (s *Server) shardFor(machineID string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(machineID))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // Estimate runs one cluster snapshot — one sample per machine — through

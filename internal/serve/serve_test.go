@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"strconv"
@@ -90,6 +91,13 @@ func sample(machine string, a, b float64) SampleJSON {
 
 func TestServeEstimateSingleEndpoint(t *testing.T) {
 	_, base := newTestServer(t, Config{})
+	// "m1" hashes to 2,486,071,275, negative as a 32-bit int, so this
+	// request also checks that routing stays in range where int is 32 bits.
+	h := fnv.New32a()
+	h.Write([]byte("m1"))
+	if h.Sum32() < 1<<31 {
+		t.Fatalf("fnv32a(m1) = %d no longer exercises the high-hash route", h.Sum32())
+	}
 	client := &http.Client{}
 	status, body := postJSON(t, client, base+"/v1/estimate", EstimateRequest{
 		Samples: []SampleJSON{sample("m1", 3, 4), sample("m2", 1, 1)},

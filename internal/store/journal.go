@@ -76,8 +76,7 @@ func OpenJournal(path string, replay func(rec []byte) error) (*Journal, Recovery
 			corrupt, tornTail = off, true
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		end := off + frameHeader + n
+		n := binary.LittleEndian.Uint32(data[off:])
 		if n > MaxRecord {
 			// A torn append leaves a prefix of a valid frame, so its length
 			// bytes are either missing or sane — a length beyond MaxRecord
@@ -88,6 +87,7 @@ func OpenJournal(path string, replay func(rec []byte) error) (*Journal, Recovery
 			corrupt, tornTail = off, false
 			break
 		}
+		end := off + frameHeader + int(n)
 		if end > len(data) {
 			// The frame claims to extend past EOF: a torn append.
 			corrupt, tornTail = off, true
@@ -247,11 +247,11 @@ var ErrCorruptFrame = fmt.Errorf("store: corrupt frame")
 func DecodeFrames(buf []byte) (payloads [][]byte, consumed int, err error) {
 	off := 0
 	for len(buf)-off >= frameHeader {
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		n := binary.LittleEndian.Uint32(buf[off:])
 		if n > MaxRecord {
 			return payloads, off, fmt.Errorf("%w: length %d exceeds MaxRecord at offset %d", ErrCorruptFrame, n, off)
 		}
-		end := off + frameHeader + n
+		end := off + frameHeader + int(n)
 		if end > len(buf) {
 			break // partial tail frame: wait for more bytes
 		}

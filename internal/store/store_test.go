@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -255,24 +256,30 @@ func TestStoreQuarantineMidJournal(t *testing.T) {
 	}
 }
 
+// hugeLengths are length fields beyond MaxRecord, including ones that are
+// negative as a 32-bit int.
+var hugeLengths = []uint32{MaxRecord + 1, 0x80000000, 0xFFFFFFFF}
+
 // TestStoreJournalHugeLengthRejected hand-crafts a frame whose length
 // field claims more than MaxRecord: recovery must treat it as corruption,
 // not attempt the allocation.
 func TestStoreJournalHugeLengthRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	frame := make([]byte, frameHeader+4)
-	binary.LittleEndian.PutUint32(frame, uint32(MaxRecord+1))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[frameHeader:], crcTable))
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, rec, recs := openCollect(t, path)
-	defer j.Close()
-	if len(recs) != 0 || rec.Clean() {
-		t.Fatalf("huge length accepted: %+v, %d records", rec, len(recs))
-	}
-	if err := j.Append(make([]byte, MaxRecord+1)); err == nil {
-		t.Error("append beyond MaxRecord should fail")
+	for _, n := range hugeLengths {
+		path := filepath.Join(t.TempDir(), "journal.log")
+		frame := make([]byte, frameHeader+4)
+		binary.LittleEndian.PutUint32(frame, n)
+		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[frameHeader:], crcTable))
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rec, recs := openCollect(t, path)
+		if len(recs) != 0 || rec.Clean() {
+			t.Fatalf("length %#x accepted: %+v, %d records", n, rec, len(recs))
+		}
+		if err := j.Append(make([]byte, MaxRecord+1)); err == nil {
+			t.Error("append beyond MaxRecord should fail")
+		}
+		j.Close()
 	}
 }
 
@@ -390,11 +397,13 @@ func TestStoreDecodeFramesBounds(t *testing.T) {
 	}
 
 	// An oversized length claim is corruption, reported before allocating.
-	huge := make([]byte, frameHeader+8)
-	binary.LittleEndian.PutUint32(huge, uint32(MaxRecord+1))
-	payloads, consumed, err = DecodeFrames(append(append([]byte(nil), a...), huge...))
-	if err == nil || consumed != len(a) || len(payloads) != 1 {
-		t.Fatalf("oversized length: %d payloads consumed %d err %v, want error after first frame", len(payloads), consumed, err)
+	for _, n := range hugeLengths {
+		huge := make([]byte, frameHeader+8)
+		binary.LittleEndian.PutUint32(huge, n)
+		payloads, consumed, err = DecodeFrames(append(append([]byte(nil), a...), huge...))
+		if !errors.Is(err, ErrCorruptFrame) || consumed != len(a) || len(payloads) != 1 {
+			t.Fatalf("length %#x: %d payloads consumed %d err %v, want ErrCorruptFrame after first frame", n, len(payloads), consumed, err)
+		}
 	}
 
 	// A flipped payload bit fails the checksum.

@@ -171,8 +171,7 @@ func (c *Cluster) RunJob(job *dryad.Job, run int, maxSeconds int) ([]*trace.Trac
 	if maxSeconds <= 0 {
 		maxSeconds = 3000
 	}
-	span := obs.StartSpan("telemetry.run_job",
-		obs.String("job", job.Name), obs.Int("run", run), obs.Int("machines", len(c.Machines)))
+	span := obs.StartSpan("telemetry.run_job")
 	defer span.End()
 	defer c.publishOverhead()
 	slots := make([]int, len(c.Machines))
@@ -254,8 +253,7 @@ func (c *Cluster) RunSequence(workloadNames []string, gapSeconds, maxSecondsPerJ
 	if gapSeconds < 0 {
 		gapSeconds = 0
 	}
-	span := obs.StartSpan("telemetry.run_sequence",
-		obs.Int("jobs", len(workloadNames)), obs.Int("machines", len(c.Machines)))
+	span := obs.StartSpan("telemetry.run_sequence")
 	defer span.End()
 	defer c.publishOverhead()
 	builders := make([]*trace.Builder, len(c.Machines))
