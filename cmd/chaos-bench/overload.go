@@ -131,19 +131,12 @@ func overloadWorkload(seed int64) ([]*trace.Trace, *models.ClusterModel, error) 
 	// 5x rate under the race detector, the load generator rather than the
 	// pinned engine would set the load.
 	spec := core.ClusterSpec([]string{counters.CPUTotal, counters.CPUFreqCore0})
-	var train []*trace.Trace
 	for i, t := range traces {
 		if traces[i], err = trace.SelectColumns(t, spec.Counters); err != nil {
 			return nil, nil, err
 		}
-		train = append(train, trace.Subsample(traces[i], 2))
 	}
-	mm, err := models.FitMachineModel(models.TechLinear, train, spec,
-		models.FitOptions{FreqCol: spec.FreqInputIndex()})
-	if err != nil {
-		return nil, nil, err
-	}
-	cm, err := models.NewClusterModel(mm)
+	cm, err := core.FitCluster(models.TechLinear, spec, traces, 0)
 	return traces, cm, err
 }
 

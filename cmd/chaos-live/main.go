@@ -132,16 +132,7 @@ func run(w io.Writer, cfg config) error {
 	}
 	spec := core.ClusterSpec(sel.Features)
 	byRun := trace.ByRun(ds.ByWorkload[cfg.Train])
-	var trainTraces []*trace.Trace
-	for _, t := range byRun[0] {
-		trainTraces = append(trainTraces, trace.Subsample(t, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, trainTraces, spec,
-		models.FitOptions{MaxKnots: 8})
-	if err != nil {
-		return err
-	}
-	cm, err := models.NewClusterModel(mm)
+	cm, err := core.FitCluster(models.TechQuadratic, spec, byRun[0], 0)
 	if err != nil {
 		return err
 	}

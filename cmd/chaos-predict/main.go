@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
@@ -89,15 +90,7 @@ func doPredict(modelPath, in string, runFilter int, printSeries bool) error {
 	var all []metrics.Summary
 	for _, run := range trace.Runs(traces) {
 		runTraces := trace.ByRun(traces)[run]
-		pred, actual, err := cm.PredictCluster(runTraces)
-		if err != nil {
-			return err
-		}
-		idle := 0.0
-		for _, t := range runTraces {
-			idle += t.IdleWatts
-		}
-		sum, err := metrics.Evaluate(pred, actual, idle)
+		sum, err := core.ScoreRun(&cm, runTraces)
 		if err != nil {
 			return err
 		}
@@ -105,6 +98,10 @@ func doPredict(modelPath, in string, runFilter int, printSeries bool) error {
 		fmt.Printf("run %d: %d samples, cluster DRE %.1f%%, rMSE %.2f W, worst error %.2f W\n",
 			run, sum.N, sum.DRE*100, sum.RMSE, sum.MaxErr)
 		if printSeries {
+			pred, actual, err := cm.PredictCluster(runTraces)
+			if err != nil {
+				return err
+			}
 			for i := range pred {
 				fmt.Printf("%6d  pred %8.2f W  actual %8.2f W\n", i, pred[i], actual[i])
 			}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/report_fast.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the golden reports from the current code")
 
 // overheadFigure matches a collector-overhead percentage: the one figure in
 // the report that is a wall-clock measurement rather than a function of the
@@ -37,34 +37,53 @@ func maskOverhead(report string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestFastReportGolden holds the whole reduced report (every table, figure,
-// ablation and study of `chaos-repro -fast`) byte for byte to
-// testdata/report_fast.txt, so any change to the simulator, Algorithm 1, the
-// model fits or cross-validation that moves a printed figure fails here.
-// Regenerate deliberately with `go test ./cmd/chaos-repro -run Golden -update`.
-func TestFastReportGolden(t *testing.T) {
+// TestReportGolden holds the whole report (every table, figure, ablation
+// and study) byte for byte to its committed copy, in the reduced
+// configuration (`chaos-repro -fast`, testdata/report_fast.txt) and the
+// full one (`chaos-repro`, report_full.txt at the repository root, ~45 s
+// on 2 vCPUs). Any change to the simulator, Algorithm 1, the model fits or
+// cross-validation that moves a printed figure fails here. Both sides are
+// compared with the collector-overhead figures masked. Regenerate
+// deliberately with `go test ./cmd/chaos-repro -run Golden -update`, which
+// writes each report as chaos-repro prints it.
+func TestReportGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the reduced report takes seconds")
+		t.Skip("the reports take seconds to a minute")
 	}
-	var buf bytes.Buffer
-	if err := run(&buf, experiments.Fast(), ""); err != nil {
-		t.Fatalf("run: %v", err)
+	for _, tc := range []struct {
+		name string
+		cfg  experiments.Config
+		path string
+	}{
+		{"fast", experiments.Fast(), filepath.Join("testdata", "report_fast.txt")},
+		{"full", experiments.Default(), filepath.Join("..", "..", "report_full.txt")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, tc.cfg, ""); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if *update {
+				if err := os.WriteFile(tc.path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffReport(t, tc.path, maskOverhead(buf.String()), maskOverhead(string(want)))
+		})
 	}
-	got := maskOverhead(buf.String())
-	path := filepath.Join("testdata", "report_fast.txt")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
+}
+
+// diffReport fails at the first line where got and want differ.
+func diffReport(t *testing.T, path, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) || i < len(wl); i++ {
 		var g, w string
 		if i < len(gl) {

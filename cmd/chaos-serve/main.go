@@ -633,26 +633,14 @@ func simTraces(cfg config) ([]*trace.Trace, error) {
 // rMSE as the drift-monitor baseline.
 func bootstrapModels(reg *registry.Registry, traces []*trace.Trace, tech models.Technique) (float64, error) {
 	spec := core.ClusterSpec([]string{counters.CPUTotal, counters.CPUFreqCore0})
-	var train []*trace.Trace
-	for _, t := range traces {
-		train = append(train, trace.Subsample(t, 2))
-	}
-	fit := func(tech models.Technique) (*models.ClusterModel, error) {
-		mm, err := models.FitMachineModel(tech, train, spec,
-			models.FitOptions{FreqCol: spec.FreqInputIndex(), MaxKnots: 8})
-		if err != nil {
-			return nil, err
-		}
-		return models.NewClusterModel(mm)
-	}
-	v1, err := fit(tech)
+	v1, err := core.FitCluster(tech, spec, traces, 0)
 	if err != nil {
 		return 0, err
 	}
 	if err := reg.Add("v1", v1, registry.Meta{Description: string(tech) + " bootstrap", Source: "sim"}); err != nil {
 		return 0, err
 	}
-	v2, err := fit(models.TechLinear)
+	v2, err := core.FitCluster(models.TechLinear, spec, traces, 0)
 	if err != nil {
 		return 0, err
 	}

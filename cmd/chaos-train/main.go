@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -114,28 +115,25 @@ func run(in, techName, features, out, listen string) error {
 		cv.Cluster.DRE*100, cv.Cluster.RMSE, cv.Machine.MedRelE*100)
 
 	// Final model: fit on every run (deployment-style).
-	byPlatform := map[string][]*trace.Trace{}
-	for _, t := range traces {
-		byPlatform[t.Platform] = append(byPlatform[t.Platform], trace.Subsample(t, 2))
-	}
-	var mms []*models.MachineModel
-	for p, ts := range byPlatform {
-		mm, err := models.FitMachineModel(models.Technique(techName), ts, spec,
-			models.FitOptions{FreqCol: spec.FreqInputIndex(), MaxKnots: 8})
-		if err != nil {
-			return fmt.Errorf("platform %s: %w", p, err)
-		}
-		mms = append(mms, mm)
-	}
-	cm, err := models.NewClusterModel(mms...)
+	cm, err := core.FitCluster(cfg.Tech, spec, traces, 0)
 	if err != nil {
 		return err
 	}
 	// Report each platform model's feature influence (watts of output
-	// swing across the feature's observed range).
-	for p, ts := range byPlatform {
+	// swing across the feature's observed range in the rows it was fitted
+	// on, every second one).
+	byPlatform := map[string][]*trace.Trace{}
+	for _, t := range traces {
+		byPlatform[t.Platform] = append(byPlatform[t.Platform], trace.Subsample(t, 2))
+	}
+	platforms := make([]string, 0, len(byPlatform))
+	for p := range byPlatform {
+		platforms = append(platforms, p)
+	}
+	sort.Strings(platforms)
+	for _, p := range platforms {
 		mm := cm.ByPlatform[p]
-		imp, err := models.FeatureImportance(mm, ts)
+		imp, err := models.FeatureImportance(mm, byPlatform[p])
 		if err != nil {
 			return err
 		}

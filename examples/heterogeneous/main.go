@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
 )
@@ -29,16 +28,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var train []*trace.Trace
-		for _, t := range ds.ByWorkload[workload] {
-			train = append(train, trace.Subsample(t, 2))
-		}
-		mm, err := models.FitMachineModel(models.TechQuadratic, train,
-			core.ClusterSpec(sel.Features), models.FitOptions{MaxKnots: 8})
+		cm, err := core.FitCluster(models.TechQuadratic, core.ClusterSpec(sel.Features),
+			ds.ByWorkload[workload], 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		machineModels = append(machineModels, mm)
+		machineModels = append(machineModels, cm.ByPlatform[platform])
 		fmt.Printf("trained %s machine model on %d features\n", platform, len(sel.Features))
 	}
 	cm, err := models.NewClusterModel(machineModels...)
@@ -56,12 +51,7 @@ func main() {
 	}
 	fmt.Printf("\nmixed cluster idle %.0f W\n", mixed.ClusterIdle)
 	for _, run := range trace.Runs(mixed.ByWorkload[workload]) {
-		ts := trace.ByRun(mixed.ByWorkload[workload])[run]
-		pred, actual, err := cm.PredictCluster(ts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sum, err := metrics.Evaluate(pred, actual, mixed.ClusterIdle)
+		sum, err := core.ScoreRun(cm, trace.ByRun(mixed.ByWorkload[workload])[run])
 		if err != nil {
 			log.Fatal(err)
 		}

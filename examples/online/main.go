@@ -9,9 +9,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/online"
 	"repro/internal/trace"
@@ -29,30 +29,17 @@ func main() {
 	spec := core.ClusterSpec(sel.Features)
 
 	// Train on Prime run 0.
-	var train []*trace.Trace
-	for _, t := range trace.ByRun(ds.ByWorkload["Prime"])[0] {
-		train = append(train, trace.Subsample(t, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, train, spec,
-		models.FitOptions{MaxKnots: 8})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cm, err := models.NewClusterModel(mm)
+	cm, err := core.FitCluster(models.TechQuadratic, spec, trace.ByRun(ds.ByWorkload["Prime"])[0], 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Baseline error on held-out Prime.
 	holdout := trace.ByRun(ds.ByWorkload["Prime"])[1]
-	pred, actual, err := cm.PredictCluster(holdout)
-	if err != nil {
-		log.Fatal(err)
-	}
-	baseline := rmse(pred, actual)
+	baseline := heldOutRMSE(cm, holdout)
 	fmt.Printf("model trained on Prime: held-out rMSE %.2f W\n", baseline)
 
-	predictor, err := online.NewPredictor(cm, train[0].Names)
+	predictor, err := online.NewPredictor(cm, holdout[0].Names)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	retrainer, err := online.NewRetrainer(train[0].Names, 4000)
+	retrainer, err := online.NewRetrainer(holdout[0].Names, 4000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,17 +106,19 @@ func main() {
 	}
 	monitor.Reset()
 	sort2 := trace.ByRun(ds.ByWorkload["Sort"])[1]
-	stale, actual2, _ := cm.PredictCluster(sort2)
-	fresh, _, _ := cm2.PredictCluster(sort2)
 	fmt.Printf("Sort run 1: stale model rMSE %.2f W, retrained rMSE %.2f W\n",
-		rmse(stale, actual2), rmse(fresh, actual2))
+		heldOutRMSE(cm, sort2), heldOutRMSE(cm2, sort2))
 }
 
-func rmse(pred, actual []float64) float64 {
-	var s float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		s += d * d
+// heldOutRMSE is the cluster model's rMSE on one run it was not trained on.
+func heldOutRMSE(cm *models.ClusterModel, run []*trace.Trace) float64 {
+	pred, actual, err := cm.PredictCluster(run)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return math.Sqrt(s / float64(len(pred)))
+	r, err := metrics.RMSE(pred, actual)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

@@ -26,12 +26,7 @@ func main() {
 	}
 	spec := core.ClusterSpec(sel.Features)
 
-	var train []*trace.Trace
-	for _, t := range trace.ByRun(ds.ByWorkload["Sort"])[0] {
-		train = append(train, trace.Subsample(t, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, train, spec,
-		models.FitOptions{MaxKnots: 8})
+	cm, err := core.FitCluster(models.TechQuadratic, spec, trace.ByRun(ds.ByWorkload["Sort"])[0], 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +43,7 @@ func main() {
 	// counters (Process(workerN)\...) play the role of the per-VM
 	// counters Joulemeter reads.
 	target := trace.ByRun(ds.ByWorkload["Sort"])[1][0]
-	pred, err := mm.PredictTrace(target)
+	pred, err := cm.ByPlatform[target.Platform].PredictTrace(target)
 	if err != nil {
 		log.Fatal(err)
 	}

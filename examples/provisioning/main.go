@@ -35,15 +35,13 @@ func main() {
 	// Fit the multi-workload model on run 0 of both workloads.
 	var train []*trace.Trace
 	for _, wl := range []string{"Sort", "PageRank"} {
-		for _, t := range trace.ByRun(ds.ByWorkload[wl])[0] {
-			train = append(train, trace.Subsample(t, 2))
-		}
+		train = append(train, trace.ByRun(ds.ByWorkload[wl])[0]...)
 	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, train,
-		core.ClusterSpec(sel.Features), models.FitOptions{MaxKnots: 8})
+	cm, err := core.FitCluster(models.TechQuadratic, core.ClusterSpec(sel.Features), train, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	mm := cm.ByPlatform[platform]
 
 	// Modeled per-machine peak: the 99.5th percentile of predictions plus
 	// a guard band from the model's held-out error.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Bootstrap trains per-platform Eq. 4 switching models from scratch —
@@ -38,16 +37,11 @@ func Bootstrap(platforms []string, seed int64) (*models.ClusterModel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("control: bootstrap %s: %w", p, err)
 		}
-		var train []*trace.Trace
-		for _, t := range traces {
-			train = append(train, trace.Subsample(t, 2))
-		}
-		mm, err := models.FitMachineModel(models.TechSwitching, train, spec,
-			models.FitOptions{FreqCol: spec.FreqInputIndex()})
+		cm, err := core.FitCluster(models.TechSwitching, spec, traces, 0)
 		if err != nil {
 			return nil, fmt.Errorf("control: bootstrap %s: %w", p, err)
 		}
-		mms = append(mms, mm)
+		mms = append(mms, cm.ByPlatform[p])
 	}
 	return models.NewClusterModel(mms...)
 }

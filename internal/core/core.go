@@ -117,12 +117,13 @@ type CVConfig struct {
 	Spec models.FeatureSpec
 }
 
-// How a fold fits its training run.
+// How a model is fitted on its training run.
 const (
 	// trainStep subsamples the training run's rows: with 1 training run
 	// vs 4 test runs it gives the paper's ~10x smaller training sets.
 	trainStep = 2
-	// maxTrainRows caps pooled training rows for fitting cost.
+	// maxTrainRows caps a cross-validation fold's pooled training rows
+	// per platform, for fitting cost.
 	maxTrainRows = 1000
 	// maxKnots bounds the MARS knot candidates per feature.
 	maxKnots = 8
@@ -162,7 +163,7 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 	byRun := trace.ByRun(traces)
 	res := &CVResult{Tech: cfg.Tech, SpecName: cfg.Spec.Label()}
 	for _, trainRun := range runs {
-		cm, err := fitFold(byRun[trainRun], cfg)
+		cm, err := FitCluster(cfg.Tech, cfg.Spec, byRun[trainRun], maxTrainRows)
 		if err != nil {
 			return nil, fmt.Errorf("core: fold (train run %d): %w", trainRun, err)
 		}
@@ -171,7 +172,11 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 			if testRun == trainRun {
 				continue
 			}
-			ms, cs, err := evaluateRun(cm, byRun[testRun])
+			ms, err := scoreMachines(cm, byRun[testRun])
+			var cs metrics.Summary
+			if err == nil {
+				cs, err = ScoreRun(cm, byRun[testRun])
+			}
 			if err != nil {
 				return nil, fmt.Errorf("core: fold (train %d, test %d): %w", trainRun, testRun, err)
 			}
@@ -197,18 +202,19 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 	return res, nil
 }
 
-// fitFold trains the cluster model for one fold from the training run's
-// traces: machines are pooled per platform, subsampled, and fitted.
-func fitFold(trainTraces []*trace.Trace, cfg CVConfig) (*models.ClusterModel, error) {
+// FitCluster trains a cluster model the paper's way: every training trace
+// is subsampled to every second row, each platform's pooled rows are
+// capped at maxRows (maxRows <= 0: no cap), one machine model is fitted
+// per platform, in sorted order, and the models compose per Eq. 5.
+func FitCluster(tech models.Technique, spec models.FeatureSpec, train []*trace.Trace, maxRows int) (*models.ClusterModel, error) {
 	byPlatform := map[string][]*trace.Trace{}
-	for _, t := range trainTraces {
+	for _, t := range train {
 		byPlatform[t.Platform] = append(byPlatform[t.Platform], trace.Subsample(t, trainStep))
 	}
-	opts := models.FitOptions{FreqCol: cfg.Spec.FreqInputIndex(), MaxKnots: maxKnots}
+	opts := models.FitOptions{FreqCol: spec.FreqInputIndex(), MaxKnots: maxKnots}
 	var mms []*models.MachineModel
 	for _, p := range sortedKeys(byPlatform) {
-		ts := trace.CapRows(byPlatform[p], maxTrainRows)
-		mm, err := models.FitMachineModel(cfg.Tech, ts, cfg.Spec, opts)
+		mm, err := models.FitMachineModel(tech, trace.CapRows(byPlatform[p], maxRows), spec, opts)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", p, err)
 		}
@@ -217,36 +223,38 @@ func fitFold(trainTraces []*trace.Trace, cfg CVConfig) (*models.ClusterModel, er
 	return models.NewClusterModel(mms...)
 }
 
-// evaluateRun scores the cluster model on one test run: per-machine
-// summaries plus the cluster-level summary.
-func evaluateRun(cm *models.ClusterModel, runTraces []*trace.Trace) ([]metrics.Summary, metrics.Summary, error) {
-	var machineSums []metrics.Summary
-	for _, t := range runTraces {
+// ScoreRun scores a cluster model on one run's aligned machine traces: the
+// summed prediction against the summed metered power, over the summed
+// idle power of the machines (DRE, Eq. 6).
+func ScoreRun(cm *models.ClusterModel, run []*trace.Trace) (metrics.Summary, error) {
+	pred, actual, err := cm.PredictCluster(run)
+	if err != nil {
+		return metrics.Summary{}, err
+	}
+	idle := 0.0
+	for _, t := range run {
+		idle += t.IdleWatts
+	}
+	return metrics.Evaluate(pred, actual, idle)
+}
+
+// scoreMachines scores each machine's own prediction in one test run.
+func scoreMachines(cm *models.ClusterModel, run []*trace.Trace) ([]metrics.Summary, error) {
+	var sums []metrics.Summary
+	for _, t := range run {
 		mm, ok := cm.ByPlatform[t.Platform]
 		if !ok {
-			return nil, metrics.Summary{}, fmt.Errorf("no model for platform %q", t.Platform)
+			return nil, fmt.Errorf("no model for platform %q", t.Platform)
 		}
 		pred, err := mm.PredictTrace(t)
 		if err != nil {
-			return nil, metrics.Summary{}, err
+			return nil, err
 		}
 		s, err := metrics.Evaluate(pred, t.Power, t.IdleWatts)
 		if err != nil {
-			return nil, metrics.Summary{}, err
+			return nil, err
 		}
-		machineSums = append(machineSums, s)
+		sums = append(sums, s)
 	}
-	pred, actual, err := cm.PredictCluster(runTraces)
-	if err != nil {
-		return nil, metrics.Summary{}, err
-	}
-	idle := 0.0
-	for _, t := range runTraces {
-		idle += t.IdleWatts
-	}
-	cs, err := metrics.Evaluate(pred, actual, idle)
-	if err != nil {
-		return nil, metrics.Summary{}, err
-	}
-	return machineSums, cs, nil
+	return sums, nil
 }

@@ -214,7 +214,7 @@ func TestPredictSeriesAndStrawman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	straw, err := StrawmanSeries(traces, 0, 1, 2)
+	straw, err := StrawmanSeries(traces, 0, 1)
 	if err != nil {
 		t.Fatalf("StrawmanSeries: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestPredictSeriesAndStrawman(t *testing.T) {
 	if _, err := PredictSeries(traces, CVConfig{Tech: models.TechLinear, Spec: spec}, 0, 99); err == nil {
 		t.Error("expected error for missing test run")
 	}
-	if _, err := StrawmanSeries(traces, 99, 0, 2); err == nil {
+	if _, err := StrawmanSeries(traces, 99, 0); err == nil {
 		t.Error("expected error for missing train run")
 	}
 }

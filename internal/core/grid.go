@@ -130,14 +130,15 @@ type Series struct {
 	Pred   []float64
 }
 
-// PredictSeries fits the configured model on the training run and returns
-// the cluster-level prediction series for the given test run.
+// PredictSeries fits the configured model on the training run, as a
+// cross-validation fold does, and returns the cluster-level prediction
+// series for the given test run.
 func PredictSeries(traces []*trace.Trace, cfg CVConfig, trainRun, testRun int) (*Series, error) {
 	byRun := trace.ByRun(traces)
 	if len(byRun[trainRun]) == 0 || len(byRun[testRun]) == 0 {
 		return nil, fmt.Errorf("core: missing traces for runs %d/%d", trainRun, testRun)
 	}
-	cm, err := fitFold(byRun[trainRun], cfg)
+	cm, err := FitCluster(cfg.Tech, cfg.Spec, byRun[trainRun], maxTrainRows)
 	if err != nil {
 		return nil, err
 	}
@@ -153,10 +154,7 @@ func PredictSeries(traces []*trace.Trace, cfg CVConfig, trainRun, testRun int) (
 // of the training run, scaled up by the machine count. It ignores machine
 // variability and nonlinearity, and cannot reach the top of the cluster
 // power range.
-func StrawmanSeries(traces []*trace.Trace, trainRun, testRun int, trainStep int) (*Series, error) {
-	if trainStep <= 0 {
-		trainStep = 2
-	}
+func StrawmanSeries(traces []*trace.Trace, trainRun, testRun int) (*Series, error) {
 	byRun := trace.ByRun(traces)
 	train := byRun[trainRun]
 	test := byRun[testRun]

@@ -42,16 +42,7 @@ func (s *Suite) AblationMachineCount(w io.Writer, platform, workload string) (ma
 			if k < len(train) {
 				train = train[:k]
 			}
-			var sub []*trace.Trace
-			for _, t := range train {
-				sub = append(sub, trace.Subsample(t, 2))
-			}
-			mm, err := models.FitMachineModel(models.TechQuadratic, sub, spec,
-				models.FitOptions{MaxKnots: 8})
-			if err != nil {
-				return nil, err
-			}
-			cm, err := models.NewClusterModel(mm)
+			cm, err := core.FitCluster(models.TechQuadratic, spec, train, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -59,15 +50,7 @@ func (s *Suite) AblationMachineCount(w io.Writer, platform, workload string) (ma
 				if testRun == trainRun {
 					continue
 				}
-				pred, actual, err := cm.PredictCluster(byRun[testRun])
-				if err != nil {
-					return nil, err
-				}
-				idle := 0.0
-				for _, t := range byRun[testRun] {
-					idle += t.IdleWatts
-				}
-				sum, err := metrics.Evaluate(pred, actual, idle)
+				sum, err := core.ScoreRun(cm, byRun[testRun])
 				if err != nil {
 					return nil, err
 				}
@@ -142,16 +125,7 @@ func (s *Suite) CalibrationTraining(w io.Writer, platform string) (*CalibrationR
 	if err != nil {
 		return nil, err
 	}
-	var train []*trace.Trace
-	for _, t := range calDS.ByWorkload["Calibration"] {
-		train = append(train, trace.Subsample(t, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, train, spec,
-		models.FitOptions{MaxKnots: 8})
-	if err != nil {
-		return nil, err
-	}
-	cm, err := models.NewClusterModel(mm)
+	cm, err := core.FitCluster(models.TechQuadratic, spec, calDS.ByWorkload["Calibration"], 0)
 	if err != nil {
 		return nil, err
 	}
@@ -163,16 +137,7 @@ func (s *Suite) CalibrationTraining(w io.Writer, platform string) (*CalibrationR
 		traces := ds.ByWorkload[wl]
 		var sums []metrics.Summary
 		for _, run := range trace.Runs(traces) {
-			rt := trace.ByRun(traces)[run]
-			pred, actual, err := cm.PredictCluster(rt)
-			if err != nil {
-				return nil, err
-			}
-			idle := 0.0
-			for _, t := range rt {
-				idle += t.IdleWatts
-			}
-			sum, err := metrics.Evaluate(pred, actual, idle)
+			sum, err := core.ScoreRun(cm, trace.ByRun(traces)[run])
 			if err != nil {
 				return nil, err
 			}

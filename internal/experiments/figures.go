@@ -189,12 +189,12 @@ func (s *Suite) FigureGrid(w io.Writer, figure, platform, workload string) ([]Fi
 
 // Figure3 is the PageRank grid on the Opteron cluster.
 func (s *Suite) Figure3(w io.Writer) ([]FigureGridRow, error) {
-	return s.FigureGrid(w, "Figure 3", s.pickPlatform("Opteron"), s.pickWorkload("PageRank"))
+	return s.FigureGrid(w, "Figure 3", s.PickPlatform("Opteron"), s.PickWorkload("PageRank"))
 }
 
 // Figure4 is the Prime grid on the Opteron cluster.
 func (s *Suite) Figure4(w io.Writer) ([]FigureGridRow, error) {
-	return s.FigureGrid(w, "Figure 4", s.pickPlatform("Opteron"), s.pickWorkload("Prime"))
+	return s.FigureGrid(w, "Figure 4", s.PickPlatform("Opteron"), s.PickWorkload("Prime"))
 }
 
 // PickPlatform returns preferred if configured, else the last configured
@@ -214,10 +214,6 @@ func (s *Suite) PickWorkload(preferred string) string {
 	}
 	return s.Cfg.Workloads[0]
 }
-
-func (s *Suite) pickPlatform(preferred string) string { return s.PickPlatform(preferred) }
-
-func (s *Suite) pickWorkload(preferred string) string { return s.PickWorkload(preferred) }
 
 // Figure5Result carries the worst-case trace comparison of paper Figure 5.
 type Figure5Result struct {
@@ -241,8 +237,8 @@ type Figure5Result struct {
 func (s *Suite) Figure5(w io.Writer) (*Figure5Result, error) {
 	// The paper's Fig. 5 is the desktop (Athlon) cluster; PageRank has
 	// the most power variation and is the natural worst case.
-	platform := s.pickPlatform("Athlon")
-	workload := s.pickWorkload("PageRank")
+	platform := s.PickPlatform("Athlon")
+	workload := s.PickWorkload("PageRank")
 	ds, err := s.Dataset(platform)
 	if err != nil {
 		return nil, err
@@ -272,7 +268,7 @@ func (s *Suite) Figure5(w io.Writer) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	straw, err := core.StrawmanSeries(traces, trainRun, testRun, 2)
+	straw, err := core.StrawmanSeries(traces, trainRun, testRun)
 	if err != nil {
 		return nil, err
 	}

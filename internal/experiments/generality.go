@@ -50,38 +50,17 @@ func (s *Suite) Generality(w io.Writer, platform string, unseen []string) (*Gene
 	for _, wl := range s.Cfg.Workloads {
 		byRun := trace.ByRun(ds.ByWorkload[wl])
 		runs := trace.Runs(ds.ByWorkload[wl])
-		for _, t := range byRun[runs[0]] {
-			train = append(train, trace.Subsample(t, 2))
-		}
+		train = append(train, byRun[runs[0]]...)
 	}
-	fit := func(ts []*trace.Trace) (*models.ClusterModel, error) {
-		mm, err := models.FitMachineModel(models.TechQuadratic, trace.CapRows(ts, 2400), spec,
-			models.FitOptions{MaxKnots: 8})
-		if err != nil {
-			return nil, err
-		}
-		return models.NewClusterModel(mm)
-	}
-	cm, err := fit(train)
+	cm, err := core.FitCluster(models.TechQuadratic, spec, train, multiWorkloadRows)
 	if err != nil {
 		return nil, err
-	}
-	evalRun := func(cm *models.ClusterModel, rt []*trace.Trace) (metrics.Summary, error) {
-		pred, actual, err := cm.PredictCluster(rt)
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		idle := 0.0
-		for _, t := range rt {
-			idle += t.IdleWatts
-		}
-		return metrics.Evaluate(pred, actual, idle)
 	}
 	// Held-out runs of the training mix.
 	for _, wl := range s.Cfg.Workloads {
 		byRun := trace.ByRun(ds.ByWorkload[wl])
 		for _, r := range trace.Runs(ds.ByWorkload[wl])[1:] {
-			sum, err := evalRun(cm, byRun[r])
+			sum, err := core.ScoreRun(cm, byRun[r])
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +84,7 @@ func (s *Suite) Generality(w io.Writer, platform string, unseen []string) (*Gene
 		runs := trace.Runs(uds.ByWorkload[wl])
 		var sums []metrics.Summary
 		for _, r := range runs {
-			sum, err := evalRun(cm, byRun[r])
+			sum, err := core.ScoreRun(cm, byRun[r])
 			if err != nil {
 				return nil, err
 			}
@@ -114,15 +93,12 @@ func (s *Suite) Generality(w io.Writer, platform string, unseen []string) (*Gene
 		res.Unseen[wl] = metrics.Average(sums).DRE
 
 		// Remedy: retrain with one run of the unseen workload included.
-		aug := append([]*trace.Trace(nil), train...)
-		for _, t := range byRun[runs[0]] {
-			aug = append(aug, trace.Subsample(t, 2))
-		}
-		cm2, err := fit(aug)
+		aug := append(append([]*trace.Trace(nil), train...), byRun[runs[0]]...)
+		cm2, err := core.FitCluster(models.TechQuadratic, spec, aug, multiWorkloadRows)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := evalRun(cm2, byRun[runs[len(runs)-1]])
+		sum, err := core.ScoreRun(cm2, byRun[runs[len(runs)-1]])
 		if err != nil {
 			return nil, err
 		}

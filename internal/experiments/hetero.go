@@ -27,14 +27,15 @@ type HeterogeneousResult struct {
 // scaled workloads. The paper reports the same worst-case 12% DRE as the
 // homogeneous clusters.
 func (s *Suite) Heterogeneous(w io.Writer) (*HeterogeneousResult, error) {
-	pa, pb := s.pickPlatform("Core2"), s.pickPlatform("Opteron")
+	pa, pb := s.PickPlatform("Core2"), s.PickPlatform("Opteron")
 	if pa == pb && len(s.Cfg.Platforms) > 1 {
 		pa, pb = s.Cfg.Platforms[0], s.Cfg.Platforms[1]
 	}
-	workload := s.pickWorkload("Sort")
+	workload := s.PickWorkload("Sort")
 
 	// Train one machine model per platform on its homogeneous dataset
-	// (first run, subsampled — the same budget a CV fold gets).
+	// (first run — the same budget a CV fold gets). The platforms select
+	// different features, so each is fitted on its own.
 	var mms []*models.MachineModel
 	for _, p := range []string{pa, pb} {
 		ds, err := s.Dataset(p)
@@ -45,19 +46,13 @@ func (s *Suite) Heterogeneous(w io.Writer) (*HeterogeneousResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		byRun := trace.ByRun(ds.ByWorkload[workload])
 		runs := trace.Runs(ds.ByWorkload[workload])
-		var train []*trace.Trace
-		for _, t := range byRun[runs[0]] {
-			train = append(train, trace.Subsample(t, 2))
-		}
-		spec := core.ClusterSpec(fr.Features)
-		mm, err := models.FitMachineModel(models.TechQuadratic, train, spec,
-			models.FitOptions{MaxKnots: 8})
+		train := trace.ByRun(ds.ByWorkload[workload])[runs[0]]
+		cm, err := core.FitCluster(models.TechQuadratic, core.ClusterSpec(fr.Features), train, 0)
 		if err != nil {
 			return nil, err
 		}
-		mms = append(mms, mm)
+		mms = append(mms, cm.ByPlatform[p])
 	}
 	cm, err := models.NewClusterModel(mms...)
 	if err != nil {
@@ -79,11 +74,7 @@ func (s *Suite) Heterogeneous(w io.Writer) (*HeterogeneousResult, error) {
 	res := &HeterogeneousResult{Platforms: mixed, Workload: workload, ClusterIdle: hds.ClusterIdle}
 	byRun := trace.ByRun(hds.ByWorkload[workload])
 	for _, run := range trace.Runs(hds.ByWorkload[workload]) {
-		pred, actual, err := cm.PredictCluster(byRun[run])
-		if err != nil {
-			return nil, err
-		}
-		sum, err := metrics.Evaluate(pred, actual, hds.ClusterIdle)
+		sum, err := core.ScoreRun(cm, byRun[run])
 		if err != nil {
 			return nil, err
 		}
@@ -153,12 +144,7 @@ func (s *Suite) AblationPooling(w io.Writer, platform, workload string) (pooledD
 				one = t
 			}
 		}
-		mm, err := models.FitMachineModel(models.TechQuadratic,
-			[]*trace.Trace{trace.Subsample(one, 2)}, spec, models.FitOptions{MaxKnots: 8})
-		if err != nil {
-			return 0, 0, err
-		}
-		cm, err := models.NewClusterModel(mm)
+		cm, err := core.FitCluster(models.TechQuadratic, spec, []*trace.Trace{one}, 0)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -166,15 +152,7 @@ func (s *Suite) AblationPooling(w io.Writer, platform, workload string) (pooledD
 			if testRun == trainRun {
 				continue
 			}
-			pred, actual, err := cm.PredictCluster(byRun[testRun])
-			if err != nil {
-				return 0, 0, err
-			}
-			idle := 0.0
-			for _, t := range byRun[testRun] {
-				idle += t.IdleWatts
-			}
-			sum, err := metrics.Evaluate(pred, actual, idle)
+			sum, err := core.ScoreRun(cm, byRun[testRun])
 			if err != nil {
 				return 0, 0, err
 			}

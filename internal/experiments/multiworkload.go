@@ -10,6 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
+// multiWorkloadRows caps the pooled training rows of the models fitted on
+// several workloads at once (MultiWorkload, Generality), for fitting cost.
+const multiWorkloadRows = 2400
+
 // MultiWorkloadResult reports the paper's central premise (Fig. 1): a
 // single cluster power model that stays accurate across all workloads at
 // once.
@@ -41,28 +45,20 @@ func (s *Suite) MultiWorkload(w io.Writer, platform string) (*MultiWorkloadResul
 	}
 	spec := core.ClusterSpec(fr.Features)
 
-	// Training set: run 0 of every workload, subsampled; test: all other
-	// runs of every workload.
+	// Training set: run 0 of every workload; test: all other runs of
+	// every workload.
 	var train []*trace.Trace
-	testByWorkload := map[string]map[int][]*trace.Trace{}
+	testByWorkload := map[string][][]*trace.Trace{}
 	for _, wl := range s.Cfg.Workloads {
 		traces := ds.ByWorkload[wl]
 		byRun := trace.ByRun(traces)
 		runs := trace.Runs(traces)
-		for _, t := range byRun[runs[0]] {
-			train = append(train, trace.Subsample(t, 2))
-		}
-		testByWorkload[wl] = map[int][]*trace.Trace{}
+		train = append(train, byRun[runs[0]]...)
 		for _, r := range runs[1:] {
-			testByWorkload[wl][r] = byRun[r]
+			testByWorkload[wl] = append(testByWorkload[wl], byRun[r])
 		}
 	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, trace.CapRows(train, 2400), spec,
-		models.FitOptions{MaxKnots: 8})
-	if err != nil {
-		return nil, err
-	}
-	cm, err := models.NewClusterModel(mm)
+	cm, err := core.FitCluster(models.TechQuadratic, spec, train, multiWorkloadRows)
 	if err != nil {
 		return nil, err
 	}
@@ -74,15 +70,7 @@ func (s *Suite) MultiWorkload(w io.Writer, platform string) (*MultiWorkloadResul
 	for _, wl := range s.Cfg.Workloads {
 		var sums []metrics.Summary
 		for _, rt := range testByWorkload[wl] {
-			pred, actual, err := cm.PredictCluster(rt)
-			if err != nil {
-				return nil, err
-			}
-			idle := 0.0
-			for _, t := range rt {
-				idle += t.IdleWatts
-			}
-			sum, err := metrics.Evaluate(pred, actual, idle)
+			sum, err := core.ScoreRun(cm, rt)
 			if err != nil {
 				return nil, err
 			}

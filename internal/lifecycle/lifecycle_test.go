@@ -538,6 +538,31 @@ func TestLifecycleManualTriggerTooLittleData(t *testing.T) {
 	}
 }
 
+// TestLifecycleRetrainLeavesEstimatesCounter: chaos_estimates_total counts
+// cluster estimates. A retrain and its verdict replay the held-out window
+// through the champion and the challenger; that replay answers no request,
+// so the counter must not move while it runs.
+func TestLifecycleRetrainLeavesEstimatesCounter(t *testing.T) {
+	st := newStack(t, Config{}, serve.Config{Shards: 1})
+	truth := func(a, b float64) float64 { return 10 + a + 2*b }
+	for i := 0; i < 60; i++ {
+		feedOne(t, st, i, truth)
+	}
+	estimates := obs.Default().Counter("chaos_estimates_total", nil)
+	before := estimates.Value()
+	if err := st.orch.TriggerRetrain("test"); err != nil {
+		t.Fatal(err)
+	}
+	s := waitVerdict(t, st)
+	if s.Retrains != 1 {
+		t.Fatalf("retrains = %d, want 1; status %+v", s.Retrains, s)
+	}
+	if got := estimates.Value(); got != before {
+		t.Errorf("chaos_estimates_total moved by %g over a retrain and %s verdict, want 0",
+			got-before, s.LastVerdict)
+	}
+}
+
 // TestLifecycleScoreWindow pins the scoring math: RMSE and DRE over a
 // hand-computed window, the constant-load RMSE fallback, and the empty
 // window.

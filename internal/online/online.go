@@ -25,6 +25,9 @@ import (
 var (
 	predictLatency = obs.Default().Histogram("chaos_predict_seconds", nil, obs.ExpBuckets(1e-7, 4, 14))
 	estimateGauge  = obs.Default().Gauge("chaos_cluster_watts_estimate", nil)
+	// estimatesTotal counts cluster estimates, one per Step, not samples:
+	// PredictBatch also replays held-out windows for lifecycle scoring,
+	// and serving counts its samples in chaos_serve_samples_total.
 	estimatesTotal = obs.Default().Counter("chaos_estimates_total", nil)
 	residualHist   = obs.Default().Histogram("chaos_residual_watts", nil, obs.LinearBuckets(0, 2, 25))
 	residualEWMA   = obs.Default().Gauge("chaos_residual_ewma_baseline_units", nil)
@@ -205,7 +208,6 @@ func (p *Predictor) PredictBatch(samples []Sample) []BatchItem {
 			continue
 		}
 		out[i].Watts = w
-		estimatesTotal.Inc()
 	}
 	return out
 }
