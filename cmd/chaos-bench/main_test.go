@@ -53,3 +53,39 @@ func TestCheckRejectsUnknownSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedBenchDocsPass runs -check on every committed BENCH_*.json
+// at the repository root, so a document that no longer passes its own
+// schema's checks cannot land. A copy whose repro_verified flag is
+// cleared must fail, which shows each document is really validated.
+func TestCommittedBenchDocsPass(t *testing.T) {
+	for _, mode := range []string{"cluster", "control", "overload"} {
+		path := filepath.Join("..", "..", "BENCH_"+mode+".json")
+		var stdout, stderr bytes.Buffer
+		if code := realMain([]string{"-check", path}, &stdout, &stderr); code != 0 {
+			t.Errorf("%s: -check exit %d: %s", path, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), ": ok") {
+			t.Errorf("%s: -check printed %q, want an ok line", path, stdout.String())
+		}
+
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const verified = `"repro_verified": true`
+		if strings.Count(string(data), verified) != 1 {
+			t.Fatalf("%s: want exactly one %s", path, verified)
+		}
+		bad := filepath.Join(t.TempDir(), "BENCH_"+mode+".json")
+		corrupted := strings.Replace(string(data), verified, `"repro_verified": false`, 1)
+		if err := os.WriteFile(bad, []byte(corrupted), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout.Reset()
+		stderr.Reset()
+		if code := realMain([]string{"-check", bad}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s with repro_verified cleared: -check exit %d, want 1", mode, code)
+		}
+	}
+}

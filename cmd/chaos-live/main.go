@@ -237,7 +237,10 @@ func run(w io.Writer, cfg config) error {
 	clock := faults.NewClock()
 	var drifted bool
 	var driftCount, retrainCount, skippedSeconds int
+	// The minute's sums: metered power over every second, estimates and
+	// their errors over the minuteEstimated seconds that had one.
 	var minuteErr, minuteActual, minuteEst float64
+	var minuteEstimated int
 	minuteCoverage := 1.0
 	perMachineMinute := map[string]float64{}
 	for i := 0; i < n; i++ {
@@ -267,7 +270,7 @@ func run(w io.Writer, cfg config) error {
 		}
 		meterOK := inj == nil || inj.MeterAvailable(t)
 
-		var estWatts float64
+		estWatts, estimated := 0.0, true
 		fullCoverage := len(samples) == len(seq)
 		if degraded != nil {
 			dest, err := degraded.Step(t, samples)
@@ -285,46 +288,53 @@ func run(w io.Writer, cfg config) error {
 			if err := emitHealthTransitions(em, t, ids, prevHealth, dest.Health); err != nil {
 				return err
 			}
-		} else {
-			if len(samples) == 0 {
-				// Every collector failed this second; without degraded
-				// mode there is nothing to hold an estimate with.
-				skippedSeconds++
-				continue
-			}
-			est, err := predictor.Step(samples)
-			if err != nil {
-				if inj != nil {
-					// All surviving samples were corrupt — an injected
-					// data fault, not a program error.
-					skippedSeconds++
-					continue
-				}
-				return err
-			}
+		} else if len(samples) == 0 {
+			// Every collector failed this second; without degraded mode
+			// there is nothing to hold an estimate with.
+			estimated = false
+		} else if est, err := predictor.Step(samples); err == nil {
 			estWatts = est.ClusterWatts
+		} else if inj != nil {
+			// All surviving samples were corrupt — an injected data
+			// fault, not a program error.
+			estimated = false
+		} else {
+			return err
 		}
 
-		// Labels and residuals only exist while the meter is attached.
-		if meterOK {
-			for k := range samples {
-				if err := retrainer.Add(samples[k], meterWatts[k]); err != nil {
-					return err
+		minuteActual += clusterActual
+		if estimated {
+			// Labels and residuals only exist while the meter is attached.
+			if meterOK {
+				for k := range samples {
+					if err := retrainer.Add(samples[k], meterWatts[k]); err != nil {
+						return err
+					}
 				}
 			}
+			minuteErr += math.Abs(estWatts - clusterActual)
+			minuteEst += estWatts
+			minuteEstimated++
+		} else {
+			skippedSeconds++
 		}
-		minuteErr += math.Abs(estWatts - clusterActual)
-		minuteActual += clusterActual
-		minuteEst += estWatts
 		if i%60 == 59 {
+			// A minute in which no second had an estimate has no error to
+			// report: the text says so and the event leaves the field out.
+			errText := "mean abs err   n/a"
+			fields := map[string]any{
+				"t_s": i + 1, "cluster_w": round2(minuteActual / 60),
+				"residual_x": round2(monitor.EWMA()),
+			}
+			if minuteEstimated > 0 {
+				meanErr := minuteErr / float64(minuteEstimated)
+				errText = fmt.Sprintf("mean abs err %5.2f W", meanErr)
+				fields["mean_abs_err_w"] = round2(meanErr)
+			}
 			if err := em.event("estimate",
-				fmt.Sprintf("t=%4ds  cluster %6.1f W  mean abs err %5.2f W  residual %.1fx baseline",
-					i+1, minuteActual/60, minuteErr/60, monitor.EWMA()),
-				map[string]any{
-					"t_s": i + 1, "cluster_w": round2(minuteActual / 60),
-					"mean_abs_err_w": round2(minuteErr / 60),
-					"residual_x":     round2(monitor.EWMA()),
-				}); err != nil {
+				fmt.Sprintf("t=%4ds  cluster %6.1f W  %s  residual %.1fx baseline",
+					i+1, minuteActual/60, errText, monitor.EWMA()),
+				fields); err != nil {
 				return err
 			}
 			if degraded != nil {
@@ -343,13 +353,13 @@ func run(w io.Writer, cfg config) error {
 				minuteCoverage = 1
 				perMachineMinute = map[string]float64{}
 			}
-			minuteErr, minuteActual, minuteEst = 0, 0, 0
+			minuteErr, minuteActual, minuteEst, minuteEstimated = 0, 0, 0, 0
 		}
 		// Residual monitoring is only meaningful when the meter is
 		// attached and every machine contributed a fresh sample —
 		// comparing a partial estimate against full metered power would
 		// raise false drift alarms during outages.
-		if meterOK && fullCoverage && monitor.Observe(estWatts, clusterActual) && !drifted {
+		if estimated && meterOK && fullCoverage && monitor.Observe(estWatts, clusterActual) && !drifted {
 			drifted = true
 			driftCount++
 			if err := em.event("drift",

@@ -383,3 +383,82 @@ func checkSeries(t *testing.T, scrape string) {
 		}
 	}
 }
+
+// TestPlainLoopKeepsEveryMinute crashes both machines of a plain (not
+// -degraded) run twice: over [50, 130), so the minute ending at 120 has no
+// estimate at all, and over [830, 850), across the retrain slot at 839
+// that the drift at the Prime -> Sort switch schedules. Every minute must
+// still emit exactly one estimate event, its metered cluster power must be
+// that minute's alone (the -degraded run, which never skips a second,
+// reads the same), a minute without estimates must carry no error figure
+// rather than a NaN, and the retrain must run at its slot.
+func TestPlainLoopKeepsEveryMinute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full live loops in -short mode")
+	}
+	scen := &faults.Scenario{Name: "blackouts"}
+	for _, m := range []string{"Core2-0", "Core2-1"} {
+		scen.Crashes = append(scen.Crashes,
+			faults.Crash{Machine: m, AtS: 50, DowntimeS: 80},
+			faults.Crash{Machine: m, AtS: 830, DowntimeS: 20})
+	}
+	cfg := config{Platform: "Core2", Machines: 2, Train: "Prime",
+		Stream: []string{"Prime", "Sort"}, Seed: 7, scenario: scen}
+	plain := runJSON(t, cfg)
+	cfg.Degraded = true
+	degraded := runJSON(t, cfg)
+
+	clusterW := func(evs []map[string]any) map[float64][]float64 {
+		out := map[float64][]float64{}
+		for _, ev := range evs {
+			if ev["event"] == "estimate" {
+				tS, _ := ev["t_s"].(float64)
+				w, _ := ev["cluster_w"].(float64)
+				out[tS] = append(out[tS], w)
+			}
+		}
+		return out
+	}
+	got, want := clusterW(plain), clusterW(degraded)
+	var seconds float64
+	for _, ev := range plain {
+		if ev["event"] == "stream_start" {
+			seconds, _ = ev["seconds"].(float64)
+		}
+	}
+	minutes := int(seconds) / 60
+	if minutes < 14 || len(got) != minutes || len(want) != minutes {
+		t.Fatalf("%v s streamed: %d plain and %d degraded estimate minutes, want %d each",
+			seconds, len(got), len(want), minutes)
+	}
+	for m := 1; m <= minutes; m++ {
+		tS := float64(60 * m)
+		if len(got[tS]) != 1 || len(want[tS]) != 1 {
+			t.Fatalf("t=%v s: %d plain and %d degraded estimate events, want 1 each", tS, len(got[tS]), len(want[tS]))
+		}
+		if got[tS][0] != want[tS][0] {
+			t.Errorf("t=%v s: plain cluster %v W, want the degraded run's %v W", tS, got[tS][0], want[tS][0])
+		}
+	}
+
+	var retrainAt []float64
+	for _, ev := range plain {
+		switch ev["event"] {
+		case "estimate":
+			tS, _ := ev["t_s"].(float64)
+			meanErr, ok := ev["mean_abs_err_w"].(float64)
+			if tS == 120 && ok {
+				t.Errorf("the minute with no estimate reports a mean abs err of %v W", meanErr)
+			}
+			if tS != 120 && (!ok || meanErr <= 0) {
+				t.Errorf("t=%v s: mean abs err %v, want a positive figure", tS, ev["mean_abs_err_w"])
+			}
+		case "retrain":
+			tS, _ := ev["t_s"].(float64)
+			retrainAt = append(retrainAt, tS)
+		}
+	}
+	if len(retrainAt) == 0 || retrainAt[0] != 839 {
+		t.Errorf("retrains at %v s, want the first at 839 s, inside the second blackout", retrainAt)
+	}
+}

@@ -172,11 +172,7 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 			if testRun == trainRun {
 				continue
 			}
-			ms, err := scoreMachines(cm, byRun[testRun])
-			var cs metrics.Summary
-			if err == nil {
-				cs, err = ScoreRun(cm, byRun[testRun])
-			}
+			ms, cs, err := scoreFold(cm, byRun[testRun])
 			if err != nil {
 				return nil, fmt.Errorf("core: fold (train %d, test %d): %w", trainRun, testRun, err)
 			}
@@ -238,23 +234,42 @@ func ScoreRun(cm *models.ClusterModel, run []*trace.Trace) (metrics.Summary, err
 	return metrics.Evaluate(pred, actual, idle)
 }
 
-// scoreMachines scores each machine's own prediction in one test run.
-func scoreMachines(cm *models.ClusterModel, run []*trace.Trace) ([]metrics.Summary, error) {
+// scoreFold scores a cluster model on one test run, predicting each trace
+// once: each machine's own summary, and ScoreRun's cluster summary. The
+// machine predictions, metered power and idle power are summed in trace
+// order from zero, as PredictCluster and ScoreRun sum them, so the
+// cluster summary is ScoreRun's bit for bit.
+func scoreFold(cm *models.ClusterModel, run []*trace.Trace) ([]metrics.Summary, metrics.Summary, error) {
+	if len(run) == 0 {
+		return nil, metrics.Summary{}, fmt.Errorf("no traces to predict")
+	}
+	n := run[0].Len()
+	pred, actual := make([]float64, n), make([]float64, n)
+	idle := 0.0
 	var sums []metrics.Summary
 	for _, t := range run {
+		if t.Len() != n {
+			return nil, metrics.Summary{}, fmt.Errorf("trace lengths differ (%d vs %d); cluster traces must be aligned", t.Len(), n)
+		}
 		mm, ok := cm.ByPlatform[t.Platform]
 		if !ok {
-			return nil, fmt.Errorf("no model for platform %q", t.Platform)
+			return nil, metrics.Summary{}, fmt.Errorf("no model for platform %q", t.Platform)
 		}
-		pred, err := mm.PredictTrace(t)
+		p, err := mm.PredictTrace(t)
 		if err != nil {
-			return nil, err
+			return nil, metrics.Summary{}, err
 		}
-		s, err := metrics.Evaluate(pred, t.Power, t.IdleWatts)
+		s, err := metrics.Evaluate(p, t.Power, t.IdleWatts)
 		if err != nil {
-			return nil, err
+			return nil, metrics.Summary{}, err
 		}
 		sums = append(sums, s)
+		for i := range pred {
+			pred[i] += p[i]
+			actual[i] += t.Power[i]
+		}
+		idle += t.IdleWatts
 	}
-	return sums, nil
+	cs, err := metrics.Evaluate(pred, actual, idle)
+	return sums, cs, err
 }

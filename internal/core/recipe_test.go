@@ -96,3 +96,54 @@ func TestFitClusterMatchesHandRecipe(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreFoldMatchesScoreRun: cross-validation's one-pass scoring gives
+// ScoreRun's cluster summary and each machine's own summary bit for bit,
+// on a two-platform cluster, and refuses a run whose traces are not
+// aligned, as PredictCluster does.
+func TestScoreFoldMatchesScoreRun(t *testing.T) {
+	ds, err := CollectHeterogeneous("Mix", []string{"Core2", "Opteron", "Core2", "Opteron"},
+		[]string{"Sort"}, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRun := trace.ByRun(ds.ByWorkload["Sort"])
+	train, test := byRun[0], byRun[1]
+	spec := ClusterSpec([]string{counters.CPUTotal, counters.CPUFreqCore0, counters.DiskBytes})
+	cm, err := FitCluster(models.TechQuadratic, spec, train, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines, cluster, err := scoreFold(cm, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ScoreRun(cm, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cluster != want {
+		t.Errorf("cluster summary %+v, want ScoreRun's %+v", cluster, want)
+	}
+	if len(machines) != len(test) {
+		t.Fatalf("%d machine summaries for %d traces", len(machines), len(test))
+	}
+	for i, tr := range test {
+		pred, err := cm.ByPlatform[tr.Platform].PredictTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := metrics.Evaluate(pred, tr.Power, tr.IdleWatts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if machines[i] != want {
+			t.Errorf("machine %s summary %+v, want %+v", tr.MachineID, machines[i], want)
+		}
+	}
+
+	ragged := append([]*trace.Trace{trace.Subsample(test[0], 2)}, test[1:]...)
+	if _, _, err := scoreFold(cm, ragged); err == nil {
+		t.Error("scoreFold accepted traces of different lengths")
+	}
+}

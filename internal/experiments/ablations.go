@@ -29,38 +29,47 @@ func (s *Suite) AblationMachineCount(w io.Writer, platform, workload string) (ma
 	}
 	traces := ds.ByWorkload[workload]
 	spec := core.ClusterSpec(fr.Features)
-	runs := trace.Runs(traces)
-	byRun := trace.ByRun(traces)
 
 	out := map[int]float64{}
 	section(w, fmt.Sprintf("Ablation: machines sampled vs error bound (%s, %s)", platform, workload))
 	for k := 1; k <= s.Cfg.Machines; k++ {
-		var sums []metrics.Summary
-		for _, trainRun := range runs {
-			train := append([]*trace.Trace(nil), byRun[trainRun]...)
-			sort.Slice(train, func(a, b int) bool { return train[a].MachineID < train[b].MachineID })
-			if k < len(train) {
-				train = train[:k]
-			}
-			cm, err := core.FitCluster(models.TechQuadratic, spec, train, 0)
-			if err != nil {
-				return nil, err
-			}
-			for _, testRun := range runs {
-				if testRun == trainRun {
-					continue
-				}
-				sum, err := core.ScoreRun(cm, byRun[testRun])
-				if err != nil {
-					return nil, err
-				}
-				sums = append(sums, sum)
-			}
+		if out[k], err = sampledDRE(spec, traces, k); err != nil {
+			return nil, err
 		}
-		out[k] = metrics.Average(sums).DRE
 		fmt.Fprintf(w, "%d machine(s) sampled -> cluster DRE %5.1f%%\n", k, out[k]*100)
 	}
 	return out, nil
+}
+
+// sampledDRE is the cluster DRE of quadratic models each fitted on only
+// the k lowest-ID machines of one run and scored on every other run,
+// averaged over all (training run, test run) pairs.
+func sampledDRE(spec models.FeatureSpec, traces []*trace.Trace, k int) (float64, error) {
+	runs := trace.Runs(traces)
+	byRun := trace.ByRun(traces)
+	var sums []metrics.Summary
+	for _, trainRun := range runs {
+		train := append([]*trace.Trace(nil), byRun[trainRun]...)
+		sort.Slice(train, func(a, b int) bool { return train[a].MachineID < train[b].MachineID })
+		if k < len(train) {
+			train = train[:k]
+		}
+		cm, err := core.FitCluster(models.TechQuadratic, spec, train, 0)
+		if err != nil {
+			return 0, err
+		}
+		for _, testRun := range runs {
+			if testRun == trainRun {
+				continue
+			}
+			sum, err := core.ScoreRun(cm, byRun[testRun])
+			if err != nil {
+				return 0, err
+			}
+			sums = append(sums, sum)
+		}
+	}
+	return metrics.Average(sums).DRE, nil
 }
 
 // AblationLagWindow sweeps the frequency-history window (0 = none,

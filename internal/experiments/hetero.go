@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/featsel"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
 )
@@ -132,34 +131,10 @@ func (s *Suite) AblationPooling(w io.Writer, platform, workload string) (pooledD
 	}
 	pooledDRE = cv.Cluster.DRE
 
-	// Single-machine variant: train on machine 0's data only.
-	runs := trace.Runs(traces)
-	byRun := trace.ByRun(traces)
-	var sums []metrics.Summary
-	for _, trainRun := range runs {
-		train := byRun[trainRun]
-		var one *trace.Trace
-		for _, t := range train {
-			if one == nil || t.MachineID < one.MachineID {
-				one = t
-			}
-		}
-		cm, err := core.FitCluster(models.TechQuadratic, spec, []*trace.Trace{one}, 0)
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, testRun := range runs {
-			if testRun == trainRun {
-				continue
-			}
-			sum, err := core.ScoreRun(cm, byRun[testRun])
-			if err != nil {
-				return 0, 0, err
-			}
-			sums = append(sums, sum)
-		}
+	// Single-machine variant: train on the lowest-ID machine's data only.
+	if singleDRE, err = sampledDRE(spec, traces, 1); err != nil {
+		return 0, 0, err
 	}
-	singleDRE = metrics.Average(sums).DRE
 
 	section(w, fmt.Sprintf("Ablation: pooled vs single-machine fitting (%s, %s)", platform, workload))
 	fmt.Fprintf(w, "pooled (paper)  DRE %.1f%%\nsingle machine  DRE %.1f%%\n",

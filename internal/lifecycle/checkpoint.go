@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/mathx"
 	"repro/internal/online"
 )
 
@@ -62,7 +63,7 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 	doc := checkpointDoc{
 		State:        o.state.String(),
 		Names:        append([]string(nil), o.cfg.Names...),
-		HeldOut:      o.windowLocked(),
+		HeldOut:      o.heldout.AppendTo(nil),
 		SinceRetrain: o.sinceRetrain,
 
 		Challenger: o.challenger,
@@ -91,17 +92,6 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 	}
 	o.mu.Unlock()
 	return json.Marshal(doc)
-}
-
-// windowLocked is window() with o.mu already held.
-func (o *Orchestrator) windowLocked() []Snapshot {
-	if !o.heldFull {
-		return append([]Snapshot(nil), o.heldout[:o.heldNext]...)
-	}
-	out := make([]Snapshot, 0, len(o.heldout))
-	out = append(out, o.heldout[o.heldNext:]...)
-	out = append(out, o.heldout[:o.heldNext]...)
-	return out
 }
 
 // RestoreCheckpoint loads a checkpoint produced by MarshalCheckpoint.
@@ -133,20 +123,11 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("lifecycle: orchestrator closed")
 	}
 
-	// Refill the held-out ring oldest-first, capped to the configured
-	// window (a checkpoint from a larger HeldOut keeps the newest).
-	o.heldNext, o.heldFull = 0, false
-	held := doc.HeldOut
-	if len(held) > len(o.heldout) {
-		held = held[len(held)-len(o.heldout):]
-	}
-	for _, s := range held {
-		o.heldout[o.heldNext] = s
-		o.heldNext++
-		if o.heldNext == len(o.heldout) {
-			o.heldNext = 0
-			o.heldFull = true
-		}
+	// Refill the held-out window oldest-first; a checkpoint from a larger
+	// HeldOut keeps its newest snapshots.
+	o.heldout = mathx.NewRing[Snapshot](o.cfg.HeldOut)
+	for _, s := range doc.HeldOut {
+		o.heldout.Push(s)
 	}
 	o.sinceRetrain = doc.SinceRetrain
 

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/online"
@@ -165,11 +166,9 @@ type Orchestrator struct {
 	mu    sync.Mutex
 	eng   Engine
 	state state
-	// heldout is a ring of recent labeled snapshots (chronological
-	// extraction via window()).
-	heldout  []Snapshot
-	heldNext int
-	heldFull bool
+	// heldout holds the recent labeled snapshots; window() lists them
+	// oldest first.
+	heldout *mathx.Ring[Snapshot]
 
 	sinceRetrain int
 	lastRetrain  time.Time // zero until the first retrain runs
@@ -226,7 +225,7 @@ func New(reg *registry.Registry, cfg Config) (*Orchestrator, error) {
 		reg:     reg,
 		cfg:     cfg,
 		rt:      rt,
-		heldout: make([]Snapshot, cfg.HeldOut),
+		heldout: mathx.NewRing[Snapshot](cfg.HeldOut),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -323,12 +322,7 @@ func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estima
 		return
 	}
 	o.mu.Lock()
-	o.heldout[o.heldNext] = Snapshot{Samples: cp, Actual: actual}
-	o.heldNext++
-	if o.heldNext == len(o.heldout) {
-		o.heldNext = 0
-		o.heldFull = true
-	}
+	o.heldout.Push(Snapshot{Samples: cp, Actual: actual})
 	o.sinceRetrain++
 	if o.state == stateShadowing {
 		o.liveN++
@@ -391,10 +385,6 @@ type Status struct {
 func (o *Orchestrator) Status() Status {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	held := o.heldNext
-	if o.heldFull {
-		held = len(o.heldout)
-	}
 	return Status{
 		State:                 o.state.String(),
 		Champion:              o.reg.ActiveVersion(),
@@ -403,7 +393,7 @@ func (o *Orchestrator) Status() Status {
 		Promotions:            o.promotions,
 		Rollbacks:             o.rollbacks,
 		SnapshotsSinceRetrain: o.sinceRetrain,
-		HeldOutSnapshots:      held,
+		HeldOutSnapshots:      o.heldout.Len(),
 		LiveShadowSnapshots:   o.liveN,
 		ProbationSnapshots:    o.probation.n,
 		LastTrigger:           o.lastTrigger,
@@ -475,11 +465,7 @@ func (o *Orchestrator) triggerLocked() (string, bool) {
 		o.manual = o.manual[1:]
 		return r, true
 	}
-	held := o.heldNext
-	if o.heldFull {
-		held = len(o.heldout)
-	}
-	if held < o.cfg.MinTrainSnapshots {
+	if o.heldout.Len() < o.cfg.MinTrainSnapshots {
 		return "", false
 	}
 	// The cooldown spaces retrains apart; before the first one there is
@@ -571,7 +557,7 @@ func (o *Orchestrator) verdict() {
 	o.mu.Lock()
 	version, champion := o.challenger, o.champion
 	hc, hl, liveN := o.heldChamp, o.heldChall, o.liveN
-	win := o.windowLocked()
+	win := o.heldout.AppendTo(nil)
 	o.mu.Unlock()
 	if liveN < len(win) {
 		win = win[len(win)-liveN:]
@@ -705,7 +691,7 @@ func (o *Orchestrator) checkProbation() {
 func (o *Orchestrator) window() []Snapshot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.windowLocked()
+	return o.heldout.AppendTo(nil)
 }
 
 // scorePair scores the champion and challenger versions over one window.

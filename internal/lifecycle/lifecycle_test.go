@@ -649,9 +649,15 @@ func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
 	}
 	clock := time.Unix(1000, 0)
 	o.now = func() time.Time { return clock }
+	// Fill the held-out window to the minimum the trigger waits for.
+	for i := 0; i < o.cfg.MinTrainSnapshots; i++ {
+		o.Ingest([]online.Sample{{MachineID: "m0", Platform: "P", Counters: []float64{1, 2}}}, []float64{50}, 0, "")
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.heldNext = o.cfg.MinTrainSnapshots
+	if got := o.heldout.Len(); got != o.cfg.MinTrainSnapshots {
+		t.Fatalf("held-out window holds %d snapshots, want %d", got, o.cfg.MinTrainSnapshots)
+	}
 	o.sinceRetrain = o.cfg.TriggerSamples
 
 	if reason, ok := o.triggerLocked(); !ok || reason != "samples" {

@@ -104,6 +104,41 @@ func TestTraceStoreTailRetention(t *testing.T) {
 	}
 }
 
+// TestTraceStoreRepeatedIDOldestFirst: when callers reuse a trace ID, Get
+// and List resolve it to the oldest trace still held, also when the rings
+// have wrapped between the two traces.
+func TestTraceStoreRepeatedIDOldestFirst(t *testing.T) {
+	ts := NewTraceStore(16, time.Hour) // 16 recent, 16 retained
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			ts.Start("filler", "", false).End("error")
+		}
+	}
+	id := NewTraceID()
+	fill(15)
+	ts.Start("first", id, true).End("ok")  // the last slot of both rings
+	ts.Start("second", id, true).End("ok") // wraps both rings
+	if got := ts.Get(id).Name; got != "first" {
+		t.Fatalf("Get(repeated id) = %q, want the oldest, first", got)
+	}
+	listed := 0
+	for _, s := range ts.List(0) {
+		if s.TraceID == id {
+			listed++
+			if s.Name != "first" || !s.Retained {
+				t.Errorf("listed %+v, want first, retained", s)
+			}
+		}
+	}
+	if listed != 1 {
+		t.Fatalf("repeated id listed %d times, want once", listed)
+	}
+	fill(15) // evicts first from both rings
+	if got := ts.Get(id).Name; got != "second" {
+		t.Fatalf("after first's eviction Get = %q, want second", got)
+	}
+}
+
 func TestTraceStoreSpanCapAndNilSafety(t *testing.T) {
 	ts := NewTraceStore(8, time.Second)
 	at := ts.Start("big", "", false)

@@ -263,11 +263,9 @@ type TraceSummary struct {
 type TraceStore struct {
 	slow time.Duration
 
-	mu        sync.Mutex
-	recent    []*TraceData // ring, len == cap once full
-	recentPos int
-	retained  []*TraceData // ring for slow/error/external traces
-	retainPos int
+	mu       sync.Mutex
+	recent   *mathx.Ring[*TraceData]
+	retained *mathx.Ring[*TraceData] // slow, error and external traces
 
 	added    *Counter
 	kept     *Counter
@@ -290,8 +288,8 @@ func NewTraceStore(capacity int, slow time.Duration) *TraceStore {
 	}
 	return &TraceStore{
 		slow:     slow,
-		recent:   make([]*TraceData, 0, capacity),
-		retained: make([]*TraceData, 0, half),
+		recent:   mathx.NewRing[*TraceData](capacity),
+		retained: mathx.NewRing[*TraceData](half),
 		added:    Default().Counter("chaos_traces_total", nil),
 		kept:     Default().Counter("chaos_traces_retained_total", nil),
 	}
@@ -312,14 +310,6 @@ func (ts *TraceStore) interesting(td *TraceData) bool {
 	return td.Status != "ok" || td.External || td.Duration >= ts.slow
 }
 
-func pushRing(ring []*TraceData, pos int, capacity int, td *TraceData) ([]*TraceData, int) {
-	if len(ring) < capacity {
-		return append(ring, td), pos
-	}
-	ring[pos] = td
-	return ring, (pos + 1) % capacity
-}
-
 func (ts *TraceStore) add(td *TraceData) {
 	if ts == nil {
 		return
@@ -327,40 +317,42 @@ func (ts *TraceStore) add(td *TraceData) {
 	ts.added.Inc()
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.recent, ts.recentPos = pushRing(ts.recent, ts.recentPos, cap(ts.recent), td)
+	ts.recent.Push(td)
 	if ts.interesting(td) {
 		ts.kept.Inc()
-		ts.retained, ts.retainPos = pushRing(ts.retained, ts.retainPos, cap(ts.retained), td)
+		ts.retained.Push(td)
 	}
 }
 
-// Get returns the stored trace with the given ID, or nil.
+// Get returns the stored trace with the given ID, or nil. When a
+// caller-supplied ID repeats, the retained ring answers before the recent
+// one, and within a ring the oldest trace wins.
 func (ts *TraceStore) Get(id string) *TraceData {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	for _, td := range ts.retained {
-		if td.TraceID == id {
-			return td
-		}
-	}
-	for _, td := range ts.recent {
-		if td.TraceID == id {
-			return td
+	for _, ring := range [2]*mathx.Ring[*TraceData]{ts.retained, ts.recent} {
+		for i := 0; i < ring.Len(); i++ {
+			if td := ring.At(i); td.TraceID == id {
+				return td
+			}
 		}
 	}
 	return nil
 }
 
 // List returns summaries of every stored trace, newest first, retained
-// traces flagged. limit <= 0 returns everything.
+// traces flagged. limit <= 0 returns everything. A repeated ID is listed
+// once, as the oldest trace of the recent ring that carries it, else of
+// the retained ring.
 func (ts *TraceStore) List(limit int) []TraceSummary {
 	ts.mu.Lock()
-	inRetained := make(map[string]bool, len(ts.retained))
-	for _, td := range ts.retained {
-		inRetained[td.TraceID] = true
+	inRetained := make(map[string]bool, ts.retained.Len())
+	for i := 0; i < ts.retained.Len(); i++ {
+		inRetained[ts.retained.At(i).TraceID] = true
 	}
-	seen := make(map[string]bool, len(ts.recent)+len(ts.retained))
-	out := make([]TraceSummary, 0, len(ts.recent)+len(ts.retained))
+	held := ts.recent.Len() + ts.retained.Len()
+	seen := make(map[string]bool, held)
+	out := make([]TraceSummary, 0, held)
 	add := func(td *TraceData) {
 		if seen[td.TraceID] {
 			return
@@ -378,11 +370,10 @@ func (ts *TraceStore) List(limit int) []TraceSummary {
 			Retained:   inRetained[td.TraceID],
 		})
 	}
-	for _, td := range ts.recent {
-		add(td)
-	}
-	for _, td := range ts.retained {
-		add(td)
+	for _, ring := range [2]*mathx.Ring[*TraceData]{ts.recent, ts.retained} {
+		for i := 0; i < ring.Len(); i++ {
+			add(ring.At(i))
+		}
 	}
 	ts.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })

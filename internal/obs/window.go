@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+
+	"repro/internal/mathx"
 )
 
 // Window is a rolling window over the most recent observations (latencies
@@ -14,26 +16,20 @@ import (
 // use.
 type Window struct {
 	mu     sync.Mutex
-	ring   []float64
-	next   int
-	n      int
+	ring   *mathx.Ring[float64]
 	sorted []float64 // Quantile's scratch
 }
 
 // NewWindow returns a window over the last size observations.
 func NewWindow(size int) *Window {
-	return &Window{ring: make([]float64, size), sorted: make([]float64, size)}
+	return &Window{ring: mathx.NewRing[float64](size), sorted: make([]float64, 0, size)}
 }
 
 // Observe records v, evicting the oldest observation once the window is
 // full.
 func (w *Window) Observe(v float64) {
 	w.mu.Lock()
-	w.ring[w.next] = v
-	w.next = (w.next + 1) % len(w.ring)
-	if w.n < len(w.ring) {
-		w.n++
-	}
+	w.ring.Push(v)
 	w.mu.Unlock()
 }
 
@@ -41,7 +37,7 @@ func (w *Window) Observe(v float64) {
 func (w *Window) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.n
+	return w.ring.Len()
 }
 
 // Quantile returns the nearest-rank q-quantile: the ceil(q·n)−1'th
@@ -50,13 +46,13 @@ func (w *Window) Len() int {
 func (w *Window) Quantile(q float64) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.n == 0 {
+	n := w.ring.Len()
+	if n == 0 {
 		return 0
 	}
-	s := w.sorted[:w.n]
-	copy(s, w.ring) // until full, the held observations are ring[:n]
+	s := w.ring.AppendTo(w.sorted[:0])
 	slices.Sort(s)
-	return s[max(0, min(int(math.Ceil(q*float64(w.n)))-1, w.n-1))]
+	return s[max(0, min(int(math.Ceil(q*float64(n)))-1, n-1))]
 }
 
 // FracAbove returns the share of held observations strictly greater than
@@ -64,14 +60,15 @@ func (w *Window) Quantile(q float64) float64 {
 func (w *Window) FracAbove(x float64) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.n == 0 {
+	n := w.ring.Len()
+	if n == 0 {
 		return 0
 	}
 	above := 0
-	for _, v := range w.ring[:w.n] {
-		if v > x {
+	for i := 0; i < n; i++ {
+		if w.ring.At(i) > x {
 			above++
 		}
 	}
-	return float64(above) / float64(w.n)
+	return float64(above) / float64(n)
 }

@@ -1,6 +1,10 @@
 package online
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mathx"
+)
 
 // RetrainerState is the serializable form of a Retrainer's labeled-sample
 // buffers, so the adaptation loop's training data survives a restart
@@ -18,9 +22,9 @@ type MachineBuffer struct {
 	Power    []float64   `json:"power"`
 }
 
-// State snapshots the buffers for checkpointing. The snapshot stays
-// consistent while the retrainer keeps ingesting: chronological copies
-// each ring, and stored rows are never mutated.
+// State snapshots the buffers, oldest first, for checkpointing. The
+// snapshot stays consistent while the retrainer keeps ingesting: each
+// buffer is copied under the lock, and stored rows are never mutated.
 func (rt *Retrainer) State() RetrainerState {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -30,8 +34,13 @@ func (rt *Retrainer) State() RetrainerState {
 		Machines: make(map[string]MachineBuffer, len(rt.buffers)),
 	}
 	for id, b := range rt.buffers {
-		rows, power := b.chronological()
-		st.Machines[id] = MachineBuffer{Platform: rt.platform[id], Rows: rows, Power: power}
+		mb := MachineBuffer{Platform: rt.platform[id],
+			Rows: make([][]float64, b.Len()), Power: make([]float64, b.Len())}
+		for i := range mb.Rows {
+			l := b.At(i)
+			mb.Rows[i], mb.Power[i] = l.row, l.watts
+		}
+		st.Machines[id] = mb
 	}
 	return st
 }
@@ -55,14 +64,14 @@ func (rt *Retrainer) Restore(st RetrainerState) error {
 		if len(mb.Rows) != len(mb.Power) {
 			return fmt.Errorf("online: checkpoint machine %s has %d rows but %d labels", id, len(mb.Rows), len(mb.Power))
 		}
-		b := newRing(rt.capacity)
+		b := mathx.NewRing[labeled](rt.capacity)
 		rt.buffers[id] = b
 		rt.platform[id] = mb.Platform
 		for i, row := range mb.Rows {
 			if len(row) != len(rt.names) {
 				return fmt.Errorf("online: checkpoint machine %s row %d has %d counters, want %d", id, i, len(row), len(rt.names))
 			}
-			b.add(row, mb.Power[i])
+			b.Push(labeled{append([]float64(nil), row...), mb.Power[i]})
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/mathx"
 	"repro/internal/obs"
 )
 
@@ -99,7 +100,7 @@ type DegradedPredictor struct {
 	known    map[string]bool
 	lastSeen map[string]int
 	lastEst  map[string]float64
-	recent   map[string][][]float64 // ring of recent clean rows per machine
+	recent   map[string]*mathx.Ring[[]float64] // recent clean rows per machine
 }
 
 // NewDegradedPredictor builds a degraded-mode wrapper over p for the
@@ -123,7 +124,7 @@ func NewDegradedPredictor(p *Predictor, machineIDs []string, cfg DegradedConfig)
 		known:    make(map[string]bool, len(machineIDs)),
 		lastSeen: map[string]int{},
 		lastEst:  map[string]float64{},
-		recent:   map[string][][]float64{},
+		recent:   map[string]*mathx.Ring[[]float64]{},
 	}
 	for _, id := range machineIDs {
 		if id == "" {
@@ -246,19 +247,19 @@ func (d *DegradedPredictor) hold(id string, t int) (float64, Health) {
 // single row). Returns nil when there is no history at all.
 func (d *DegradedPredictor) impute(id string, row []float64) ([]float64, int) {
 	recent := d.recent[id]
-	if len(recent) == 0 {
+	if recent == nil {
 		return nil, 0
 	}
 	out := append([]float64(nil), row...)
 	n := 0
-	vals := make([]float64, 0, len(recent))
+	vals := make([]float64, 0, recent.Len())
 	for j, v := range out {
 		if finite(v) {
 			continue
 		}
 		vals = vals[:0]
-		for _, r := range recent {
-			vals = append(vals, r[j])
+		for i := 0; i < recent.Len(); i++ {
+			vals = append(vals, recent.At(i)[j])
 		}
 		sort.Float64s(vals)
 		out[j] = vals[len(vals)/2]
@@ -269,11 +270,12 @@ func (d *DegradedPredictor) impute(id string, row []float64) ([]float64, int) {
 
 // pushRecent records a clean row in the machine's imputation window.
 func (d *DegradedPredictor) pushRecent(id string, row []float64) {
-	r := append(d.recent[id], append([]float64(nil), row...))
-	if len(r) > d.cfg.ImputeWindow {
-		r = r[len(r)-d.cfg.ImputeWindow:]
+	r := d.recent[id]
+	if r == nil {
+		r = mathx.NewRing[[]float64](d.cfg.ImputeWindow)
+		d.recent[id] = r
 	}
-	d.recent[id] = r
+	r.Push(append([]float64(nil), row...))
 }
 
 // finite reports whether v is a usable float.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/counters"
+	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -73,7 +74,7 @@ type Predictor struct {
 	// from it per platform spec.
 	names   []string
 	byName  map[string]int
-	history map[string][]float64 // machineID -> recent freq values (newest last)
+	history map[string]*mathx.Ring[float64] // machineID -> last maxLagWindow freq values
 }
 
 // NewPredictor builds a streaming predictor over the cluster model.
@@ -83,7 +84,7 @@ func NewPredictor(model *models.ClusterModel, names []string) (*Predictor, error
 	p := &Predictor{
 		names:   append([]string(nil), names...),
 		byName:  map[string]int{},
-		history: map[string][]float64{},
+		history: map[string]*mathx.Ring[float64]{},
 	}
 	for i, n := range p.names {
 		p.byName[n] = i
@@ -228,17 +229,18 @@ func (p *Predictor) buildRow(spec models.FeatureSpec, s Sample) ([]float64, erro
 		}
 		for k := 1; k <= w; k++ {
 			lag := s.Counters[fi] // cold start: clamp to current
-			if k <= len(hist) {
-				lag = hist[len(hist)-k]
+			if hist != nil && k <= hist.Len() {
+				lag = hist.At(hist.Len() - k)
 			}
 			row = append(row, lag)
 		}
 	}
 	if hasFreq {
-		if len(hist) == maxLagWindow {
-			hist = append(hist[:0], hist[1:]...) // drop the oldest in place
+		if hist == nil {
+			hist = mathx.NewRing[float64](maxLagWindow)
+			p.history[s.MachineID] = hist
 		}
-		p.history[s.MachineID] = append(hist, s.Counters[fi])
+		hist.Push(s.Counters[fi])
 	}
 	return row, nil
 }
@@ -338,54 +340,16 @@ type Retrainer struct {
 	mu       sync.Mutex
 	names    []string
 	capacity int
-	buffers  map[string]*ring // machineID -> recent samples
+	buffers  map[string]*mathx.Ring[labeled] // machineID -> recent samples
 	platform map[string]string
 }
 
-type ring struct {
-	rows  [][]float64
-	power []float64
-	next  int
-	full  bool
-}
-
-func newRing(capacity int) *ring {
-	return &ring{rows: make([][]float64, capacity), power: make([]float64, capacity)}
-}
-
-func (r *ring) add(row []float64, watts float64) {
-	r.rows[r.next] = append([]float64(nil), row...)
-	r.power[r.next] = watts
-	r.next++
-	if r.next == len(r.rows) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// len returns the number of labeled seconds held.
-func (r *ring) len() int {
-	if r.full {
-		return len(r.rows)
-	}
-	return r.next
-}
-
-// chronological copies the ring's contents out oldest-first (storage
-// order is rotated once the ring wraps). The rows themselves are shared:
-// add stores a fresh copy and never mutates a stored row.
-func (r *ring) chronological() ([][]float64, []float64) {
-	start := 0
-	if r.full {
-		start = r.next
-	}
-	rows := make([][]float64, r.len())
-	power := make([]float64, len(rows))
-	for i := range rows {
-		j := (start + i) % len(r.rows)
-		rows[i], power[i] = r.rows[j], r.power[j]
-	}
-	return rows, power
+// labeled is one buffered second: a private copy of the counter row,
+// never mutated once stored, so copies of a buffer may share it, and its
+// metered watts.
+type labeled struct {
+	row   []float64
+	watts float64
 }
 
 // NewRetrainer buffers up to capacity seconds per machine.
@@ -396,7 +360,7 @@ func NewRetrainer(names []string, capacity int) (*Retrainer, error) {
 	return &Retrainer{
 		names:    append([]string(nil), names...),
 		capacity: capacity,
-		buffers:  map[string]*ring{},
+		buffers:  map[string]*mathx.Ring[labeled]{},
 		platform: map[string]string{},
 	}, nil
 }
@@ -417,11 +381,11 @@ func (rt *Retrainer) Add(s Sample, meteredWatts float64) error {
 	defer rt.mu.Unlock()
 	b := rt.buffers[s.MachineID]
 	if b == nil {
-		b = newRing(rt.capacity)
+		b = mathx.NewRing[labeled](rt.capacity)
 		rt.buffers[s.MachineID] = b
 	}
 	rt.platform[s.MachineID] = s.Platform
-	b.add(s.Counters, meteredWatts)
+	b.Push(labeled{append([]float64(nil), s.Counters...), meteredWatts})
 	return nil
 }
 
@@ -434,7 +398,7 @@ func (rt *Retrainer) Buffered(machineID string) int {
 	if b == nil {
 		return 0
 	}
-	return b.len()
+	return b.Len()
 }
 
 // Retrain fits a fresh cluster model of the given technique and spec from
@@ -446,14 +410,12 @@ func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*m
 	defer span.End()
 	type buffered struct {
 		id, platform string
-		rows         [][]float64
-		power        []float64
+		rows         []labeled // oldest first
 	}
 	rt.mu.Lock()
 	bufs := make([]buffered, 0, len(rt.buffers))
 	for id, b := range rt.buffers {
-		rows, power := b.chronological()
-		bufs = append(bufs, buffered{id, rt.platform[id], rows, power})
+		bufs = append(bufs, buffered{id, rt.platform[id], b.AppendTo(nil)})
 	}
 	rt.mu.Unlock()
 	// Machine-ID order fixes the order of each platform's pooled traces,
@@ -475,8 +437,8 @@ func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*m
 				b.id, len(b.rows), minRows)
 		}
 		builder := trace.NewBuilder(b.platform, "online", b.id, 0, rt.names, 0)
-		for i := range b.rows {
-			if err := builder.Add(b.rows[i], b.power[i], b.power[i]); err != nil {
+		for _, l := range b.rows {
+			if err := builder.Add(l.row, l.watts, l.watts); err != nil {
 				return nil, err
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/obs"
 )
 
@@ -60,47 +61,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pairRing is a fixed ring of (estimate, metered) pairs.
-type pairRing struct {
-	est, met []float64
-	idx, n   int
-}
+// pair is one labeled observation: the estimate and the metered watts.
+type pair struct{ est, met float64 }
 
-func newPairRing(cap int) *pairRing {
-	return &pairRing{est: make([]float64, cap), met: make([]float64, cap)}
-}
-
-func (r *pairRing) push(e, m float64) {
-	r.est[r.idx], r.met[r.idx] = e, m
-	r.idx = (r.idx + 1) % len(r.est)
-	if r.n < len(r.est) {
-		r.n++
-	}
-}
-
-// dre returns the window's dynamic-range error: rmse over the last
-// min(w, n) pairs divided by the observed metered range. A window whose
-// metered power never moves (range ~ 0) cannot be scored on a relative
-// scale; it reports 0 so a flat, accurate idle period never pages.
-func (r *pairRing) dre(w int) float64 {
-	n := r.n
-	if w < n {
-		n = w
-	}
+// dre returns the dynamic-range error of the newest min(w, held) pairs:
+// their rmse divided by their metered range, summed newest first. A window
+// whose metered power never moves (range ~ 0) cannot be scored on a
+// relative scale; it reports 0 so a flat, accurate idle period never
+// pages.
+func dre(r *mathx.Ring[pair], w int) float64 {
+	n := min(w, r.Len())
 	if n == 0 {
 		return 0
 	}
 	var sq, lo, hi float64
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
-		j := (r.idx - 1 - i + len(r.est)) % len(r.est)
-		d := r.est[j] - r.met[j]
+		p := r.At(r.Len() - 1 - i)
+		d := p.est - p.met
 		sq += d * d
-		if r.met[j] < lo {
-			lo = r.met[j]
+		if p.met < lo {
+			lo = p.met
 		}
-		if r.met[j] > hi {
-			hi = r.met[j]
+		if p.met > hi {
+			hi = p.met
 		}
 	}
 	rng := hi - lo
@@ -125,8 +109,8 @@ type Tracker struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cluster  *pairRing
-	machines map[string]*pairRing
+	cluster  *mathx.Ring[pair]
+	machines map[string]*mathx.Ring[pair]
 	latFast  *obs.Window // request seconds, last FastWindow requests
 	latSlow  *obs.Window // request seconds, last SlowWindow requests
 	labeled  uint64      // labeled observations seen
@@ -143,8 +127,8 @@ func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{
 		cfg:      cfg,
-		cluster:  newPairRing(cfg.SlowWindow),
-		machines: make(map[string]*pairRing),
+		cluster:  mathx.NewRing[pair](cfg.SlowWindow),
+		machines: make(map[string]*mathx.Ring[pair]),
 		latFast:  obs.NewWindow(cfg.FastWindow),
 		latSlow:  obs.NewWindow(cfg.SlowWindow),
 		accuracy: sloState{name: "accuracy"},
@@ -201,13 +185,13 @@ func (t *Tracker) ObserveLabeled(machineIDs []string, estimated, metered []float
 		meteredSum += metered[i]
 		mr := t.machines[id]
 		if mr == nil {
-			mr = newPairRing(t.cfg.SlowWindow)
+			mr = mathx.NewRing[pair](t.cfg.SlowWindow)
 			t.machines[id] = mr
 		}
-		mr.push(estimated[i], metered[i])
-		t.cfg.Reg.Gauge("chaos_slo_machine_dre", obs.Labels{"machine": id}).Set(mr.dre(t.cfg.FastWindow))
+		mr.Push(pair{estimated[i], metered[i]})
+		t.cfg.Reg.Gauge("chaos_slo_machine_dre", obs.Labels{"machine": id}).Set(dre(mr, t.cfg.FastWindow))
 	}
-	t.cluster.push(clusterEst, meteredSum)
+	t.cluster.Push(pair{clusterEst, meteredSum})
 	t.labeled++
 	if t.cfg.DREObjective > 0 && t.labeled%uint64(t.cfg.EvalEvery) == 0 {
 		t.evalAccuracyLocked()
@@ -215,8 +199,8 @@ func (t *Tracker) ObserveLabeled(machineIDs []string, estimated, metered []float
 }
 
 func (t *Tracker) evalAccuracyLocked() {
-	fast := t.cluster.dre(t.cfg.FastWindow)
-	slow := t.cluster.dre(t.cfg.SlowWindow)
+	fast := dre(t.cluster, t.cfg.FastWindow)
+	slow := dre(t.cluster, t.cfg.SlowWindow)
 	burnFast := fast / t.cfg.DREObjective
 	burnSlow := slow / t.cfg.DREObjective
 	t.cfg.Reg.Gauge("chaos_slo_dre", obs.Labels{"window": "fast"}).Set(fast)
@@ -287,7 +271,7 @@ func (t *Tracker) transition(st *sloState, burnFast, burnSlow float64, fields ma
 func (t *Tracker) worstMachineLocked() string {
 	worst, worstDRE := "", -1.0
 	for id, r := range t.machines {
-		if d := r.dre(t.cfg.FastWindow); d > worstDRE {
+		if d := dre(r, t.cfg.FastWindow); d > worstDRE {
 			worst, worstDRE = id, d
 		}
 	}
@@ -316,12 +300,12 @@ func (t *Tracker) Snapshot() Status {
 	defer t.mu.Unlock()
 	md := make(map[string]float64, len(t.machines))
 	for id, r := range t.machines {
-		md[id] = r.dre(t.cfg.FastWindow)
+		md[id] = dre(r, t.cfg.FastWindow)
 	}
 	p99 := t.latFast.Quantile(0.99)
 	return Status{
-		ClusterDREFast:   t.cluster.dre(t.cfg.FastWindow),
-		ClusterDRESlow:   t.cluster.dre(t.cfg.SlowWindow),
+		ClusterDREFast:   dre(t.cluster, t.cfg.FastWindow),
+		ClusterDRESlow:   dre(t.cluster, t.cfg.SlowWindow),
 		MachineDRE:       md,
 		P99Fast:          time.Duration(p99 * float64(time.Second)),
 		AccuracyViolated: t.accuracy.violating,
