@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/counters"
 	"repro/internal/featsel"
+	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/telemetry"
@@ -154,36 +155,24 @@ type CVResult struct {
 // CrossValidate runs the paper's protocol on one workload's traces: each
 // run takes a turn as the (subsampled) training set while the remaining
 // runs form the test set; one pooled machine model is fitted per platform
-// and composed into a cluster model (Eq. 5).
+// and composed into a cluster model (Eq. 5). The folds are fitted and
+// scored concurrently and merged in run order, so the result is the same
+// at any parallelism.
 func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 	runs := trace.Runs(traces)
 	if len(runs) < 2 {
 		return nil, fmt.Errorf("core: cross-validation needs >= 2 runs, got %d", len(runs))
 	}
 	byRun := trace.ByRun(traces)
-	res := &CVResult{Tech: cfg.Tech, SpecName: cfg.Spec.Label()}
-	for _, trainRun := range runs {
-		cm, err := FitCluster(cfg.Tech, cfg.Spec, byRun[trainRun], maxTrainRows)
+	res := &CVResult{Tech: cfg.Tech, SpecName: cfg.Spec.Label(), Folds: make([]FoldResult, len(runs))}
+	errs := make([]error, len(runs))
+	mathx.ParallelFor(len(runs), func(k int) {
+		res.Folds[k], errs[k] = crossValidateFold(cfg, byRun, runs, runs[k])
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: fold (train run %d): %w", trainRun, err)
+			return nil, err
 		}
-		var machineSums, clusterSums []metrics.Summary
-		for _, testRun := range runs {
-			if testRun == trainRun {
-				continue
-			}
-			ms, cs, err := scoreFold(cm, byRun[testRun])
-			if err != nil {
-				return nil, fmt.Errorf("core: fold (train %d, test %d): %w", trainRun, testRun, err)
-			}
-			machineSums = append(machineSums, ms...)
-			clusterSums = append(clusterSums, cs)
-		}
-		res.Folds = append(res.Folds, FoldResult{
-			TrainRun: trainRun,
-			Machine:  metrics.Average(machineSums),
-			Cluster:  metrics.Average(clusterSums),
-		})
 	}
 	var mAll, cAll []metrics.Summary
 	for i, f := range res.Folds {
@@ -196,6 +185,32 @@ func CrossValidate(traces []*trace.Trace, cfg CVConfig) (*CVResult, error) {
 	res.Machine = metrics.Average(mAll)
 	res.Cluster = metrics.Average(cAll)
 	return res, nil
+}
+
+// crossValidateFold fits the cluster model on trainRun and scores it on
+// every other run.
+func crossValidateFold(cfg CVConfig, byRun map[int][]*trace.Trace, runs []int, trainRun int) (FoldResult, error) {
+	cm, err := FitCluster(cfg.Tech, cfg.Spec, byRun[trainRun], maxTrainRows)
+	if err != nil {
+		return FoldResult{}, fmt.Errorf("core: fold (train run %d): %w", trainRun, err)
+	}
+	var machineSums, clusterSums []metrics.Summary
+	for _, testRun := range runs {
+		if testRun == trainRun {
+			continue
+		}
+		ms, cs, err := scoreFold(cm, byRun[testRun])
+		if err != nil {
+			return FoldResult{}, fmt.Errorf("core: fold (train %d, test %d): %w", trainRun, testRun, err)
+		}
+		machineSums = append(machineSums, ms...)
+		clusterSums = append(clusterSums, cs)
+	}
+	return FoldResult{
+		TrainRun: trainRun,
+		Machine:  metrics.Average(machineSums),
+		Cluster:  metrics.Average(clusterSums),
+	}, nil
 }
 
 // FitCluster trains a cluster model the paper's way: every training trace

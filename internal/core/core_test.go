@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -135,6 +137,30 @@ func TestCrossValidateQuadraticBeatsTwelvePercent(t *testing.T) {
 	}
 	if cv.WorstFold < 0 || cv.WorstFold >= len(cv.Folds) {
 		t.Errorf("WorstFold = %d", cv.WorstFold)
+	}
+}
+
+// TestCrossValidateSameAtAnyParallelism cross-validates on one goroutine
+// and on four: the folds are fitted concurrently, and so are the MARS
+// candidates inside each fit, yet the results must be equal, every fold
+// and summary bit for bit, since both merge in a fixed order.
+func TestCrossValidateSameAtAnyParallelism(t *testing.T) {
+	ds := testDataset(t)
+	spec := clusterFeatureSpec(testSelection(t))
+	for _, tech := range []models.Technique{models.TechPiecewise, models.TechQuadratic} {
+		var results []*CVResult
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			cv, err := CrossValidate(ds.ByWorkload["Prime"], CVConfig{Tech: tech, Spec: spec})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", tech, procs, err)
+			}
+			results = append(results, cv)
+		}
+		if len(results[0].Folds) != 3 || !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s: GOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", tech, results[0], results[1])
+		}
 	}
 }
 

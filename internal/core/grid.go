@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
+	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
@@ -62,40 +61,19 @@ func EvaluateGrid(traces []*trace.Trace, techs []models.Technique, specs []model
 			out = append(out, e)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(out) {
-		workers = len(out)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg   sync.WaitGroup
-		errs = make([]error, len(out))
-		next = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				e := &out[i]
-				cv, err := CrossValidate(traces, CVConfig{Tech: e.Tech, Spec: e.Spec})
-				if err != nil {
-					errs[i] = fmt.Errorf("core: grid cell %s%s: %w", e.Tech.Short(), e.Spec.Label(), err)
-					continue
-				}
-				e.CV = cv
-			}
-		}()
-	}
-	for i := range out {
-		if out[i].Skipped == "" {
-			next <- i
+	errs := make([]error, len(out))
+	mathx.ParallelFor(len(out), func(i int) {
+		e := &out[i]
+		if e.Skipped != "" {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		cv, err := CrossValidate(traces, CVConfig{Tech: e.Tech, Spec: e.Spec})
+		if err != nil {
+			errs[i] = fmt.Errorf("core: grid cell %s%s: %w", e.Tech.Short(), e.Spec.Label(), err)
+			return
+		}
+		e.CV = cv
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -15,10 +15,7 @@ package featsel
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/counters"
 	"repro/internal/mathx"
@@ -238,22 +235,7 @@ type groupSelection struct {
 // goroutines and returns the results in group order.
 func selectGroups(groups [][]*trace.Trace, kept []int) []groupSelection {
 	out := make([]groupSelection, len(groups))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(groups)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				out[i] = selectGroup(groups[i], kept)
-			}
-		}()
-	}
-	wg.Wait()
+	mathx.ParallelFor(len(groups), func(i int) { out[i] = selectGroup(groups[i], kept) })
 	return out
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/mathx"
 	"repro/internal/obs"
@@ -132,7 +133,8 @@ func (o Options) withDefaults() Options {
 // instead.
 const ridge = 1e-3
 
-// Fit builds a MARS model for responses y over the rows of x.
+// Fit builds a MARS model for responses y over the rows of x. Every value
+// of x and y must be finite.
 func Fit(x *mathx.Matrix, y []float64, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	n, p := x.Rows, x.Cols
@@ -144,6 +146,9 @@ func Fit(x *mathx.Matrix, y []float64, opts Options) (*Model, error) {
 	}
 	if p == 0 {
 		return nil, fmt.Errorf("mars: no input variables")
+	}
+	if err := mathx.CheckFinite(x, y); err != nil {
+		return nil, fmt.Errorf("mars: %w", err)
 	}
 
 	span := obs.StartSpan("mars.fit")
@@ -157,6 +162,13 @@ func Fit(x *mathx.Matrix, y []float64, opts Options) (*Model, error) {
 }
 
 // fitter carries the working state of one MARS fit.
+//
+// Every sum it takes is the one a dense fit takes, bit for bit. Each basis
+// column is finite and ≥ 0 (the forward pass never adds a column with an
+// overflowed entry), so a dot product with a column term that is zero adds
+// a finite value times +0, which is ±0, and adding ±0 to a sum that starts
+// at +0 never changes it. Summing only a column's nonzero rows, in
+// ascending order, therefore gives the dense sum exactly.
 type fitter struct {
 	x    *mathx.Matrix
 	y    []float64
@@ -165,9 +177,35 @@ type fitter struct {
 
 	knots [][]float64 // candidate knots per variable
 
-	terms []Term      // current basis
-	cols  [][]float64 // evaluated basis columns, cols[i][row]
-	yty   float64
+	terms []Term // current basis
+	// basis holds the evaluated basis row-major, term a of row r at
+	// basis[r*stride+a], and nonzero[a] lists the rows where term a is
+	// not zero, in ascending order.
+	stride  int
+	basis   []float64
+	nonzero [][]int32
+	// gram is BᵀB (stride × stride, the first len(terms) rows and
+	// columns in use) and bty is Bᵀy: each forward step adds two
+	// columns, and the backward pass takes submatrices.
+	gram []float64
+	bty  []float64
+	yty  float64
+
+	pool sync.Pool // of *workspace, one per concurrent candidate
+}
+
+// workspace is the working memory of one candidate's score.
+type workspace struct {
+	acc []float64 // pairDots' sums
+	g   mathx.Matrix
+	rhs []float64
+}
+
+// candidate is one hinge pair the forward pass may add:
+// parent·max(0, x_v − knot) and parent·max(0, knot − x_v).
+type candidate struct {
+	parent, v int
+	knot      float64
 }
 
 // prepareKnots picks candidate knots at quantiles of each variable's
@@ -206,159 +244,220 @@ func (f *fitter) prepareKnots() {
 	}
 }
 
-// forward grows the basis with the greedy RSS-minimizing hinge pairs.
+// forward grows the basis with the greedy RSS-minimizing hinge pairs. Each
+// step scores its candidates concurrently into a slice in loop order and
+// takes the first strict minimum, as a sequential loop would.
 func (f *fitter) forward() {
+	// Steps add two terms while fewer than MaxTerms are in, so the basis
+	// ends with at most MaxTerms+1.
+	f.stride = f.opts.MaxTerms + 1
+	f.basis = make([]float64, f.n*f.stride)
+	f.gram = make([]float64, f.stride*f.stride)
+	f.bty = make([]float64, f.stride)
+	f.pool.New = func() any {
+		return &workspace{
+			acc: make([]float64, 2*(f.stride+2)),
+			g:   mathx.Matrix{Data: make([]float64, f.stride*f.stride)},
+			rhs: make([]float64, f.stride),
+		}
+	}
+
 	f.terms = []Term{{}} // intercept
-	ones := make([]float64, f.n)
-	for i := range ones {
-		ones[i] = 1
+	all := make([]int32, f.n)
+	for r := range all {
+		all[r] = int32(r)
+		f.basis[r*f.stride] = 1
+		f.gram[0] += 1
+		f.bty[0] += f.y[r]
+		f.yty += f.y[r] * f.y[r]
 	}
-	f.cols = [][]float64{ones}
-	for _, yi := range f.y {
-		f.yty += yi * yi
-	}
+	f.nonzero = [][]int32{all}
 
+	var cands []candidate
 	for len(f.terms) < f.opts.MaxTerms {
-		bestRSS := math.Inf(1)
-		var bestParent int
-		var bestVar int
-		var bestKnot float64
-		found := false
-
-		gram, xty := f.gram()
-		baseRSS, ok := f.rssFor(gram, xty, nil, nil)
+		m := len(f.terms)
+		baseRSS, _, ok := f.subsetRSS(f.allTerms())
 		if !ok {
 			break
 		}
 
-		for parent := 0; parent < len(f.terms); parent++ {
+		cands = cands[:0]
+		for parent := 0; parent < m; parent++ {
 			pt := f.terms[parent]
 			if pt.Degree() >= f.opts.MaxDegree {
 				continue
 			}
-			pcol := f.cols[parent]
 			for v := 0; v < f.p; v++ {
 				if pt.usesVar(v) && !f.opts.SelfInteraction {
 					continue
 				}
 				for _, knot := range f.knots[v] {
-					u, w := f.hingePair(pcol, v, knot)
-					if u == nil {
-						continue
-					}
-					rss, ok := f.rssFor(gram, xty, u, w)
-					if !ok {
-						continue
-					}
-					if rss < bestRSS {
-						bestRSS, bestParent, bestVar, bestKnot = rss, parent, v, knot
-						found = true
-					}
+					cands = append(cands, candidate{parent, v, knot})
 				}
 			}
 		}
+		rss := make([]float64, len(cands))
+		mathx.ParallelFor(len(cands), func(i int) {
+			s := f.pool.Get().(*workspace)
+			rss[i] = f.score(s, cands[i])
+			f.pool.Put(s)
+		})
+		best, bestRSS := -1, math.Inf(1)
+		for i, r := range rss {
+			if r < bestRSS {
+				best, bestRSS = i, r
+			}
+		}
 		// Require a meaningful relative improvement to keep growing.
-		if !found || bestRSS > baseRSS*(1-1e-4) {
+		if best < 0 || bestRSS > baseRSS*(1-1e-4) {
 			break
 		}
-		pt := f.terms[bestParent]
-		pos := Term{Factors: append(append([]Hinge(nil), pt.Factors...), Hinge{Var: bestVar, Knot: bestKnot, Sign: +1})}
-		neg := Term{Factors: append(append([]Hinge(nil), pt.Factors...), Hinge{Var: bestVar, Knot: bestKnot, Sign: -1})}
-		u, w := f.hingePair(f.cols[bestParent], bestVar, bestKnot)
-		f.terms = append(f.terms, pos, neg)
-		f.cols = append(f.cols, u, w)
+		f.addPair(cands[best])
 	}
 }
 
-// hingePair returns the two candidate columns parent·max(0,x−t) and
-// parent·max(0,t−x), or nils when either column is all zeros (degenerate).
-func (f *fitter) hingePair(parent []float64, v int, knot float64) (u, w []float64) {
-	u = make([]float64, f.n)
-	w = make([]float64, f.n)
-	var su, sw float64
-	for i := 0; i < f.n; i++ {
-		if parent[i] == 0 {
-			continue
+// pairDots takes, over the rows where c's parent is nonzero, the sums c's
+// pair u, w adds to the Gram system. It returns them as two halves, one
+// per column: the column's dot with each of the m current basis columns,
+// then with itself, then with y. ok is false when a product overflowed:
+// the dense sums would then hold NaN (u·w meets +Inf·0), so such a pair
+// can never be chosen.
+func (f *fitter) pairDots(s *workspace, c candidate) (u, w []float64, ok bool) {
+	m := len(f.terms)
+	acc := s.acc[:2*(m+2)]
+	clear(acc)
+	ok = true
+	for _, r := range f.nonzero[c.parent] {
+		i := int(r)
+		row := f.basis[i*f.stride : i*f.stride+m]
+		// The row is u's where x > knot and w's where x < knot, with
+		// |x − knot| = knot − x there. Where x equals the knot, h is +0
+		// and adds nothing to either half.
+		d := f.x.Data[i*f.p+c.v] - c.knot
+		off := 0
+		if d < 0 {
+			off = m + 2
 		}
-		xv := f.x.At(i, v)
-		if xv > knot {
-			u[i] = parent[i] * (xv - knot)
-			su += u[i] * u[i]
-		} else if xv < knot {
-			w[i] = parent[i] * (knot - xv)
-			sw += w[i] * w[i]
+		h := row[c.parent] * math.Abs(d)
+		if h > math.MaxFloat64 {
+			ok = false
 		}
+		half := acc[off : off+m+2]
+		for a, b := range row {
+			half[a] += b * h
+		}
+		half[m] += h * h
+		half[m+1] += h * f.y[i]
 	}
-	if su == 0 || sw == 0 {
-		return nil, nil
-	}
-	return u, w
+	return acc[:m+2], acc[m+2:], ok
 }
 
-// gram returns the Gram matrix BᵀB and vector Bᵀy of the current basis.
-func (f *fitter) gram() (*mathx.Matrix, []float64) {
-	m := len(f.cols)
-	g := mathx.NewMatrix(m, m)
-	xty := make([]float64, m)
+// score returns the residual sum of squares of the least-squares fit on
+// the current basis plus c's pair, or +Inf when the pair cannot be added:
+// one of its columns is all zero, a product overflowed, or the system is
+// singular.
+func (f *fitter) score(s *workspace, c candidate) float64 {
+	u, w, ok := f.pairDots(s, c)
+	m := len(f.terms)
+	if !ok || u[m] == 0 || w[m] == 0 {
+		return math.Inf(1)
+	}
+	k := m + 2
+	g := s.g.Data[:k*k]
 	for a := 0; a < m; a++ {
-		ca := f.cols[a]
-		for b := a; b < m; b++ {
-			cb := f.cols[b]
-			s := 0.0
-			for i := 0; i < f.n; i++ {
-				s += ca[i] * cb[i]
-			}
-			g.Set(a, b, s)
-			g.Set(b, a, s)
-		}
-		s := 0.0
-		for i := 0; i < f.n; i++ {
-			s += ca[i] * f.y[i]
-		}
-		xty[a] = s
+		copy(g[a*k:a*k+m], f.gram[a*f.stride:a*f.stride+m])
+		g[a*k+m], g[a*k+m+1] = u[a], w[a]
+		g[m*k+a], g[(m+1)*k+a] = u[a], w[a]
 	}
-	return g, xty
+	// u·w is +0: the two columns of a pair are never both nonzero on one
+	// row.
+	g[m*k+m], g[m*k+m+1] = u[m], 0
+	g[(m+1)*k+m], g[(m+1)*k+m+1] = 0, w[m]
+	rhs := s.rhs[:k]
+	copy(rhs, f.bty[:m])
+	rhs[m], rhs[m+1] = u[m+1], w[m+1]
+	s.g.Rows, s.g.Cols = k, k
+	rss, _, ok := f.solve(&s.g, rhs)
+	if !ok {
+		return math.Inf(1)
+	}
+	return rss
 }
 
-// rssFor computes the residual sum of squares of the least-squares fit on
-// the current basis optionally augmented with columns u and w. gram/xty
-// describe the current basis only.
-func (f *fitter) rssFor(gram *mathx.Matrix, xty []float64, u, w []float64) (float64, bool) {
-	m := len(f.cols)
-	extra := 0
-	if u != nil {
-		extra = 2
-	}
-	g := mathx.NewMatrix(m+extra, m+extra)
-	rhs := make([]float64, m+extra)
+// addPair appends c's pair to the basis and its sums to the Gram system.
+func (f *fitter) addPair(c candidate) {
+	s := f.pool.Get().(*workspace)
+	defer f.pool.Put(s)
+	u, w, _ := f.pairDots(s, c)
+	m := len(f.terms)
+	st := f.stride
 	for a := 0; a < m; a++ {
-		copy(g.Data[a*(m+extra):a*(m+extra)+m], gram.Data[a*m:(a+1)*m])
-		rhs[a] = xty[a]
+		f.gram[a*st+m], f.gram[m*st+a] = u[a], u[a]
+		f.gram[a*st+m+1], f.gram[(m+1)*st+a] = w[a], w[a]
 	}
-	if extra == 2 {
-		newCols := [][]float64{u, w}
-		for k, nc := range newCols {
-			col := m + k
-			for a := 0; a < m; a++ {
-				s := dot(f.cols[a], nc)
-				g.Set(a, col, s)
-				g.Set(col, a, s)
-			}
-			for l := 0; l <= k; l++ {
-				s := dot(newCols[l], nc)
-				g.Set(m+l, col, s)
-				g.Set(col, m+l, s)
-			}
-			rhs[col] = dot(nc, f.y)
+	f.gram[m*st+m], f.gram[m*st+m+1] = u[m], 0
+	f.gram[(m+1)*st+m], f.gram[(m+1)*st+m+1] = 0, w[m]
+	f.bty[m], f.bty[m+1] = u[m+1], w[m+1]
+
+	var nzU, nzW []int32
+	for _, r := range f.nonzero[c.parent] {
+		row := f.basis[int(r)*st:]
+		d := f.x.Data[int(r)*f.p+c.v] - c.knot
+		h := row[c.parent] * math.Abs(d)
+		switch {
+		case h == 0: // x is at the knot, or the product underflowed
+		case d > 0:
+			row[m] = h
+			nzU = append(nzU, r)
+		default:
+			row[m+1] = h
+			nzW = append(nzW, r)
 		}
 	}
+	f.nonzero = append(f.nonzero, nzU, nzW)
+
+	pt := f.terms[c.parent]
+	pos := Term{Factors: append(append([]Hinge(nil), pt.Factors...), Hinge{Var: c.v, Knot: c.knot, Sign: +1})}
+	neg := Term{Factors: append(append([]Hinge(nil), pt.Factors...), Hinge{Var: c.v, Knot: c.knot, Sign: -1})}
+	f.terms = append(f.terms, pos, neg)
+}
+
+// allTerms lists the indices of the current basis terms.
+func (f *fitter) allTerms() []int {
+	all := make([]int, len(f.terms))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// subsetRSS fits the basis terms idx, in ascending order, from
+// submatrices of the Gram system and returns the residual sum of squares
+// and the coefficients.
+func (f *fitter) subsetRSS(idx []int) (float64, []float64, bool) {
+	s := f.pool.Get().(*workspace)
+	defer f.pool.Put(s)
+	k := len(idx)
+	g := s.g.Data[:k*k]
+	for a, ia := range idx {
+		for b, ib := range idx {
+			g[a*k+b] = f.gram[ia*f.stride+ib]
+		}
+		s.rhs[a] = f.bty[ia]
+	}
+	s.g.Rows, s.g.Cols = k, k
+	return f.solve(&s.g, s.rhs[:k])
+}
+
+// solve solves the ridged system g·β = rhs, modifying g, and returns its
+// residual sum of squares and β.
+func (f *fitter) solve(g *mathx.Matrix, rhs []float64) (float64, []float64, bool) {
 	lambda := applyRidge(g)
 	beta, err := mathx.CholeskySolve(g, rhs, 1e-3)
 	if err != nil {
-		return 0, false
+		return 0, nil, false
 	}
-	rss := ridgedRSS(f.yty, beta, rhs, lambda)
-	return rss, true
+	return ridgedRSS(f.yty, beta, rhs, lambda), beta, true
 }
 
 // ridgedRSS recovers the exact residual sum of squares of a ridge
@@ -398,14 +497,6 @@ func applyRidge(g *mathx.Matrix) float64 {
 	return add
 }
 
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // gcv computes Friedman's generalized cross-validation criterion for a
 // model with the given RSS and number of terms. Its cost per knot,
 // Friedman's d, is 3 for interaction models and 2 for additive ones.
@@ -424,38 +515,16 @@ func (f *fitter) gcv(rss float64, nTerms int) float64 {
 }
 
 // backward prunes terms one at a time, keeping the subset with the best
-// GCV, then fits final coefficients on that subset.
+// GCV, then fits final coefficients on that subset. Every trial subset is
+// solved from submatrices of the forward pass's Gram system.
 func (f *fitter) backward() *Model {
 	type subset struct {
 		idx []int // indices into f.terms
 		gcv float64
 	}
-	all := make([]int, len(f.terms))
-	for i := range all {
-		all[i] = i
-	}
-	rssOf := func(idx []int) (float64, []float64, bool) {
-		m := len(idx)
-		g := mathx.NewMatrix(m, m)
-		rhs := make([]float64, m)
-		for a := 0; a < m; a++ {
-			for b := a; b < m; b++ {
-				s := dot(f.cols[idx[a]], f.cols[idx[b]])
-				g.Set(a, b, s)
-				g.Set(b, a, s)
-			}
-			rhs[a] = dot(f.cols[idx[a]], f.y)
-		}
-		lambda := applyRidge(g)
-		beta, err := mathx.CholeskySolve(g, rhs, 1e-3)
-		if err != nil {
-			return 0, nil, false
-		}
-		return ridgedRSS(f.yty, beta, rhs, lambda), beta, true
-	}
-
+	all := f.allTerms()
 	best := subset{idx: all, gcv: math.Inf(1)}
-	if rss, _, ok := rssOf(all); ok {
+	if rss, _, ok := f.subsetRSS(all); ok {
 		best.gcv = f.gcv(rss, len(all))
 	}
 	cur := append([]int(nil), all...)
@@ -470,7 +539,7 @@ func (f *fitter) backward() *Model {
 			trial := make([]int, 0, len(cur)-1)
 			trial = append(trial, cur[:drop]...)
 			trial = append(trial, cur[drop+1:]...)
-			rss, _, ok := rssOf(trial)
+			rss, _, ok := f.subsetRSS(trial)
 			if !ok {
 				continue
 			}
@@ -487,7 +556,7 @@ func (f *fitter) backward() *Model {
 		}
 	}
 
-	_, beta, ok := rssOf(best.idx)
+	_, beta, ok := f.subsetRSS(best.idx)
 	if !ok || beta == nil {
 		// Degenerate: fall back to the intercept-only model.
 		mean := mathx.Mean(f.y)

@@ -3,6 +3,8 @@ package mars
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +60,32 @@ func TestFitValidation(t *testing.T) {
 	}
 	if _, err := Fit(mathx.NewMatrix(20, 0), make([]float64, 20), Options{}); err == nil {
 		t.Error("expected no-variables error")
+	}
+	// Non-finite data is refused, naming the row and column: a NaN
+	// response used to give Coef [NaN], and the nonzero-row sums are
+	// exact only for finite columns.
+	x, y := genPiecewise(29, 50, 0.1)
+	for _, c := range []struct {
+		row, col int // col -1: the response
+		v        float64
+		want     string
+	}{
+		{3, -1, math.NaN(), "non-finite response NaN at row 3"},
+		{8, -1, math.Inf(1), "non-finite response +Inf at row 8"},
+		{5, 0, math.Inf(1), "non-finite value +Inf at row 5, column 0"},
+		{6, 0, math.Inf(-1), "non-finite value -Inf at row 6, column 0"},
+		{7, 0, math.NaN(), "non-finite value NaN at row 7, column 0"},
+	} {
+		bx, by := x.Clone(), append([]float64(nil), y...)
+		if c.col < 0 {
+			by[c.row] = c.v
+		} else {
+			bx.Set(c.row, c.col, c.v)
+		}
+		_, err := Fit(bx, by, Options{MaxDegree: 2})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("error %v, want one containing %q", err, c.want)
+		}
 	}
 }
 
@@ -304,4 +332,135 @@ func BenchmarkFitDegree2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFitMatchesReference holds Fit to refFit, a copy of the dense fitter
+// it replaced, bit for bit: the same terms, the same coefficient bits and
+// the same GCV bits. The random designs mix degree 1 and 2, self-interaction
+// on and off, tied, constant and duplicated columns, columns that are zero
+// on most rows (so most hinge parents are zero there), MaxTerms small
+// enough to be reached, and, in every other design, magnitudes from 1e140
+// to 1e174 whose hinge products overflow to +Inf.
+func TestFitMatchesReference(t *testing.T) {
+	designs := 700
+	if testing.Short() {
+		designs = 400
+	}
+	r := rand.New(rand.NewSource(24))
+	var hitMax, sawInf, degree2 int
+	for d := 0; d < designs; d++ {
+		x, y, opts := randomDesign(r, d%2 == 1)
+		got, err := Fit(x, y, opts)
+		if err != nil {
+			t.Fatalf("design %d: Fit: %v", d, err)
+		}
+		want, hit, inf := refFit(x, y, opts)
+		if hit {
+			hitMax++
+		}
+		if inf {
+			sawInf++
+		}
+		for _, term := range want.Terms {
+			if term.Degree() == 2 {
+				degree2++
+				break
+			}
+		}
+		if !reflect.DeepEqual(got.Terms, want.Terms) || got.NumInputs != want.NumInputs {
+			t.Fatalf("design %d (%dx%d, %+v): terms\n%v\nwant\n%v", d, x.Rows, x.Cols, opts, got.Terms, want.Terms)
+		}
+		if !sameBits(got.Coef, want.Coef) || !sameBits([]float64{got.GCV}, []float64{want.GCV}) {
+			t.Fatalf("design %d (%dx%d, %+v): coef %v gcv %v, want coef %v gcv %v", d, x.Rows, x.Cols, opts, got.Coef, got.GCV, want.Coef, want.GCV)
+		}
+	}
+	if hitMax == 0 || sawInf == 0 || degree2 == 0 {
+		t.Errorf("designs too narrow: %d reached MaxTerms, %d overflowed a hinge product, %d kept a degree-2 term", hitMax, sawInf, degree2)
+	}
+	t.Logf("%d designs: %d reached MaxTerms, %d overflowed a hinge product, %d kept a degree-2 term", designs, hitMax, sawInf, degree2)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomDesign draws one test design for TestFitMatchesReference. With
+// huge set, each column is scaled by its own factor in [1e140, 1e174], so
+// a hinge on one column times a parent on another can overflow, and so
+// can a sum of squared hinges.
+func randomDesign(r *rand.Rand, huge bool) (*mathx.Matrix, []float64, Options) {
+	n := 10 + r.Intn(150)
+	p := 1 + r.Intn(4)
+	x := mathx.NewMatrix(n, p)
+	for j := 0; j < p; j++ {
+		kind := r.Intn(7)
+		scale := 1.0
+		if huge {
+			scale = math.Pow(10, float64(140+r.Intn(35)))
+		}
+		for i := 0; i < n; i++ {
+			var v float64
+			switch kind {
+			case 0:
+				v = r.Float64()
+			case 1:
+				v = r.NormFloat64()
+			case 2: // constant
+				v = 3
+			case 3: // a few tied levels
+				v = float64(r.Intn(4))
+			case 4: // zero on most rows
+				if r.Intn(5) == 0 {
+					v = r.ExpFloat64()
+				}
+			case 5: // skewed, so hinges at high knots are zero on most rows
+				v = r.ExpFloat64() * r.ExpFloat64()
+			case 6: // a copy of an earlier column, or a level column
+				if j > 0 {
+					v = x.At(i, r.Intn(j)) / scale
+				} else {
+					v = float64(i % 3)
+				}
+			}
+			x.Set(i, j, v*scale)
+		}
+	}
+	// A response kinked at a data value of each column, plus one
+	// interaction, so the forward pass finds structure of both degrees
+	// whatever the columns' scale.
+	cut := make([]float64, p)
+	for j := range cut {
+		cut[j] = x.At(r.Intn(n), j)
+	}
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = r.NormFloat64() + 5*math.Sin(float64(i)*0.1)
+		for j := 0; j < p; j++ {
+			if x.At(i, j) > cut[j] {
+				y[i] += float64(j + 1)
+			}
+		}
+		if x.At(i, 0) > cut[0] && x.At(i, p-1) < cut[p-1] {
+			y[i] += 4
+		}
+	}
+	degree := 1 + r.Intn(2)
+	if huge && r.Intn(4) != 0 {
+		degree = 2
+	}
+	opts := Options{
+		MaxDegree:       degree,
+		MaxTerms:        []int{0, 3, 4, 5, 7, 17}[r.Intn(6)],
+		MaxKnots:        []int{0, 2, 5, 8, 20}[r.Intn(5)],
+		SelfInteraction: r.Intn(2) == 0,
+	}
+	return x, y, opts
 }

@@ -93,6 +93,22 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 	return out
 }
 
+// CheckFinite returns an error naming the first value of x, by row and
+// column, or else of the response y, by row, that is NaN or ±Inf.
+func CheckFinite(x *Matrix, y []float64) error {
+	for k, v := range x.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite value %v at row %d, column %d", v, k/x.Cols, k%x.Cols)
+		}
+	}
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite response %v at row %d", v, i)
+		}
+	}
+	return nil
+}
+
 // MulVec returns m * x.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.Cols {

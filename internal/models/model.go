@@ -65,9 +65,13 @@ type FitOptions struct {
 }
 
 // Fit trains a model of the given technique on rows of x against watts y.
+// Every value of x and y must be finite.
 func Fit(tech Technique, x *mathx.Matrix, y []float64, opts FitOptions) (Model, error) {
 	if x.Rows == 0 || x.Cols == 0 {
 		return nil, fmt.Errorf("models: empty design matrix (%dx%d)", x.Rows, x.Cols)
+	}
+	if err := mathx.CheckFinite(x, y); err != nil {
+		return nil, fmt.Errorf("models: %w", err)
 	}
 	switch tech {
 	case TechLinear:

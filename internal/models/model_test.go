@@ -3,6 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/counters"
@@ -78,6 +79,31 @@ func TestFitValidation(t *testing.T) {
 	}
 	if _, err := Fit(TechLinear, mathx.NewMatrix(0, 0), nil, FitOptions{}); err == nil {
 		t.Error("empty design should fail")
+	}
+	// Non-finite training data: every technique must refuse it, naming
+	// the row and column, rather than fit NaN coefficients or fit around
+	// the row.
+	nanY := append([]float64(nil), y...)
+	nanY[7] = math.NaN()
+	infX := x.Clone()
+	infX.Set(4, 0, math.Inf(1))
+	negInfX := x.Clone()
+	negInfX.Set(9, 1, math.Inf(-1))
+	for _, tech := range Techniques() {
+		for _, c := range []struct {
+			x    *mathx.Matrix
+			y    []float64
+			want string
+		}{
+			{x, nanY, "non-finite response NaN at row 7"},
+			{infX, y, "non-finite value +Inf at row 4, column 0"},
+			{negInfX, y, "non-finite value -Inf at row 9, column 1"},
+		} {
+			_, err := Fit(tech, c.x, c.y, FitOptions{FreqCol: 1})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: error %v, want one containing %q", tech, err, c.want)
+			}
+		}
 	}
 }
 
