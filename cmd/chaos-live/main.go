@@ -1,8 +1,12 @@
 // chaos-live runs the whole online loop against a live simulated cluster:
 // train a model on the first workload, then stream a day-in-the-life
 // sequence of jobs through the predictor, printing per-minute power
-// summaries, drift alarms when the workload mix leaves the trained
-// regime, and retrain events that restore accuracy.
+// summaries and drift alarms when the workload mix leaves the trained
+// regime. The model lifecycle (internal/lifecycle) steps once per
+// simulated second on the metered snapshots: drift triggers a retrain,
+// the challenger must beat the serving model on the held-out window to be
+// promoted, and a promotion that regresses in probation is rolled back.
+// The loop predicts with whichever version the registry has active.
 //
 // With -listen the process also serves /metrics (Prometheus text format),
 // /healthz, and /debug/pprof while streaming; with -json every event is
@@ -30,13 +34,16 @@ import (
 	"math"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/lifecycle"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -173,10 +180,22 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	retrainer, err := online.NewRetrainer(seq[0].Names, 4000)
+	// The trained model is the registry's first, active version. The
+	// lifecycle watches the monitor's alarm, retrains from the metered
+	// snapshots, and changes the active version only through its gates;
+	// probation is as long as chaos-serve's default.
+	reg := registry.New()
+	if err := reg.Add("v1", cm, registry.Meta{Description: "trained on " + cfg.Train}); err != nil {
+		return err
+	}
+	orch, err := lifecycle.New(reg, monitor, lifecycle.Config{
+		Tech: models.TechQuadratic, Spec: spec, Names: seq[0].Names,
+		ProbationSnapshots: 64, Events: em.sink,
+	})
 	if err != nil {
 		return err
 	}
+	version := reg.ActiveVersion()
 
 	ids := make([]string, len(seq))
 	for k, tr := range seq {
@@ -185,7 +204,7 @@ func run(w io.Writer, cfg config) error {
 
 	// Fault-injection harness: a deterministic injector over the scenario
 	// plus one resilient collector (retry/backoff/timeout + breaker) per
-	// machine, all sharing the sim clock.
+	// machine, all addressed by the loop's simulated second.
 	scen := cfg.scenario
 	if scen == nil && cfg.Faults != "" {
 		if scen, err = faults.LoadScenario(cfg.Faults); err != nil {
@@ -215,7 +234,7 @@ func run(w io.Writer, cfg config) error {
 	var degraded *online.DegradedPredictor
 	prevHealth := map[string]online.Health{}
 	if cfg.Degraded {
-		if degraded, err = online.NewDegradedPredictor(predictor, ids, online.DegradedConfig{}); err != nil {
+		if degraded, err = online.NewDegradedPredictor(predictor, ids); err != nil {
 			return err
 		}
 		for _, id := range ids {
@@ -234,17 +253,14 @@ func run(w io.Writer, cfg config) error {
 		map[string]any{"sequence": cfg.Stream, "seconds": n}); err != nil {
 		return err
 	}
-	clock := faults.NewClock()
-	var drifted bool
-	var driftCount, retrainCount, skippedSeconds int
+	var driftCount, skippedSeconds int
 	// The minute's sums: metered power over every second, estimates and
 	// their errors over the minuteEstimated seconds that had one.
 	var minuteErr, minuteActual, minuteEst float64
 	var minuteEstimated int
 	minuteCoverage := 1.0
 	perMachineMinute := map[string]float64{}
-	for i := 0; i < n; i++ {
-		t := clock.Tick()
+	for t := 0; t < n; t++ {
 		var samples []online.Sample
 		var meterWatts []float64
 		var clusterActual float64
@@ -294,6 +310,8 @@ func run(w io.Writer, cfg config) error {
 			estimated = false
 		} else if est, err := predictor.Step(samples); err == nil {
 			estWatts = est.ClusterWatts
+			// Step skips a corrupt sample; the sum then misses a machine.
+			fullCoverage = len(est.PerMachine) == len(seq)
 		} else if inj != nil {
 			// All surviving samples were corrupt — an injected data
 			// fault, not a program error.
@@ -304,26 +322,18 @@ func run(w io.Writer, cfg config) error {
 
 		minuteActual += clusterActual
 		if estimated {
-			// Labels and residuals only exist while the meter is attached.
-			if meterOK {
-				for k := range samples {
-					if err := retrainer.Add(samples[k], meterWatts[k]); err != nil {
-						return err
-					}
-				}
-			}
 			minuteErr += math.Abs(estWatts - clusterActual)
 			minuteEst += estWatts
 			minuteEstimated++
 		} else {
 			skippedSeconds++
 		}
-		if i%60 == 59 {
+		if t%60 == 59 {
 			// A minute in which no second had an estimate has no error to
 			// report: the text says so and the event leaves the field out.
 			errText := "mean abs err   n/a"
 			fields := map[string]any{
-				"t_s": i + 1, "cluster_w": round2(minuteActual / 60),
+				"t_s": t + 1, "cluster_w": round2(minuteActual / 60),
 				"residual_x": round2(monitor.EWMA()),
 			}
 			if minuteEstimated > 0 {
@@ -333,7 +343,7 @@ func run(w io.Writer, cfg config) error {
 			}
 			if err := em.event("estimate",
 				fmt.Sprintf("t=%4ds  cluster %6.1f W  %s  residual %.1fx baseline",
-					i+1, minuteActual/60, errText, monitor.EWMA()),
+					t+1, minuteActual/60, errText, monitor.EWMA()),
 				fields); err != nil {
 				return err
 			}
@@ -343,9 +353,9 @@ func run(w io.Writer, cfg config) error {
 					machines[id] = round2(perMachineMinute[id] / 60)
 				}
 				if err := em.event("degraded_estimate",
-					fmt.Sprintf("t=%4ds  est %6.1f W  coverage %.2f", i+1, minuteEst/60, minuteCoverage),
+					fmt.Sprintf("t=%4ds  est %6.1f W  coverage %.2f", t+1, minuteEst/60, minuteCoverage),
 					map[string]any{
-						"t_s": i + 1, "est_w": round2(minuteEst / 60),
+						"t_s": t + 1, "est_w": round2(minuteEst / 60),
 						"coverage": minuteCoverage, "machines": machines,
 					}); err != nil {
 					return err
@@ -355,45 +365,43 @@ func run(w io.Writer, cfg config) error {
 			}
 			minuteErr, minuteActual, minuteEst, minuteEstimated = 0, 0, 0, 0
 		}
-		// Residual monitoring is only meaningful when the meter is
-		// attached and every machine contributed a fresh sample —
+		// Residuals and labels are only meaningful when the meter is
+		// attached and every machine's fresh sample is in the estimate —
 		// comparing a partial estimate against full metered power would
 		// raise false drift alarms during outages.
-		if estimated && meterOK && fullCoverage && monitor.Observe(estWatts, clusterActual) && !drifted {
-			drifted = true
-			driftCount++
-			if err := em.event("drift",
-				fmt.Sprintf("t=%4ds  *** DRIFT: residual %.1fx baseline — scheduling retrain",
-					i, monitor.EWMA()),
-				map[string]any{"t_s": i, "residual_x": round2(monitor.EWMA())}); err != nil {
-				return err
+		if estimated && meterOK && fullCoverage {
+			alarmed := monitor.Drifted()
+			if monitor.Observe(estWatts, clusterActual) && !alarmed {
+				driftCount++
+				if err := em.event("drift",
+					fmt.Sprintf("t=%4ds  *** DRIFT: residual %.1fx baseline", t, monitor.EWMA()),
+					map[string]any{"t_s": t, "residual_x": round2(monitor.EWMA())}); err != nil {
+					return err
+				}
 			}
+			orch.Ingest(samples, meterWatts, estWatts, version)
 		}
-		// Retrain once enough post-drift samples are buffered.
-		if drifted && i%120 == 119 {
-			cm2, err := retrainer.Retrain(models.TechQuadratic, spec)
-			if err != nil {
+		// One lifecycle step per simulated second; the predictor follows
+		// the registry. The degraded wrapper predicts through the same
+		// predictor, so one rebind serves both paths.
+		orch.Step(time.Unix(int64(t), 0))
+		if active := reg.Active(); active.Version != version {
+			if err := predictor.SetModel(active.Model); err != nil {
 				return err
 			}
-			// The degraded wrapper predicts through the same predictor,
-			// so one rebind serves both paths.
-			if err := predictor.SetModel(cm2); err != nil {
-				return err
-			}
-			monitor.Reset()
-			drifted = false
-			retrainCount++
-			if err := em.event("retrain",
-				fmt.Sprintf("t=%4ds  *** retrained on %d buffered seconds; monitor reset",
-					i, retrainer.Buffered(seq[0].MachineID)),
-				map[string]any{"t_s": i, "buffered_s": retrainer.Buffered(seq[0].MachineID)}); err != nil {
-				return err
+			version = active.Version
+			// In -json mode the lifecycle's own events tell the swap.
+			if em.sink == nil {
+				if _, err := fmt.Fprintf(w, "t=%4ds  *** %s: now serving %s\n", t, orch.Status().LastVerdict, version); err != nil {
+					return err
+				}
 			}
 		}
 	}
+	st := orch.Status()
 	if err := em.event("complete", "stream complete",
-		map[string]any{"seconds": n, "drift_alarms": driftCount, "retrains": retrainCount,
-			"skipped_s": skippedSeconds}); err != nil {
+		map[string]any{"seconds": n, "drift_alarms": driftCount, "retrains": st.Retrains,
+			"promotions": st.Promotions, "skipped_s": skippedSeconds}); err != nil {
 		return err
 	}
 	if cfg.holdOpen != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -29,8 +30,8 @@ func TestLiveLoopDetectsAndRecovers(t *testing.T) {
 	if !strings.Contains(out, "DRIFT") {
 		t.Error("workload switch did not trigger drift")
 	}
-	if !strings.Contains(out, "retrained") {
-		t.Error("no retrain event after drift")
+	if !strings.Contains(out, "promoted: now serving auto-") {
+		t.Error("no promotion after drift")
 	}
 	if !strings.Contains(out, "stream complete") {
 		t.Error("stream did not finish")
@@ -54,7 +55,10 @@ func TestLiveLoopValidation(t *testing.T) {
 }
 
 // TestLiveLoopJSONEvents runs the loop in -json mode and checks every
-// output line is a well-formed event with the documented schema.
+// output line is a well-formed event with the documented schema, that the
+// lifecycle answers the drift at the Prime -> Sort switch with a
+// promotion, and that the promoted model brings the next minute's error
+// under the 3.47 W the stale model read there.
 func TestLiveLoopJSONEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live loop in -short mode")
@@ -68,6 +72,7 @@ func TestLiveLoopJSONEvents(t *testing.T) {
 	seen := map[string]int{}
 	sc := bufio.NewScanner(strings.NewReader(sb.String()))
 	lastSeq := float64(0)
+	verdict := "" // the first shadow verdict after the first drift
 	for sc.Scan() {
 		var ev map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
@@ -75,6 +80,14 @@ func TestLiveLoopJSONEvents(t *testing.T) {
 		}
 		name, _ := ev["event"].(string)
 		seen[name]++
+		switch {
+		case name == "shadow_verdict" && seen["drift"] == 1 && verdict == "":
+			verdict = fmt.Sprintf("promote=%v", ev["promote"])
+		case name == "estimate" && ev["t_s"] == 780.0:
+			if e, _ := ev["mean_abs_err_w"].(float64); e <= 0 || e >= 3.47 {
+				t.Errorf("mean abs err %v W in the minute ending at 780 s, want (0, 3.47)", ev["mean_abs_err_w"])
+			}
+		}
 		seq, _ := ev["seq"].(float64)
 		if seq <= lastSeq {
 			t.Errorf("seq not monotone: %v after %v", seq, lastSeq)
@@ -84,9 +97,42 @@ func TestLiveLoopJSONEvents(t *testing.T) {
 			t.Errorf("event %q missing ts", name)
 		}
 	}
-	for _, want := range []string{"train", "stream_start", "estimate", "drift", "retrain", "complete"} {
+	for _, want := range []string{"train", "stream_start", "estimate", "drift",
+		"retrain_triggered", "challenger_trained", "shadow_verdict", "promoted", "complete"} {
 		if seen[want] == 0 {
 			t.Errorf("no %q event emitted; saw %v", want, seen)
+		}
+	}
+	if verdict != "promote=true" {
+		t.Errorf("the first drift was followed by the verdict %q, want promote=true", verdict)
+	}
+}
+
+// TestLiveLoopDeterministic runs chaos-live twice on one seed, on the
+// default stream and again with the crashy fault scenario in degraded
+// mode: the two -json event streams must be identical once the wall-clock
+// fields (each event's ts, a challenger's train_ms) are masked.
+func TestLiveLoopDeterministic(t *testing.T) {
+	base := config{Platform: "Core2", Machines: 3, Train: "Prime",
+		Stream: []string{"Prime", "Sort"}, Seed: 7}
+	faulted := base
+	faulted.Faults, faulted.Degraded = "../../examples/faults-crashy.json", true
+	for name, cfg := range map[string]config{"default": base, "faulted": faulted} {
+		var runs [2][]map[string]any
+		for r := range runs {
+			runs[r] = runJSON(t, cfg)
+			for _, ev := range runs[r] {
+				delete(ev, "ts")
+				delete(ev, "train_ms")
+			}
+		}
+		a, _ := json.Marshal(runs[0])
+		b, _ := json.Marshal(runs[1])
+		if string(a) != string(b) {
+			t.Errorf("%s: two runs on seed 7 emitted different event streams", name)
+		}
+		if len(runs[0]) < 10 {
+			t.Errorf("%s: only %d events", name, len(runs[0]))
 		}
 	}
 }
@@ -386,12 +432,11 @@ func checkSeries(t *testing.T, scrape string) {
 
 // TestPlainLoopKeepsEveryMinute crashes both machines of a plain (not
 // -degraded) run twice: over [50, 130), so the minute ending at 120 has no
-// estimate at all, and over [830, 850), across the retrain slot at 839
-// that the drift at the Prime -> Sort switch schedules. Every minute must
-// still emit exactly one estimate event, its metered cluster power must be
-// that minute's alone (the -degraded run, which never skips a second,
-// reads the same), a minute without estimates must carry no error figure
-// rather than a NaN, and the retrain must run at its slot.
+// estimate at all, and over [830, 850), after the Prime -> Sort switch.
+// Every minute must still emit exactly one estimate event, its metered
+// cluster power must be that minute's alone (the -degraded run, which
+// never skips a second, reads the same), and a minute without estimates
+// must carry no error figure rather than a NaN.
 func TestPlainLoopKeepsEveryMinute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full live loops in -short mode")
@@ -441,24 +486,17 @@ func TestPlainLoopKeepsEveryMinute(t *testing.T) {
 		}
 	}
 
-	var retrainAt []float64
 	for _, ev := range plain {
-		switch ev["event"] {
-		case "estimate":
-			tS, _ := ev["t_s"].(float64)
-			meanErr, ok := ev["mean_abs_err_w"].(float64)
-			if tS == 120 && ok {
-				t.Errorf("the minute with no estimate reports a mean abs err of %v W", meanErr)
-			}
-			if tS != 120 && (!ok || meanErr <= 0) {
-				t.Errorf("t=%v s: mean abs err %v, want a positive figure", tS, ev["mean_abs_err_w"])
-			}
-		case "retrain":
-			tS, _ := ev["t_s"].(float64)
-			retrainAt = append(retrainAt, tS)
+		if ev["event"] != "estimate" {
+			continue
 		}
-	}
-	if len(retrainAt) == 0 || retrainAt[0] != 839 {
-		t.Errorf("retrains at %v s, want the first at 839 s, inside the second blackout", retrainAt)
+		tS, _ := ev["t_s"].(float64)
+		meanErr, ok := ev["mean_abs_err_w"].(float64)
+		if tS == 120 && ok {
+			t.Errorf("the minute with no estimate reports a mean abs err of %v W", meanErr)
+		}
+		if tS != 120 && (!ok || meanErr <= 0) {
+			t.Errorf("t=%v s: mean abs err %v, want a positive figure", tS, ev["mean_abs_err_w"])
+		}
 	}
 }

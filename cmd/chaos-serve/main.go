@@ -401,11 +401,15 @@ func run(w io.Writer, cfg config) error {
 			FastWindow: cfg.SLOWindow, Events: sink,
 		})
 	}
-	// The orchestrator is built before the engine so its Ingest hook can
-	// ride along in the serve config; it is started (and bound to the
-	// engine) right after. With a state dir, the last checkpoint restores
-	// BEFORE Start so a mid-probation restart resumes probation instead of
-	// skipping it.
+	srv, err := serve.New(reg, scfg)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	// The orchestrator watches the engine's drift alarm and, once attached,
+	// takes its labeled snapshots. With a state dir, the last checkpoint
+	// restores before Start so a mid-probation restart resumes probation
+	// instead of skipping it.
 	var orch *lifecycle.Orchestrator
 	var ck *store.Checkpointer
 	lifecycleState := ""
@@ -415,7 +419,7 @@ func run(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		orch, err = lifecycle.New(reg, lifecycle.Config{
+		orch, err = lifecycle.New(reg, srv, lifecycle.Config{
 			Tech: models.Technique(cfg.Tech), Spec: spec, Names: names,
 			TriggerSamples: cfg.LifecycleSamples, PromoteMargin: cfg.PromoteMargin,
 			ProbationSnapshots: cfg.Probation, Events: sink,
@@ -449,7 +453,11 @@ func run(w io.Writer, cfg config) error {
 			}
 			defer ck.Close()
 		}
-		scfg.Labeled = orch.Ingest
+		if err := orch.Start(); err != nil {
+			return err
+		}
+		defer orch.Close()
+		srv.AttachLifecycle(orch)
 	}
 	if recovered {
 		if err := em.event("recovered",
@@ -461,18 +469,6 @@ func run(w io.Writer, cfg config) error {
 				"lifecycle_state":   lifecycleState}); err != nil {
 			return err
 		}
-	}
-	srv, err := serve.New(reg, scfg)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	if orch != nil {
-		if err := orch.Start(srv); err != nil {
-			return err
-		}
-		defer orch.Close()
-		srv.AttachLifecycle(orch)
 	}
 	// One mux carries the whole node: the /v1 serving API plus, in
 	// distributed mode, the cluster front door and — on any persistent

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -117,9 +118,11 @@ func TestServeBootstrapTracksMeter(t *testing.T) {
 }
 
 // TestServeOverloadSheds squeezes the engine through its flags (1 shard,
-// queue depth 1, batch of 1) under 8 concurrent senders and checks that
-// overload surfaces as 429 sheds — never as failures or an unbounded
-// queue.
+// queue depth 1, batch of 1) and checks that overload surfaces as 429
+// sheds — never as failures or an unbounded queue. Each request is a
+// snapshot of 16 machines, all on the one shard: it fills the one-slot
+// queue faster than the worker drains it one sample at a time, so it
+// sheds on its own, whether or not the 8 senders' requests overlap.
 func TestServeOverloadSheds(t *testing.T) {
 	cfg, err := parseConfig([]string{
 		"-listen", "127.0.0.1:0",
@@ -129,56 +132,51 @@ func TestServeOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed := 0
+	byStatus := map[int]int{} // 0: transport error
 	cfg.holdOpen = func(addr string) {
 		row := make([]float64, len(counters.StandardRegistry().Names()))
-		body, _ := json.Marshal(serve.EstimateRequest{Samples: []serve.SampleJSON{
-			{MachineID: "m0", Platform: "Core2", Counters: row},
-			{MachineID: "m1", Platform: "Core2", Counters: row},
-		}})
+		var req serve.EstimateRequest
+		for m := 0; m < 16; m++ {
+			req.Samples = append(req.Samples, serve.SampleJSON{
+				MachineID: "m" + strconv.Itoa(m), Platform: "Core2", Counters: row})
+		}
+		body, _ := json.Marshal(req)
 		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
 		defer client.CloseIdleConnections()
-		// Up to three rounds of 8 x 40 requests; the first round that
-		// sheds ends the test.
-		for round := 0; round < 3 && shed == 0; round++ {
-			var mu sync.Mutex
-			byStatus := map[int]int{} // 0: transport error
-			var wg sync.WaitGroup
-			for c := 0; c < 8; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 40; i++ {
-						status := 0
-						resp, err := client.Post("http://"+addr+"/v1/estimate", "application/json", bytes.NewReader(body))
-						if err == nil {
-							io.Copy(io.Discard, resp.Body) //nolint:errcheck
-							resp.Body.Close()
-							status = resp.StatusCode
-						}
-						mu.Lock()
-						byStatus[status]++
-						mu.Unlock()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					status := 0
+					resp, err := client.Post("http://"+addr+"/v1/estimate", "application/json", bytes.NewReader(body))
+					if err == nil {
+						io.Copy(io.Discard, resp.Body) //nolint:errcheck
+						resp.Body.Close()
+						status = resp.StatusCode
 					}
-				}()
-			}
-			wg.Wait()
-			for status, n := range byStatus {
-				switch status {
-				case http.StatusOK, http.StatusGatewayTimeout:
-				case http.StatusTooManyRequests:
-					shed += n
-				default:
-					t.Errorf("%d request(s) answered %d — overload must shed, not fail", n, status)
+					mu.Lock()
+					byStatus[status]++
+					mu.Unlock()
 				}
-			}
+			}()
 		}
+		wg.Wait()
 	}
 	if err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if shed == 0 {
-		t.Error("no 429 in 3 rounds despite queue depth 1 and 8 senders")
+	for status, n := range byStatus {
+		switch status {
+		case http.StatusOK, http.StatusTooManyRequests, http.StatusGatewayTimeout:
+		default:
+			t.Errorf("%d request(s) answered %d — overload must shed, not fail", n, status)
+		}
+	}
+	if byStatus[http.StatusTooManyRequests] == 0 {
+		t.Errorf("no 429 in %v despite 16-machine snapshots at queue depth 1", byStatus)
 	}
 }
 

@@ -6,28 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/counters"
 	"repro/internal/mathx"
-	"repro/internal/telemetry"
 )
-
-// Clock is the simulation-time source the streaming loop, the injector,
-// and the resilient collectors share, so every injected failure is
-// addressed by the same second index everywhere.
-type Clock struct{ t int }
-
-// NewClock starts a clock at second 0.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current second without advancing.
-func (c *Clock) Now() int { return c.t }
-
-// Tick returns the current second and advances to the next.
-func (c *Clock) Tick() int {
-	t := c.t
-	c.t++
-	return t
-}
 
 // RetryPolicy bounds the per-second collection pipeline: how many
 // attempts, how fast backoff grows between them, and the total latency
@@ -195,10 +175,4 @@ func (c *Collector) Collect(t int, fetch func() ([]float64, error)) (Result, err
 	c.brk.Failure(now)
 	samplesDropped.Inc()
 	return res, nil
-}
-
-// TelemetryFetch adapts a live telemetry.Collector into the fetch
-// callback Collect expects, sampling the given base signals.
-func TelemetryFetch(c *telemetry.Collector, sig counters.Signals) func() ([]float64, error) {
-	return func() ([]float64, error) { return c.Sample(sig) }
 }

@@ -178,10 +178,9 @@ func TestFaultCollectorWrapsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := NewClock()
 	for i := 0; i < 5; i++ {
 		_, sig, _ := m.Step(sim.Demand{CPU: 1})
-		res, err := c.Collect(clock.Tick(), TelemetryFetch(tc, counters.Signals(sig)))
+		res, err := c.Collect(i, func() ([]float64, error) { return tc.Sample(counters.Signals(sig)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,22 +196,6 @@ func TestFaultCollectorWrapsTelemetry(t *testing.T) {
 	}
 	if tc.Samples() != 5 {
 		t.Fatalf("inner collector sampled %d times, want 5", tc.Samples())
-	}
-}
-
-// TestFaultClock checks the shared sim clock's trivial contract.
-func TestFaultClock(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatal("clock does not start at 0")
-	}
-	for i := 0; i < 3; i++ {
-		if got := c.Tick(); got != i {
-			t.Fatalf("Tick = %d, want %d", got, i)
-		}
-	}
-	if c.Now() != 3 {
-		t.Fatalf("Now = %d after 3 ticks", c.Now())
 	}
 }
 

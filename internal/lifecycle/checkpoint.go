@@ -18,7 +18,7 @@ import (
 // Restore rules per phase: training collapses to idle (the in-flight fit
 // died with the process; its trigger re-fires from the restored buffers),
 // shadowing resumes with its live window (the newest live_n snapshots of
-// held_out) once Start finds the challenger in the registry, and
+// held_out) when the challenger is still in the registry, and
 // probation resumes with its accumulated evidence — a restart must not
 // let a bad promotion skip the rest of its probation window.
 
@@ -97,7 +97,10 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 // RestoreCheckpoint loads a checkpoint produced by MarshalCheckpoint.
 // It must be called after New and before Start: restoring into a running
 // loop would race the state machine. The counter-name order must match
-// the current configuration.
+// the current configuration. A checkpoint that left the machine shadowing
+// a challenger the registry no longer holds (e.g. its admission was the
+// lost journal tail) restores to idle, with the error recorded, rather
+// than refuse to boot.
 func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 	var doc checkpointDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -114,12 +117,20 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 	if err := o.rt.Restore(doc.Retrainer); err != nil {
 		return err
 	}
+	var lost error
+	if doc.State == stateShadowing.String() {
+		if _, ok := o.reg.Get(doc.Challenger); !ok {
+			lost = fmt.Errorf("lifecycle: challenger %q not in the registry", doc.Challenger)
+			doc.State, doc.LastErr = stateIdle.String(), "restore-shadow: "+lost.Error()
+		}
+	}
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.eng != nil {
+	if o.started {
+		o.mu.Unlock()
 		return fmt.Errorf("lifecycle: cannot restore a checkpoint after Start")
 	}
 	if o.closed {
+		o.mu.Unlock()
 		return fmt.Errorf("lifecycle: orchestrator closed")
 	}
 
@@ -162,5 +173,9 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 	o.lastVerdict = doc.LastVerdict
 	o.lastRatio = doc.LastRatio
 	o.lastErr = doc.LastErr
+	o.mu.Unlock()
+	if lost != nil {
+		o.emit("lifecycle_error", map[string]any{"stage": "restore-shadow", "error": lost.Error()})
+	}
 	return nil
 }

@@ -3,7 +3,6 @@ package lifecycle
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/models"
 	"repro/internal/registry"
@@ -24,14 +23,11 @@ func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := New(st.reg, Config{
-		Names: testNames,
-		Spec:  models.FeatureSpec{Name: "test", Counters: testNames},
-	})
+	cfg := Config{Names: testNames, Spec: models.FeatureSpec{Name: "test", Counters: testNames}}
+	restored, err := New(st.reg, nopEngine{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	if err := restored.RestoreCheckpoint(data); err != nil {
 		t.Fatal(err)
 	}
@@ -61,29 +57,25 @@ func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Restore after Start must be refused.
-	late, err := New(st.reg, Config{
-		Names: testNames,
-		Spec:  models.FeatureSpec{Name: "test", Counters: testNames},
-	})
+	late, err := New(st.reg, nopEngine{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	if err := late.Start(nopEngine{}); err != nil {
+	if err := late.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := late.RestoreCheckpoint(data); err == nil {
 		t.Fatal("restore after Start accepted")
 	}
 	// Counter-order mismatch must be refused.
-	other, err := New(st.reg, Config{
+	other, err := New(st.reg, nopEngine{}, Config{
 		Names: []string{"b", "a"},
 		Spec:  models.FeatureSpec{Name: "test", Counters: []string{"b", "a"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
 	if err := other.RestoreCheckpoint(data); err == nil {
 		t.Fatal("counter-order mismatch accepted")
 	}
@@ -116,7 +108,6 @@ func TestRecoveryShadowResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.orch.Close()
 	st.srv.Close()
 
 	st2 := startStack(t, st.reg, cfg, serve.Config{Shards: 2}, data)
@@ -124,7 +115,7 @@ func TestRecoveryShadowResume(t *testing.T) {
 		s.LiveShadowSnapshots != 3 {
 		t.Fatalf("restored status %+v, want shadowing %s with 3 live snapshots", s, was.Challenger)
 	}
-	final := driveUntil(t, st2, &i, lawB, 60*time.Second, "verdict after restore",
+	final := driveUntil(t, st2, &i, lawB, 20, "verdict after restore",
 		func(s Status) bool { return s.State != "shadowing" })
 	if final.LastVerdict != "promoted" || final.Retrains != 1 || final.LiveShadowSnapshots < 10 {
 		t.Errorf("status %+v, want the restored challenger promoted on >= 10 live snapshots", final)
@@ -135,18 +126,14 @@ func TestRecoveryShadowResume(t *testing.T) {
 	if err := reg.Add("v1", mkModel(t, 10, 1, 2), registry.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	broken, err := New(reg, Config{
+	broken, err := New(reg, nopEngine{}, Config{
 		Names: testNames,
 		Spec:  models.FeatureSpec{Name: "test", Counters: testNames},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer broken.Close()
 	if err := broken.RestoreCheckpoint(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := broken.Start(nopEngine{}); err != nil {
 		t.Fatal(err)
 	}
 	if s := broken.Status(); s.State != "idle" || !strings.HasPrefix(s.LastError, "restore-shadow: ") {
@@ -160,19 +147,14 @@ func TestRecoveryShadowResume(t *testing.T) {
 // the orchestrator must resume probation (not skip it), and when the
 // workload turns hostile the resumed probation must still roll back.
 func TestRecoveryMidProbationResume(t *testing.T) {
-	st := newStack(t, Config{
-		MinTrainSnapshots:  40,
-		ShadowSnapshots:    20,
-		ProbationSnapshots: 60,
-	}, serve.Config{
-		Shards:       2,
-		BaselineRMSE: 1,
-	})
+	cfg := Config{MinTrainSnapshots: 40, ShadowSnapshots: 20, ProbationSnapshots: 60}
+	scfg := serve.Config{Shards: 2, BaselineRMSE: 1}
+	st := newStack(t, cfg, scfg)
 	distB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
 	distC := func(a, b float64) float64 { return 10 + a + 2*b } // v1's law
 
 	i := 0
-	driveUntil(t, st, &i, distB, 60*time.Second, "promotion",
+	driveUntil(t, st, &i, distB, 500, "promotion",
 		func(s Status) bool { return s.Promotions >= 1 && s.State == "probation" })
 	promoted := st.reg.ActiveVersion()
 	if promoted == "v1" {
@@ -188,51 +170,18 @@ func TestRecoveryMidProbationResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.orch.Close()
 	st.srv.Close()
 
 	// The restart: fresh orchestrator and server over the surviving
 	// registry, state restored from the checkpoint.
-	orch2, err := New(st.reg, Config{
-		Names:              testNames,
-		Spec:               models.FeatureSpec{Name: "test", Counters: testNames},
-		MinTrainSnapshots:  40,
-		ShadowSnapshots:    20,
-		ProbationSnapshots: 60,
-		CheckInterval:      2 * time.Millisecond,
-		Cooldown:           time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := orch2.RestoreCheckpoint(data); err != nil {
-		t.Fatal(err)
-	}
-	if s := orch2.Status(); s.State != "probation" {
+	st2 := startStack(t, st.reg, cfg, scfg, data)
+	if s := st2.orch.Status(); s.State != "probation" {
 		t.Fatalf("restored state %q, want probation (resume, not skip)", s.State)
 	}
-	srv2, err := serve.New(st.reg, serve.Config{
-		Names:        testNames,
-		Shards:       2,
-		BaselineRMSE: 1,
-		BatchWindow:  200 * time.Microsecond,
-		Labeled:      orch2.Ingest,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := orch2.Start(srv2); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		orch2.Close()
-		srv2.Close()
-	})
-	st2 := &stack{reg: st.reg, srv: srv2, orch: orch2}
 
 	// The workload reverts to v1's law: the promoted model is now wrong,
 	// and the RESUMED probation must catch it and roll back.
-	final := driveUntil(t, st2, &i, distC, 60*time.Second, "rollback after restore",
+	final := driveUntil(t, st2, &i, distC, 60, "rollback after restore",
 		func(s Status) bool { return s.Rollbacks >= 1 })
 	if active := st.reg.ActiveVersion(); active != "v1" {
 		t.Errorf("active = %q after resumed-probation rollback, want v1", active)

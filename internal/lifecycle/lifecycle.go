@@ -13,7 +13,9 @@
 //
 // The orchestrator never touches the request path: the serving layer
 // feeds it labeled snapshots through one cheap callback, and every heavy
-// step (fitting, window scoring) runs on the orchestrator's own goroutine.
+// step (fitting, window scoring) runs inside Step, on the caller's clock:
+// the daemon's Start loop steps it on the wall clock, a simulation once
+// per simulated second.
 package lifecycle
 
 import (
@@ -37,16 +39,27 @@ var (
 	lcShadowRatio = obs.Default().Gauge("chaos_shadow_error_ratio", nil)
 )
 
-// Engine is the serving surface the orchestrator drives: the serve-side
-// drift alarm. *serve.Server implements it; lifecycle stays decoupled from
-// the HTTP layer.
+// Engine is the drift alarm the orchestrator watches: *serve.Server in the
+// daemon, an *online.Monitor where the caller runs its own predictor.
+// lifecycle stays decoupled from the HTTP layer.
 type Engine interface {
-	// Drifted reports whether the serve-path drift monitor has alarmed.
+	// Drifted reports whether the drift monitor has alarmed.
 	Drifted() bool
 	// ResetDrift clears the drift alarm after a retrain resolves (or
 	// fails to resolve) it, so the monitor re-arms on fresh residuals.
 	ResetDrift()
 }
+
+const (
+	// checkInterval is the cadence of Start's loop.
+	checkInterval = 250 * time.Millisecond
+	// cooldown is the minimum gap, on the clock Step is given, between
+	// automatic retrains. Manual triggers bypass it, and so does the first
+	// automatic retrain: until a retrain has actually run there is nothing
+	// to cool down from, and only the minimum-window gate should delay
+	// reacting to early drift.
+	cooldown = 30 * time.Second
+)
 
 // Config tunes the orchestrator. Zero values take defaults.
 type Config struct {
@@ -59,8 +72,6 @@ type Config struct {
 	// HeldOut is how many recent labeled snapshots the held-out scoring
 	// window keeps (default 256).
 	HeldOut int
-	// CheckInterval is the orchestrator loop cadence (default 250ms).
-	CheckInterval time.Duration
 	// TriggerSamples, when positive, triggers a retrain after this many
 	// labeled snapshots have arrived since the last one.
 	TriggerSamples int
@@ -77,17 +88,11 @@ type Config struct {
 	// (default 0.05): promote iff challDRE <= champDRE * (1 - margin).
 	PromoteMargin float64
 	// ProbationSnapshots is how many metered snapshots the freshly
-	// promoted model is watched for after the swap (default 64). Zero
+	// promoted model is watched for after the swap. Zero, the default,
 	// disables probation. Probation rolls back when the live RMSE exceeds
 	// 2 × the shadow RMSE + 1 W; the watt of slack keeps a near-perfect
 	// shadow fit from making it hair-triggered.
 	ProbationSnapshots int
-	// Cooldown is the minimum gap between automatic retrains
-	// (default 30s). Manual triggers bypass it, and so does the first
-	// automatic retrain after startup: until a retrain has actually run
-	// there is nothing to cool down from, and only the minimum-window
-	// gate should delay reacting to early drift.
-	Cooldown time.Duration
 	// Events, when set, receives the lifecycle JSON events:
 	// retrain_triggered, challenger_trained, shadow_verdict, promoted,
 	// rolled_back (plus lifecycle_error on failures).
@@ -107,9 +112,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.HeldOut <= 0 {
 		c.HeldOut = 256
 	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = 250 * time.Millisecond
-	}
 	if c.MinTrainSnapshots <= 0 {
 		c.MinTrainSnapshots = 64
 	}
@@ -118,9 +120,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ProbationSnapshots < 0 {
 		c.ProbationSnapshots = 0
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
 	}
 	return c, nil
 }
@@ -156,15 +155,16 @@ type probAccum struct {
 }
 
 // Orchestrator is the closed-loop model lifecycle driver. Create with
-// New, wire its Ingest hook into the serving layer, call Start with the
-// engine, and Close on shutdown.
+// New, feed it labeled snapshots through Ingest, and advance it with Step
+// on the caller's clock, or with Start's wall-clock loop and Close on
+// shutdown.
 type Orchestrator struct {
 	reg *registry.Registry
+	eng Engine
 	cfg Config
 	rt  *online.Retrainer
 
 	mu    sync.Mutex
-	eng   Engine
 	state state
 	// heldout holds the recent labeled snapshots; window() lists them
 	// oldest first.
@@ -198,19 +198,22 @@ type Orchestrator struct {
 	lastVerdict string
 	lastRatio   float64
 	lastErr     string
+	started     bool
 	closed      bool
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-	now  func() time.Time
 }
 
-// New builds an orchestrator over the registry. Start must be called with
-// the serving engine before any trigger can resolve.
-func New(reg *registry.Registry, cfg Config) (*Orchestrator, error) {
+// New builds an orchestrator over the registry that watches eng's drift
+// alarm.
+func New(reg *registry.Registry, eng Engine, cfg Config) (*Orchestrator, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("lifecycle: nil registry")
+	}
+	if eng == nil {
+		return nil, fmt.Errorf("lifecycle: nil engine")
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -221,59 +224,38 @@ func New(reg *registry.Registry, cfg Config) (*Orchestrator, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Orchestrator{
+	// lastRetrain stays zero until the first retrain actually runs: the
+	// cooldown gate never blocks the first trigger after startup (the
+	// min-window gate is what paces the warmup).
+	return &Orchestrator{
 		reg:     reg,
+		eng:     eng,
 		cfg:     cfg,
 		rt:      rt,
 		heldout: mathx.NewRing[Snapshot](cfg.HeldOut),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		now:     time.Now,
-	}
-	// lastRetrain stays zero until the first retrain actually runs: the
-	// cooldown gate never blocks the first trigger after startup (the
-	// min-window gate is what paces the warmup).
-	return o, nil
+	}, nil
 }
 
-// Start binds the serving engine and launches the background loop. A
-// restored checkpoint that left the machine shadowing resumes shadowing,
-// provided its challenger is still in the registry.
-func (o *Orchestrator) Start(eng Engine) error {
-	if eng == nil {
-		return fmt.Errorf("lifecycle: nil engine")
-	}
+// Start launches the daemon's loop: Step(time.Now()) every 250 ms, or at
+// once on a manual trigger. Nothing else may call Step once it runs.
+func (o *Orchestrator) Start() error {
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.closed {
-		o.mu.Unlock()
 		return fmt.Errorf("lifecycle: orchestrator closed")
 	}
-	if o.eng != nil {
-		o.mu.Unlock()
+	if o.started {
 		return fmt.Errorf("lifecycle: already started")
 	}
-	o.eng = eng
-	var lost error
-	if o.state == stateShadowing {
-		if _, ok := o.reg.Get(o.challenger); !ok {
-			// The challenger may be gone (e.g. its admission was the lost
-			// journal tail). Fall back to idle rather than refuse to boot.
-			lost = fmt.Errorf("lifecycle: challenger %q not in the registry", o.challenger)
-			o.state = stateIdle
-			o.challenger = ""
-			o.lastErr = "restore-shadow: " + lost.Error()
-		}
-	}
-	o.mu.Unlock()
-	if lost != nil {
-		o.emit("lifecycle_error", map[string]any{"stage": "restore-shadow", "error": lost.Error()})
-	}
+	o.started = true
 	go o.run()
 	return nil
 }
 
-// Close stops the loop. Safe to call more than once, and before Start.
+// Close stops Start's loop. Safe to call more than once, and before Start.
 func (o *Orchestrator) Close() {
 	o.mu.Lock()
 	if o.closed {
@@ -281,7 +263,7 @@ func (o *Orchestrator) Close() {
 		return
 	}
 	o.closed = true
-	started := o.eng != nil
+	started := o.started
 	o.mu.Unlock()
 	close(o.stop)
 	if started {
@@ -296,30 +278,32 @@ func (o *Orchestrator) Close() {
 // the live window the verdict scores), and — during probation — the
 // promoted model's live error (only snapshots the promoted version itself
 // served count: requests in flight across the swap were answered by the
-// old champion and say nothing about the new model). Counter rows are
-// copied; callers may reuse them.
+// old champion and say nothing about the new model). A snapshot with a
+// mis-sized row or a non-finite metered total is dropped whole, before
+// any buffer sees it. Counter rows are copied; callers may reuse them.
 func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estimated float64, version string) {
 	if len(samples) == 0 || len(metered) != len(samples) {
 		return
 	}
-	cp := make([]online.Sample, 0, len(samples))
 	var actual float64
 	for i, s := range samples {
 		if len(s.Counters) != len(o.cfg.Names) {
-			return // structurally incompatible snapshot; drop it whole
+			return
 		}
-		c := online.Sample{
+		actual += metered[i]
+	}
+	if math.IsNaN(actual) || math.IsInf(actual, 0) {
+		return
+	}
+	cp := make([]online.Sample, len(samples))
+	for i, s := range samples {
+		cp[i] = online.Sample{
 			MachineID: s.MachineID,
 			Platform:  s.Platform,
 			Counters:  append([]float64(nil), s.Counters...),
 		}
-		cp = append(cp, c)
-		actual += metered[i]
-		// Non-finite rows/labels are rejected (and counted) inside Add.
-		_ = o.rt.Add(c, metered[i]) //nolint:errcheck // width checked above
-	}
-	if math.IsNaN(actual) || math.IsInf(actual, 0) {
-		return
+		// Non-finite rows are rejected (and counted) inside Add.
+		_ = o.rt.Add(cp[i], metered[i]) //nolint:errcheck // width checked above
 	}
 	o.mu.Lock()
 	o.heldout.Push(Snapshot{Samples: cp, Actual: actual})
@@ -337,8 +321,9 @@ func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estima
 }
 
 // TriggerRetrain requests an explicit retrain (the /v1/lifecycle/retrain
-// path). Manual triggers bypass the cooldown and minimum-window gates;
-// the retrain itself still fails cleanly when too little is buffered.
+// path), served by the next Step. Manual triggers bypass the cooldown and
+// minimum-window gates; the retrain itself still fails cleanly when too
+// little is buffered.
 func (o *Orchestrator) TriggerRetrain(reason string) error {
 	if reason == "" {
 		reason = "manual"
@@ -347,9 +332,6 @@ func (o *Orchestrator) TriggerRetrain(reason string) error {
 	defer o.mu.Unlock()
 	if o.closed {
 		return fmt.Errorf("lifecycle: orchestrator closed")
-	}
-	if o.eng == nil {
-		return fmt.Errorf("lifecycle: orchestrator not started")
 	}
 	if len(o.manual) >= 8 {
 		return fmt.Errorf("lifecycle: too many pending retrain requests")
@@ -406,11 +388,11 @@ func (o *Orchestrator) Status() Status {
 // StatusJSON adapts Status to the serve.Lifecycle interface.
 func (o *Orchestrator) StatusJSON() any { return o.Status() }
 
-// run is the orchestrator loop: one tick per CheckInterval (or sooner on
-// a manual kick), each tick advancing the state machine at most one step.
+// run is Start's loop: one Step per checkInterval, or sooner on a manual
+// kick.
 func (o *Orchestrator) run() {
 	defer close(o.done)
-	t := time.NewTicker(o.cfg.CheckInterval)
+	t := time.NewTicker(checkInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -419,17 +401,19 @@ func (o *Orchestrator) run() {
 		case <-t.C:
 		case <-o.kick:
 		}
-		o.tick()
+		o.Step(time.Now())
 	}
 }
 
-// tick advances the state machine. Heavy work (fitting, scoring) runs
-// with the mutex released so Ingest never blocks on it.
-func (o *Orchestrator) tick() {
+// Step advances the state machine at most one phase; now is the caller's
+// clock, which paces the cooldown between automatic retrains. Fitting and
+// scoring run inside Step with the mutex released, so Ingest never blocks
+// on them. Steps must not overlap: one goroutine drives them.
+func (o *Orchestrator) Step(now time.Time) {
 	o.mu.Lock()
 	switch o.state {
 	case stateIdle:
-		reason, ok := o.triggerLocked()
+		reason, ok := o.triggerLocked(now)
 		if !ok {
 			o.mu.Unlock()
 			return
@@ -437,7 +421,7 @@ func (o *Orchestrator) tick() {
 		o.state = stateTraining
 		o.lastTrigger = reason
 		o.sinceRetrain = 0
-		o.lastRetrain = o.now()
+		o.lastRetrain = now
 		o.lastErr = ""
 		o.mu.Unlock()
 		o.emit("retrain_triggered", map[string]any{"reason": reason})
@@ -457,9 +441,9 @@ func (o *Orchestrator) tick() {
 	}
 }
 
-// triggerLocked decides whether a retrain should start now. Caller holds
-// o.mu.
-func (o *Orchestrator) triggerLocked() (string, bool) {
+// triggerLocked decides whether a retrain should start at now. Caller
+// holds o.mu.
+func (o *Orchestrator) triggerLocked(now time.Time) (string, bool) {
 	if len(o.manual) > 0 {
 		r := o.manual[0]
 		o.manual = o.manual[1:]
@@ -471,10 +455,10 @@ func (o *Orchestrator) triggerLocked() (string, bool) {
 	// The cooldown spaces retrains apart; before the first one there is
 	// nothing to cool down from, so only the min-window gate above paces
 	// the warmup and early drift is acted on immediately.
-	if !o.lastRetrain.IsZero() && o.now().Sub(o.lastRetrain) < o.cfg.Cooldown {
+	if !o.lastRetrain.IsZero() && now.Sub(o.lastRetrain) < cooldown {
 		return "", false
 	}
-	if o.eng != nil && o.eng.Drifted() {
+	if o.eng.Drifted() {
 		return "drift", true
 	}
 	if o.cfg.TriggerSamples > 0 && o.sinceRetrain >= o.cfg.TriggerSamples {

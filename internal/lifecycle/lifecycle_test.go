@@ -37,12 +37,13 @@ func mkModel(t *testing.T, intercept, c1, c2 float64) *models.ClusterModel {
 }
 
 // stack is a full closed-loop fixture: registry with champion v1
-// (10 + a + 2b), serving engine wired to the orchestrator's hooks, and
-// the orchestrator running against the engine.
+// (10 + a + 2b), and a serving engine that hands its labeled snapshots to
+// the attached orchestrator, which the test steps on a fake clock.
 type stack struct {
 	reg  *registry.Registry
 	srv  *serve.Server
 	orch *Orchestrator
+	now  time.Time
 }
 
 func newStack(t *testing.T, lcfg Config, scfg serve.Config) *stack {
@@ -54,7 +55,7 @@ func newStack(t *testing.T, lcfg Config, scfg serve.Config) *stack {
 	return startStack(t, reg, lcfg, scfg, nil)
 }
 
-// startStack wires an orchestrator and a serving engine over reg, first
+// startStack wires a serving engine and an orchestrator over reg, first
 // restoring the orchestrator from ckpt when it is non-nil.
 func startStack(t *testing.T, reg *registry.Registry, lcfg Config, scfg serve.Config, ckpt []byte) *stack {
 	t.Helper()
@@ -64,23 +65,7 @@ func startStack(t *testing.T, reg *registry.Registry, lcfg Config, scfg serve.Co
 	if len(lcfg.Spec.Counters) == 0 {
 		lcfg.Spec = models.FeatureSpec{Name: "test", Counters: testNames}
 	}
-	if lcfg.CheckInterval == 0 {
-		lcfg.CheckInterval = 2 * time.Millisecond
-	}
-	if lcfg.Cooldown == 0 {
-		lcfg.Cooldown = time.Millisecond
-	}
-	orch, err := New(reg, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt != nil {
-		if err := orch.RestoreCheckpoint(ckpt); err != nil {
-			t.Fatal(err)
-		}
-	}
 	scfg.Names = testNames
-	scfg.Labeled = orch.Ingest
 	if scfg.BatchWindow == 0 {
 		scfg.BatchWindow = 200 * time.Microsecond
 	}
@@ -88,14 +73,25 @@ func startStack(t *testing.T, reg *registry.Registry, lcfg Config, scfg serve.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := orch.Start(srv); err != nil {
+	t.Cleanup(srv.Close)
+	orch, err := New(reg, srv, lcfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		orch.Close()
-		srv.Close()
-	})
-	return &stack{reg: reg, srv: srv, orch: orch}
+	t.Cleanup(orch.Close)
+	if ckpt != nil {
+		if err := orch.RestoreCheckpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.AttachLifecycle(orch)
+	return &stack{reg: reg, srv: srv, orch: orch, now: time.Unix(0, 0)}
+}
+
+// step advances the fake clock one second and steps the orchestrator.
+func (st *stack) step() {
+	st.now = st.now.Add(time.Second)
+	st.orch.Step(st.now)
 }
 
 // snapshotSamples is the feeder's workload: two machines whose counters
@@ -110,8 +106,8 @@ func snapshotSamples(i int) []online.Sample {
 	return []online.Sample{mk("f0", 0), mk("f1", 6)}
 }
 
-// feedOne sends one labeled snapshot through the engine; label maps one
-// machine's counters to its metered watts.
+// feedOne sends one labeled snapshot through the engine, then steps; label
+// maps one machine's counters to its metered watts.
 func feedOne(t *testing.T, st *stack, i int, label func(a, b float64) float64) {
 	t.Helper()
 	samples := snapshotSamples(i)
@@ -122,30 +118,29 @@ func feedOne(t *testing.T, st *stack, i int, label func(a, b float64) float64) {
 	if _, err := st.srv.Estimate(samples, 5*time.Second, metered); err != nil {
 		t.Fatalf("feeder estimate %d: %v", i, err)
 	}
+	st.step()
 }
 
 // driveUntil feeds labeled snapshots until the orchestrator status
-// satisfies cond, failing the test after timeout. label may change
-// between snapshots (it is re-read each iteration via the pointer).
+// satisfies cond, failing the test after limit snapshots.
 func driveUntil(t *testing.T, st *stack, i *int, label func(a, b float64) float64,
-	timeout time.Duration, what string, cond func(Status) bool) Status {
+	limit int, what string, cond func(Status) bool) Status {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
+	for n := 0; ; n++ {
 		s := st.orch.Status()
 		if cond(s) {
 			return s
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s; status %+v", what, s)
+		if n == limit {
+			t.Fatalf("no %s after %d snapshots; status %+v", what, limit, s)
 		}
 		feedOne(t, st, *i, label)
 		*i++
 	}
 }
 
-// trainChallenger feeds n labeled snapshots, triggers a manual retrain,
-// and waits, feeding nothing more, until the challenger is shadowing.
+// trainChallenger feeds n labeled snapshots and triggers a manual retrain,
+// which the next step serves: the challenger is then shadowing.
 func trainChallenger(t *testing.T, st *stack, i *int, n int, label func(a, b float64) float64) {
 	t.Helper()
 	for end := *i + n; *i < end; *i++ {
@@ -154,29 +149,9 @@ func trainChallenger(t *testing.T, st *stack, i *int, n int, label func(a, b flo
 	if err := st.orch.TriggerRetrain("test"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for st.orch.Status().State != "shadowing" {
-		if time.Now().After(deadline) {
-			t.Fatalf("challenger never reached shadowing; status %+v", st.orch.Status())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// waitVerdict waits, feeding nothing, until the orchestrator has decided
-// on its challenger.
-func waitVerdict(t *testing.T, st *stack) Status {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		s := st.orch.Status()
-		if s.LastVerdict != "" {
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no verdict; status %+v", s)
-		}
-		time.Sleep(time.Millisecond)
+	st.step()
+	if s := st.orch.Status(); s.State != "shadowing" {
+		t.Fatalf("challenger not shadowing; status %+v", s)
 	}
 }
 
@@ -241,9 +216,9 @@ func TestLifecycleDriftRetrainPromote(t *testing.T) {
 	// champion (10 + a + 2b) was fitted for.
 	shifted := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
 	i := 0
-	driveUntil(t, st, &i, shifted, 60*time.Second, "promotion",
+	driveUntil(t, st, &i, shifted, 500, "promotion",
 		func(s Status) bool { return s.Promotions >= 1 })
-	final := driveUntil(t, st, &i, shifted, 60*time.Second, "probation pass",
+	final := driveUntil(t, st, &i, shifted, 500, "probation pass",
 		func(s Status) bool { return s.Promotions >= 1 && s.State == "idle" })
 
 	close(stop)
@@ -293,25 +268,11 @@ func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 
 	// Phase 1: the retrain window fills with poisoned labels.
 	i := 0
-	for ; i < 60; i++ {
-		feedOne(t, st, i, poison)
-	}
-	if err := st.orch.TriggerRetrain("test-corrupt"); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the challenger to be fitted and shadowing to start; no
-	// feeding needed — training runs on the orchestrator goroutine.
-	deadline := time.Now().Add(30 * time.Second)
-	for st.orch.Status().State != "shadowing" {
-		if time.Now().After(deadline) {
-			t.Fatalf("challenger never reached shadowing; status %+v", st.orch.Status())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	trainChallenger(t, st, &i, 60, poison)
 	// Phase 2: clean traffic while shadowing. The champion nails it, the
 	// poisoned challenger is wildly off.
-	verdict := driveUntil(t, st, &i, truth, 60*time.Second, "verdict",
-		func(s Status) bool { return s.State == "idle" && s.Retrains >= 1 })
+	verdict := driveUntil(t, st, &i, truth, 100, "verdict",
+		func(s Status) bool { return s.State == "idle" })
 
 	if verdict.Promotions != 0 {
 		t.Errorf("promotions = %d, want 0 for a poisoned challenger", verdict.Promotions)
@@ -356,8 +317,6 @@ func TestLifecycleLiveEvidence(t *testing.T) {
 	for ; i < pre+live; i++ {
 		feedOne(t, st, i, label(i))
 	}
-	waitVerdict(t, st)
-	st.orch.Close() // the loop has exited: every event is written
 	if s := st.orch.Status(); s.LiveShadowSnapshots != live || s.LastVerdict != "promoted" {
 		t.Fatalf("status %+v, want %d live snapshots and a promotion", s, live)
 	}
@@ -458,8 +417,9 @@ func TestLifecycleLiveGateSameSnapshots(t *testing.T) {
 		if _, err := st.srv.Estimate(samples, 5*time.Second, metered); err != nil {
 			t.Fatal(err)
 		}
+		st.step()
 	}
-	if s := waitVerdict(t, st); s.LastVerdict != "rejected" || reg.ActiveVersion() != "v1" {
+	if s := st.orch.Status(); s.LastVerdict != "rejected" || reg.ActiveVersion() != "v1" {
 		t.Errorf("status %+v, active %s: want the challenger rejected and v1 serving", s, reg.ActiveVersion())
 	}
 }
@@ -482,7 +442,7 @@ func TestLifecycleProbationRollback(t *testing.T) {
 	distC := func(a, b float64) float64 { return 10 + a + 2*b } // v1's own law
 
 	i := 0
-	driveUntil(t, st, &i, distB, 60*time.Second, "promotion",
+	driveUntil(t, st, &i, distB, 500, "promotion",
 		func(s Status) bool { return s.Promotions >= 1 })
 	promoted := st.reg.ActiveVersion()
 	if promoted == "v1" {
@@ -490,7 +450,7 @@ func TestLifecycleProbationRollback(t *testing.T) {
 	}
 	// The world changes back mid-probation: the promoted model is now the
 	// wrong one.
-	final := driveUntil(t, st, &i, distC, 60*time.Second, "rollback",
+	final := driveUntil(t, st, &i, distC, 60, "rollback",
 		func(s Status) bool { return s.Rollbacks >= 1 })
 
 	if active := st.reg.ActiveVersion(); active != "v1" {
@@ -504,37 +464,58 @@ func TestLifecycleProbationRollback(t *testing.T) {
 	}
 }
 
-// TestLifecycleManualTriggerTooLittleData locks the fail-fast path: a
-// manual retrain with starving buffers must surface the online package's
-// minimum-rows error in the status, leave the champion serving, and
-// return the orchestrator to idle.
+// eventLines hands each JSON event line the orchestrator emits to the
+// test.
+type eventLines chan string
+
+func (c eventLines) Write(p []byte) (int, error) {
+	c <- string(p)
+	return len(p), nil
+}
+
+// TestLifecycleManualTriggerTooLittleData locks the fail-fast path and
+// Start's loop: the loop serves a manual retrain with starving buffers,
+// which must surface the online package's minimum-rows error in the
+// status, leave the champion serving, and return the orchestrator to
+// idle; Close then stops the loop.
 func TestLifecycleManualTriggerTooLittleData(t *testing.T) {
-	st := newStack(t, Config{}, serve.Config{Shards: 1})
+	// Room for every event the run emits, so the loop never blocks on a
+	// test that has stopped reading.
+	events := make(eventLines, 64)
+	st := newStack(t, Config{Events: obs.NewEventSink(events)}, serve.Config{Shards: 1})
 	// Two labeled snapshots: plenty to prove liveness, far below the
 	// features+intercept+1 floor.
 	truth := func(a, b float64) float64 { return 10 + a + 2*b }
 	for i := 0; i < 2; i++ {
 		feedOne(t, st, i, truth)
 	}
+	if err := st.orch.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.orch.Start(); err == nil {
+		t.Error("second Start accepted")
+	}
 	if err := st.orch.TriggerRetrain(""); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		s := st.orch.Status()
-		if s.LastError != "" {
-			if s.State != "idle" {
-				t.Errorf("state = %q after failed retrain, want idle", s.State)
-			}
-			if s.Promotions != 0 || st.reg.ActiveVersion() != "v1" {
-				t.Errorf("failed retrain must not touch the active model: %+v", s)
-			}
-			break
+	for served := false; !served; {
+		select {
+		case line := <-events:
+			served = strings.Contains(line, `"event":"lifecycle_error"`)
+		case <-time.After(time.Minute):
+			t.Fatal("Start's loop never served the manual trigger")
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retrain failure never surfaced; status %+v", s)
-		}
-		time.Sleep(time.Millisecond)
+	}
+	st.orch.Close()
+	s := st.orch.Status()
+	if s.State != "idle" || !strings.HasPrefix(s.LastError, "retrain: ") {
+		t.Errorf("status %+v after a failed retrain, want idle with the retrain error", s)
+	}
+	if s.Promotions != 0 || st.reg.ActiveVersion() != "v1" {
+		t.Errorf("failed retrain must not touch the active model: %+v", s)
+	}
+	if err := st.orch.TriggerRetrain("late"); err == nil {
+		t.Error("trigger after Close accepted")
 	}
 }
 
@@ -553,13 +534,34 @@ func TestLifecycleRetrainLeavesEstimatesCounter(t *testing.T) {
 	if err := st.orch.TriggerRetrain("test"); err != nil {
 		t.Fatal(err)
 	}
-	s := waitVerdict(t, st)
-	if s.Retrains != 1 {
-		t.Fatalf("retrains = %d, want 1; status %+v", s.Retrains, s)
+	st.step() // fit and held-out scoring
+	st.step() // verdict
+	if s := st.orch.Status(); s.Retrains != 1 || s.LastVerdict == "" {
+		t.Fatalf("status %+v, want one retrain and its verdict", s)
 	}
 	if got := estimates.Value(); got != before {
-		t.Errorf("chaos_estimates_total moved by %g over a retrain and %s verdict, want 0",
-			got-before, s.LastVerdict)
+		t.Errorf("chaos_estimates_total moved by %g over a retrain and its verdict, want 0", got-before)
+	}
+}
+
+// TestLifecycleIngestDropsMisSizedSnapshot: a snapshot with one mis-sized
+// sample is dropped whole, so the well-formed sample before it must not
+// reach the retrain buffers either: a challenger would train on a row the
+// held-out window never saw.
+func TestLifecycleIngestDropsMisSizedSnapshot(t *testing.T) {
+	o, err := New(registry.New(), nopEngine{}, Config{Names: testNames, Spec: models.FeatureSpec{Name: "t", Counters: testNames}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Ingest([]online.Sample{
+		{MachineID: "m0", Platform: "p", Counters: []float64{1, 2}},
+		{MachineID: "m1", Platform: "p", Counters: []float64{1, 2, 3}},
+	}, []float64{50, 60}, 110, "v1")
+	if n := o.rt.Buffered("m0"); n != 0 {
+		t.Errorf("machine m0 buffered %d rows from a dropped snapshot, want 0", n)
+	}
+	if s := o.Status(); s.HeldOutSnapshots != 0 || s.SnapshotsSinceRetrain != 0 {
+		t.Errorf("status %+v, want the snapshot dropped", s)
 	}
 }
 
@@ -604,29 +606,30 @@ func TestLifecycleScoreWindow(t *testing.T) {
 // TestLifecycleConfigValidation locks constructor failure modes.
 func TestLifecycleConfigValidation(t *testing.T) {
 	reg := registry.New()
-	if _, err := New(nil, Config{}); err == nil {
+	cfg := Config{Names: testNames, Spec: models.FeatureSpec{Name: "t", Counters: testNames}}
+	if _, err := New(nil, nopEngine{}, cfg); err == nil {
 		t.Error("nil registry accepted")
 	}
-	if _, err := New(reg, Config{Names: testNames}); err == nil {
-		t.Error("missing spec accepted")
-	}
-	if _, err := New(reg, Config{Spec: models.FeatureSpec{Counters: testNames}}); err == nil {
-		t.Error("missing names accepted")
-	}
-	o, err := New(reg, Config{Names: testNames, Spec: models.FeatureSpec{Name: "t", Counters: testNames}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(nil); err == nil {
+	if _, err := New(reg, nil, cfg); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if err := o.TriggerRetrain("x"); err == nil {
-		t.Error("trigger before Start accepted")
+	if _, err := New(reg, nopEngine{}, Config{Names: testNames}); err == nil {
+		t.Error("missing spec accepted")
+	}
+	if _, err := New(reg, nopEngine{}, Config{Spec: cfg.Spec}); err == nil {
+		t.Error("missing names accepted")
+	}
+	o, err := New(reg, nopEngine{}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	o.Close()
 	o.Close() // idempotent
 	if err := o.TriggerRetrain("x"); err == nil {
 		t.Error("trigger after Close accepted")
+	}
+	if err := o.Start(); err == nil {
+		t.Error("Start after Close accepted")
 	}
 }
 
@@ -637,18 +640,15 @@ func TestLifecycleConfigValidation(t *testing.T) {
 // sit out a 30-second cooldown it never earned. After a retrain the
 // cooldown applies normally.
 func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
-	reg := registry.New()
-	o, err := New(reg, Config{
+	o, err := New(registry.New(), nopEngine{}, Config{
 		Names:          testNames,
 		Spec:           models.FeatureSpec{Name: "t", Counters: testNames},
 		TriggerSamples: 10,
-		// Cooldown left at the 30s default on purpose.
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := time.Unix(1000, 0)
-	o.now = func() time.Time { return clock }
 	// Fill the held-out window to the minimum the trigger waits for.
 	for i := 0; i < o.cfg.MinTrainSnapshots; i++ {
 		o.Ingest([]online.Sample{{MachineID: "m0", Platform: "P", Counters: []float64{1, 2}}}, []float64{50}, 0, "")
@@ -660,18 +660,17 @@ func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
 	}
 	o.sinceRetrain = o.cfg.TriggerSamples
 
-	if reason, ok := o.triggerLocked(); !ok || reason != "samples" {
+	if reason, ok := o.triggerLocked(clock); !ok || reason != "samples" {
 		t.Fatalf("first trigger = (%q, %v), want (samples, true): startup must not be cooled down", reason, ok)
 	}
 	// A completed retrain arms the cooldown; the same conditions must now
 	// be blocked until it elapses.
 	o.lastRetrain = clock
 	o.sinceRetrain = o.cfg.TriggerSamples
-	if reason, ok := o.triggerLocked(); ok {
+	if reason, ok := o.triggerLocked(clock.Add(cooldown - time.Second)); ok {
 		t.Fatalf("trigger %q fired inside the cooldown", reason)
 	}
-	clock = clock.Add(o.cfg.Cooldown)
-	if reason, ok := o.triggerLocked(); !ok || reason != "samples" {
+	if reason, ok := o.triggerLocked(clock.Add(cooldown)); !ok || reason != "samples" {
 		t.Fatalf("post-cooldown trigger = (%q, %v), want (samples, true)", reason, ok)
 	}
 }

@@ -30,7 +30,7 @@ const (
 
 func newReplayOrchestrator(t *testing.T) *Orchestrator {
 	t.Helper()
-	o, err := New(registry.New(), Config{
+	o, err := New(registry.New(), nopEngine{}, Config{
 		Names:   testNames,
 		Spec:    models.FeatureSpec{Name: "replay", Counters: testNames},
 		HeldOut: 8,
@@ -38,7 +38,6 @@ func newReplayOrchestrator(t *testing.T) *Orchestrator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(o.Close)
 	return o
 }
 

@@ -28,50 +28,27 @@ const (
 	// HealthImputed means a sample arrived with non-finite counters that
 	// were imputed from recent history before prediction.
 	HealthImputed Health = "imputed"
-	// HealthStale means no usable sample for up to TTLSeconds; the last
-	// estimate is held with decay.
+	// HealthStale means no usable sample for up to staleTTLSeconds; the
+	// last estimate is held with decay.
 	HealthStale Health = "stale"
 	// HealthDown means the machine has been silent past the TTL (or was
 	// never seen); it contributes zero to the cluster sum.
 	HealthDown Health = "down"
 )
 
-// DegradedConfig tunes staleness, decay, and imputation behavior.
-type DegradedConfig struct {
-	// TTLSeconds is how long a silent machine's last estimate is held
-	// (with decay) before the machine is declared down. Default 10.
-	TTLSeconds int
-	// DecayPerSecond multiplies the held estimate once per silent second,
+// Staleness, decay, and imputation settings of degraded mode.
+const (
+	// staleTTLSeconds is how long a silent machine's last estimate is held
+	// (with decay) before the machine is declared down.
+	staleTTLSeconds = 10
+	// decayPerSecond multiplies the held estimate once per silent second,
 	// shrinking it toward zero so a long outage cannot pin the cluster
-	// sum at its pre-outage level. Must be in (0, 1]. Default 0.97.
-	DecayPerSecond float64
-	// ImputeWindow is how many recent clean rows are kept per machine for
-	// median imputation of corrupt counters. Default 8.
-	ImputeWindow int
-}
-
-// withDefaults fills zero values and validates the rest.
-func (c DegradedConfig) withDefaults() (DegradedConfig, error) {
-	if c.TTLSeconds == 0 {
-		c.TTLSeconds = 10
-	}
-	if c.DecayPerSecond == 0 {
-		c.DecayPerSecond = 0.97
-	}
-	if c.ImputeWindow == 0 {
-		c.ImputeWindow = 8
-	}
-	if c.TTLSeconds < 0 {
-		return c, fmt.Errorf("online: negative staleness TTL %d", c.TTLSeconds)
-	}
-	if c.DecayPerSecond < 0 || c.DecayPerSecond > 1 {
-		return c, fmt.Errorf("online: decay per second %g outside (0, 1]", c.DecayPerSecond)
-	}
-	if c.ImputeWindow < 1 {
-		return c, fmt.Errorf("online: impute window %d must be positive", c.ImputeWindow)
-	}
-	return c, nil
-}
+	// sum at its pre-outage level.
+	decayPerSecond = 0.97
+	// imputeWindow is how many recent clean rows are kept per machine for
+	// median imputation of corrupt counters.
+	imputeWindow = 8
+)
 
 // DegradedEstimate is one second's fault-tolerant cluster estimate: the
 // Eq. 5 sum plus per-machine health and the fraction of the sum backed by
@@ -95,7 +72,6 @@ type DegradedEstimate struct {
 type DegradedPredictor struct {
 	mu       sync.Mutex
 	pred     *Predictor
-	cfg      DegradedConfig
 	machines []string
 	known    map[string]bool
 	lastSeen map[string]int
@@ -106,20 +82,15 @@ type DegradedPredictor struct {
 // NewDegradedPredictor builds a degraded-mode wrapper over p for the
 // fixed machine set machineIDs (the cluster the model serves; a machine
 // missing from a step's samples is what staleness tracking detects).
-func NewDegradedPredictor(p *Predictor, machineIDs []string, cfg DegradedConfig) (*DegradedPredictor, error) {
+func NewDegradedPredictor(p *Predictor, machineIDs []string) (*DegradedPredictor, error) {
 	if p == nil {
 		return nil, fmt.Errorf("online: nil predictor")
 	}
 	if len(machineIDs) == 0 {
 		return nil, fmt.Errorf("online: degraded predictor needs at least one machine")
 	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	d := &DegradedPredictor{
 		pred:     p,
-		cfg:      cfg,
 		machines: append([]string(nil), machineIDs...),
 		known:    make(map[string]bool, len(machineIDs)),
 		lastSeen: map[string]int{},
@@ -191,7 +162,7 @@ func (d *DegradedPredictor) Step(t int, samples []Sample) (*DegradedEstimate, er
 func (d *DegradedPredictor) estimateOne(id string, t int, s *Sample) (float64, Health, error) {
 	if s != nil {
 		if finiteRow(s.Counters) {
-			w, err := d.pred.predictOne(*s)
+			w, err := d.pred.predict(*s)
 			if err != nil {
 				return 0, "", err
 			}
@@ -205,7 +176,7 @@ func (d *DegradedPredictor) estimateOne(id string, t int, s *Sample) (float64, H
 		} else if imp, n := d.impute(id, s.Counters); imp != nil {
 			s2 := *s
 			s2.Counters = imp
-			w, err := d.pred.predictOne(s2)
+			w, err := d.pred.predict(s2)
 			if err != nil {
 				return 0, "", err
 			}
@@ -236,10 +207,10 @@ func (d *DegradedPredictor) hold(id string, t int) (float64, Health) {
 	if age < 0 {
 		age = 0
 	}
-	if age > d.cfg.TTLSeconds {
+	if age > staleTTLSeconds {
 		return 0, HealthDown
 	}
-	return d.lastEst[id] * math.Pow(d.cfg.DecayPerSecond, float64(age)), HealthStale
+	return d.lastEst[id] * math.Pow(decayPerSecond, float64(age)), HealthStale
 }
 
 // impute replaces non-finite entries with the median of the machine's
@@ -272,7 +243,7 @@ func (d *DegradedPredictor) impute(id string, row []float64) ([]float64, int) {
 func (d *DegradedPredictor) pushRecent(id string, row []float64) {
 	r := d.recent[id]
 	if r == nil {
-		r = mathx.NewRing[[]float64](d.cfg.ImputeWindow)
+		r = mathx.NewRing[[]float64](imputeWindow)
 		d.recent[id] = r
 	}
 	r.Push(append([]float64(nil), row...))

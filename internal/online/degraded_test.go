@@ -7,7 +7,7 @@ import (
 
 // degradedFixture builds a predictor + degraded wrapper over the shared
 // two-machine Core2 fixture.
-func degradedFixture(t *testing.T, cfg DegradedConfig) (*fixture, *DegradedPredictor, []string) {
+func degradedFixture(t *testing.T) (*fixture, *DegradedPredictor, []string) {
 	t.Helper()
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
 	p, err := NewPredictor(fx.model, fx.names)
@@ -18,7 +18,7 @@ func degradedFixture(t *testing.T, cfg DegradedConfig) (*fixture, *DegradedPredi
 	for i, tr := range fx.streams {
 		ids[i] = tr.MachineID
 	}
-	dp, err := NewDegradedPredictor(p, ids, cfg)
+	dp, err := NewDegradedPredictor(p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func degradedFixture(t *testing.T, cfg DegradedConfig) (*fixture, *DegradedPredi
 // cycle — live -> stale (held with decay) -> down (zero contribution) ->
 // recovered — and checks coverage and the cluster sum at every stage.
 func TestFaultDegradedTransitions(t *testing.T) {
-	const ttl, decay = 3, 0.9
-	fx, dp, ids := degradedFixture(t, DegradedConfig{TTLSeconds: ttl, DecayPerSecond: decay})
+	const ttl = staleTTLSeconds
+	fx, dp, ids := degradedFixture(t)
 	lost, kept := ids[0], ids[1]
 
 	// Warm up with full coverage.
@@ -68,7 +68,7 @@ func TestFaultDegradedTransitions(t *testing.T) {
 			t.Fatalf("t=%d: coverage %g, want 0.5", sec, est.Coverage)
 		}
 		age := float64(sec - 4)
-		want := base * math.Pow(decay, age)
+		want := base * math.Pow(decayPerSecond, age)
 		if math.Abs(est.PerMachine[lost]-want) > 1e-9 {
 			t.Fatalf("t=%d: held estimate %g, want %g (decay^%g)", sec, est.PerMachine[lost], want, age)
 		}
@@ -113,9 +113,9 @@ func TestFaultDegradedTransitions(t *testing.T) {
 // are imputed from history: health reports imputed, the estimate stays
 // finite and close to the clean prediction.
 func TestFaultDegradedImputation(t *testing.T) {
-	fx, dp, ids := degradedFixture(t, DegradedConfig{})
+	fx, dp, ids := degradedFixture(t)
 	// Build imputation history.
-	for sec := 0; sec < 8; sec++ {
+	for sec := 0; sec < imputeWindow; sec++ {
 		if _, err := dp.Step(sec, samplesAt(fx.streams, sec)); err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestFaultDegradedImputation(t *testing.T) {
 // samples from the start (no history to impute from) and checks every
 // estimate stays finite.
 func TestFaultDegradedNeverNaN(t *testing.T) {
-	fx, dp, _ := degradedFixture(t, DegradedConfig{TTLSeconds: 2})
-	for sec := 0; sec < 10; sec++ {
+	fx, dp, _ := degradedFixture(t)
+	for sec := 0; sec < staleTTLSeconds+5; sec++ {
 		samples := samplesAt(fx.streams, sec)
 		// Machine 0: all-NaN counters. Machine 1: absent entirely.
 		bad := make([]float64, len(samples[0].Counters))
@@ -187,7 +187,7 @@ func TestFaultDegradedNeverNaN(t *testing.T) {
 // TestFaultDegradedEmptyStep: an empty sample slice is valid in degraded
 // mode — everything goes stale and then down instead of erroring.
 func TestFaultDegradedEmptyStep(t *testing.T) {
-	fx, dp, ids := degradedFixture(t, DegradedConfig{TTLSeconds: 1})
+	fx, dp, ids := degradedFixture(t)
 	if _, err := dp.Step(0, samplesAt(fx.streams, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFaultDegradedEmptyStep(t *testing.T) {
 			t.Fatalf("machine %s health %s after one silent second", id, est.Health[id])
 		}
 	}
-	est, err = dp.Step(5, nil)
+	est, err = dp.Step(2+staleTTLSeconds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,25 +216,16 @@ func TestFaultDegradedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDegradedPredictor(nil, []string{"a"}, DegradedConfig{}); err == nil {
+	if _, err := NewDegradedPredictor(nil, []string{"a"}); err == nil {
 		t.Error("expected error for nil predictor")
 	}
-	if _, err := NewDegradedPredictor(p, nil, DegradedConfig{}); err == nil {
+	if _, err := NewDegradedPredictor(p, nil); err == nil {
 		t.Error("expected error for empty machine set")
 	}
-	if _, err := NewDegradedPredictor(p, []string{"a", "a"}, DegradedConfig{}); err == nil {
+	if _, err := NewDegradedPredictor(p, []string{"a", "a"}); err == nil {
 		t.Error("expected error for duplicate machine IDs")
 	}
-	if _, err := NewDegradedPredictor(p, []string{"a"}, DegradedConfig{TTLSeconds: -1}); err == nil {
-		t.Error("expected error for negative TTL")
-	}
-	if _, err := NewDegradedPredictor(p, []string{"a"}, DegradedConfig{DecayPerSecond: 1.5}); err == nil {
-		t.Error("expected error for decay > 1")
-	}
-	if _, err := NewDegradedPredictor(p, []string{"a"}, DegradedConfig{ImputeWindow: -2}); err == nil {
-		t.Error("expected error for negative impute window")
-	}
-	dp, err := NewDegradedPredictor(p, []string{fx.streams[0].MachineID}, DegradedConfig{})
+	dp, err := NewDegradedPredictor(p, []string{fx.streams[0].MachineID})
 	if err != nil {
 		t.Fatal(err)
 	}

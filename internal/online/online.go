@@ -66,9 +66,10 @@ type Estimate struct {
 // Predictor turns per-second counter samples into power estimates using a
 // fitted cluster model. It keeps per-machine frequency history, across
 // SetModel too, so feature specs with lagged inputs work in streaming
-// mode. Safe for concurrent use (independent collection goroutines).
+// mode. A Predictor has one owner goroutine (a serve shard worker, a
+// lifecycle window replay, a streaming loop, or a DegradedPredictor
+// under its own mutex) and takes no lock of its own.
 type Predictor struct {
-	mu    sync.Mutex
 	model *models.ClusterModel
 	// names is the incoming counter order; indexes below are derived
 	// from it per platform spec.
@@ -109,9 +110,7 @@ func (p *Predictor) SetModel(model *models.ClusterModel) error {
 			}
 		}
 	}
-	p.mu.Lock()
 	p.model = model
-	p.mu.Unlock()
 	return nil
 }
 
@@ -138,7 +137,7 @@ func (p *Predictor) Step(samples []Sample) (*Estimate, error) {
 			rejected++
 			continue
 		}
-		w, err := p.predictOne(s)
+		w, err := p.predict(s)
 		if err != nil {
 			return nil, err
 		}
@@ -153,17 +152,9 @@ func (p *Predictor) Step(samples []Sample) (*Estimate, error) {
 	return est, nil
 }
 
-// predictOne validates one sample and predicts its machine's power,
+// predict validates one sample and predicts its machine's power,
 // maintaining the machine's lag history.
-func (p *Predictor) predictOne(s Sample) (float64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.predictLocked(s)
-}
-
-// predictLocked is predictOne with p.mu already held, so batched callers
-// pay the lock once per batch instead of once per sample.
-func (p *Predictor) predictLocked(s Sample) (float64, error) {
+func (p *Predictor) predict(s Sample) (float64, error) {
 	mm, ok := p.model.ByPlatform[s.Platform]
 	if !ok {
 		return 0, fmt.Errorf("online: no machine model for platform %q", s.Platform)
@@ -184,18 +175,16 @@ type BatchItem struct {
 	Err   error
 }
 
-// PredictBatch predicts each sample in order under a single lock
-// acquisition and a single latency observation — the serving layer's
-// amortized hot path. Unlike Step, per-sample problems (unknown platform,
-// wrong counter count, non-finite counters) are reported per item and
-// never fail the rest of the batch; samples may belong to different
-// machines, the same machine, or different clusters of requests entirely.
+// PredictBatch predicts each sample in order under a single latency
+// observation — the serving layer's amortized hot path. Unlike Step,
+// per-sample problems (unknown platform, wrong counter count, non-finite
+// counters) are reported per item and never fail the rest of the batch;
+// samples may belong to different machines, the same machine, or
+// different clusters of requests entirely.
 func (p *Predictor) PredictBatch(samples []Sample) []BatchItem {
 	start := time.Now()
 	defer func() { predictLatency.Observe(time.Since(start).Seconds()) }()
 	out := make([]BatchItem, len(samples))
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for i := range samples {
 		s := samples[i]
 		if !finiteRow(s.Counters) {
@@ -203,7 +192,7 @@ func (p *Predictor) PredictBatch(samples []Sample) []BatchItem {
 			out[i].Err = fmt.Errorf("online: sample from %s has non-finite counters", s.MachineID)
 			continue
 		}
-		w, err := p.predictLocked(s)
+		w, err := p.predict(s)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -326,8 +315,9 @@ func (m *Monitor) Observations() int {
 	return m.n
 }
 
-// Reset clears the alarm and statistics (call after retraining).
-func (m *Monitor) Reset() {
+// ResetDrift clears the alarm and statistics (call after a retrain
+// resolves it). With Drifted it makes a Monitor a lifecycle engine.
+func (m *Monitor) ResetDrift() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cusum, m.ewma, m.n = 0, 0, 0

