@@ -276,43 +276,9 @@ func BenchmarkSimulationRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRetrain measures one lifecycle retrain: pooling the buffered
-// labeled samples of a 4-machine cluster (512 snapshots each) into
-// platform traces and fitting a fresh linear cluster model — the
-// off-hot-path cost of producing a challenger.
-func BenchmarkRetrain(b *testing.B) {
-	names := []string{"a", "b", "c"}
-	spec := models.FeatureSpec{Name: "bench", Counters: names}
-	rt, err := online.NewRetrainer(names, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 512; i++ {
-		a := float64(i % 37)
-		c := float64((i * 5) % 23)
-		d := float64((i * 11) % 17)
-		for m := 0; m < 4; m++ {
-			s := online.Sample{
-				MachineID: "m" + string(rune('0'+m)),
-				Platform:  "Core2",
-				Counters:  []float64{a + float64(m), c, d},
-			}
-			if err := rt.Add(s, 20+2*a+0.5*c+d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.Retrain(models.TechLinear, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkShadowScore measures scoring one contender over a 256-snapshot
-// held-out window of a 4-machine cluster — the per-contender cost of a
-// lifecycle shadow verdict.
+// window of a 4-machine cluster with lifecycle.ScoreWindow, the replay a
+// shadow verdict runs per contender.
 func BenchmarkShadowScore(b *testing.B) {
 	names := []string{"a", "b", "c"}
 	mm := &models.MachineModel{

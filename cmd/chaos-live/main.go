@@ -4,8 +4,10 @@
 // summaries and drift alarms when the workload mix leaves the trained
 // regime. The model lifecycle (internal/lifecycle) steps once per
 // simulated second on the metered snapshots: drift triggers a retrain,
-// the challenger must beat the serving model on the held-out window to be
-// promoted, and a promotion that regresses in probation is rolled back.
+// the challenger must beat the serving model on the 20 snapshots that
+// arrive after its fit to be promoted, a promotion re-bases the drift
+// alarm on the challenger's error there, and a promotion that regresses
+// in probation is rolled back.
 // The loop predicts with whichever version the registry has active.
 //
 // With -listen the process also serves /metrics (Prometheus text format),

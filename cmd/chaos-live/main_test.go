@@ -108,6 +108,76 @@ func TestLiveLoopJSONEvents(t *testing.T) {
 	}
 }
 
+// TestLiveLoopPromotionsSurviveProbation: on seeds 1 and 7 every
+// promotion the lifecycle makes survives its probation. Judged on the
+// snapshots that arrive after its fit, a challenger that is promoted
+// holds up on the traffic that follows, so no rolled_back event appears.
+func TestLiveLoopPromotionsSurviveProbation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live loop in -short mode")
+	}
+	for _, seed := range []int64{1, 7} {
+		seen := map[string]int{}
+		for _, ev := range runJSON(t, config{Platform: "Core2", Machines: 2, Train: "Prime",
+			Stream: []string{"Prime", "Sort"}, Seed: seed}) {
+			name, _ := ev["event"].(string)
+			seen[name]++
+		}
+		if seen["promoted"] == 0 || seen["rolled_back"] != 0 {
+			t.Errorf("seed %d: %d promoted, %d rolled_back; want promotions and no rollback",
+				seed, seen["promoted"], seen["rolled_back"])
+		}
+	}
+}
+
+// TestLiveLoopLifecycleEventsCarryTime runs the crashy scenario in
+// degraded mode: every lifecycle event carries t_s, the simulated second
+// the lifecycle was stepped at; t_s never decreases from one lifecycle
+// event to the next; and a drift-triggered retrain_triggered always
+// follows a drift event raised since the alarm was last reset (by a
+// verdict or a rollback), never precedes it.
+func TestLiveLoopLifecycleEventsCarryTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live loop in -short mode")
+	}
+	evs := runJSON(t, config{Platform: "Core2", Machines: 2, Train: "Prime",
+		Stream: []string{"Prime", "Sort"}, Seed: 7,
+		Faults: "../../examples/faults-crashy.json", Degraded: true})
+	lifecycleEvents := map[string]bool{"retrain_triggered": true, "challenger_trained": true,
+		"shadow_verdict": true, "promoted": true, "rolled_back": true, "lifecycle_error": true}
+	last, drift, seen := -1.0, -1.0, 0
+	for _, ev := range evs {
+		name, _ := ev["event"].(string)
+		tS, hasT := ev["t_s"].(float64)
+		if name == "drift" {
+			drift = tS
+		}
+		if !lifecycleEvents[name] {
+			continue
+		}
+		seen++
+		if !hasT {
+			t.Errorf("lifecycle event %v has no t_s", ev)
+			continue
+		}
+		if tS < last {
+			t.Errorf("%s at t_s=%v after a lifecycle event at %v", name, tS, last)
+		}
+		last = tS
+		switch {
+		case name == "retrain_triggered" && ev["reason"] == "drift":
+			if drift < 0 || drift > tS {
+				t.Errorf("drift-triggered retrain at t_s=%v, but the pending drift is at %v", tS, drift)
+			}
+		case name == "shadow_verdict" || name == "rolled_back":
+			drift = -1 // the alarm re-arms
+		}
+	}
+	if seen == 0 {
+		t.Error("no lifecycle event emitted")
+	}
+}
+
 // TestLiveLoopDeterministic runs chaos-live twice on one seed, on the
 // default stream and again with the crashy fault scenario in degraded
 // mode: the two -json event streams must be identical once the wall-clock

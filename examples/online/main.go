@@ -4,7 +4,8 @@
 // cluster; when the cluster switches to the I/O-heavy Sort workload the
 // residual monitor raises a drift alarm, the model lifecycle retrains a
 // challenger from the metered seconds, promotes it only if it beats the
-// serving model on the held-out window, and accuracy recovers. The
+// serving model on the seconds that arrive after its fit, and accuracy
+// recovers. The
 // program exits non-zero unless the drift fires and the promoted model
 // beats the stale one on a Sort run neither saw.
 package main

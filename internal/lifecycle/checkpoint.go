@@ -3,44 +3,44 @@ package lifecycle
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/mathx"
-	"repro/internal/online"
+	"time"
 )
 
-// Checkpointing: the orchestrator's closed-loop progress — held-out
-// window, retrain buffers, probation bookkeeping, counters — serializes
-// to one JSON document so a restart resumes the loop where it left off
-// instead of forgetting a promotion it was mid-way through vetting. The
-// document is written atomically by the serving binary (store.Checkpointer);
-// this file only defines what the state is and how it restores.
+// Checkpointing: the orchestrator's closed-loop progress — retrain
+// buffers, live window, probation bookkeeping, drift baselines, counters —
+// serializes to one JSON document so a restart resumes the loop where it
+// left off instead of forgetting a promotion it was mid-way through
+// vetting. The document is written atomically by the serving binary
+// (store.Checkpointer); this file only defines what the state is and how
+// it restores.
 //
 // Restore rules per phase: training collapses to idle (the in-flight fit
 // died with the process; its trigger re-fires from the restored buffers),
-// shadowing resumes with its live window (the newest live_n snapshots of
-// held_out) when the challenger is still in the registry, and
-// probation resumes with its accumulated evidence — a restart must not
-// let a bad promotion skip the rest of its probation window.
+// shadowing resumes with its live window when the challenger is still in
+// the registry, and probation resumes with its accumulated evidence — a
+// restart must not let a bad promotion skip the rest of its probation
+// window. A re-based drift baseline is handed back to the engine.
 
-// checkpointDoc is the serialized orchestrator state.
+// checkpointDoc is the serialized orchestrator state. The retrain
+// buffers keep the "retrainer" shape of earlier checkpoints, so those
+// still restore their buffers.
 type checkpointDoc struct {
-	State        string     `json:"state"`
-	Names        []string   `json:"names"`
-	HeldOut      []Snapshot `json:"held_out,omitempty"` // oldest first
-	SinceRetrain int        `json:"since_retrain"`
+	State        string   `json:"state"`
+	Names        []string `json:"names"`
+	SinceRetrain int      `json:"since_retrain"`
 
-	Challenger string `json:"challenger,omitempty"`
-	Champion   string `json:"champion,omitempty"`
-	HeldChamp  Score  `json:"held_champ,omitempty"`
-	HeldChall  Score  `json:"held_chall,omitempty"`
-
-	LiveN int `json:"live_n,omitempty"`
+	Challenger string     `json:"challenger,omitempty"`
+	Champion   string     `json:"champion,omitempty"`
+	Live       []Snapshot `json:"live,omitempty"` // oldest first
 
 	PromotedVersion string  `json:"promoted_version,omitempty"`
 	PromotedPrev    string  `json:"promoted_prev,omitempty"`
 	ShadowRMSE      float64 `json:"shadow_rmse,omitempty"`
 	ProbationN      int     `json:"probation_n,omitempty"`
 	ProbationSSE    float64 `json:"probation_sse,omitempty"`
+
+	Baseline     float64 `json:"drift_baseline,omitempty"`
+	PrevBaseline float64 `json:"prev_drift_baseline,omitempty"`
 
 	Seq         int     `json:"seq"`
 	Retrains    int     `json:"retrains"`
@@ -51,33 +51,31 @@ type checkpointDoc struct {
 	LastRatio   float64 `json:"last_ratio,omitempty"`
 	LastErr     string  `json:"last_err,omitempty"`
 
-	Retrainer online.RetrainerState `json:"retrainer"`
+	Retrainer buffersDoc `json:"retrainer"`
 }
 
 // MarshalCheckpoint serializes the orchestrator's current state. It is
 // safe to call concurrently with ingestion and the background loop — the
 // natural checkpoint source function.
 func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
-	rtState := o.rt.State()
 	o.mu.Lock()
 	doc := checkpointDoc{
 		State:        o.state.String(),
 		Names:        append([]string(nil), o.cfg.Names...),
-		HeldOut:      o.heldout.AppendTo(nil),
 		SinceRetrain: o.sinceRetrain,
 
 		Challenger: o.challenger,
 		Champion:   o.champion,
-		HeldChamp:  o.heldChamp,
-		HeldChall:  o.heldChall,
-
-		LiveN: o.liveN,
+		Live:       append([]Snapshot(nil), o.live...),
 
 		PromotedVersion: o.promotedVersion,
 		PromotedPrev:    o.promotedPrev,
 		ShadowRMSE:      o.shadowRMSE,
 		ProbationN:      o.probation.n,
 		ProbationSSE:    o.probation.sse,
+
+		Baseline:     o.baseline,
+		PrevBaseline: o.prevBaseline,
 
 		Seq:         o.seq,
 		Retrains:    o.retrains,
@@ -88,7 +86,7 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 		LastRatio:   o.lastRatio,
 		LastErr:     o.lastErr,
 
-		Retrainer: rtState,
+		Retrainer: o.buf.doc(o.cfg.Names),
 	}
 	o.mu.Unlock()
 	return json.Marshal(doc)
@@ -97,24 +95,20 @@ func (o *Orchestrator) MarshalCheckpoint() ([]byte, error) {
 // RestoreCheckpoint loads a checkpoint produced by MarshalCheckpoint.
 // It must be called after New and before Start: restoring into a running
 // loop would race the state machine. The counter-name order must match
-// the current configuration. A checkpoint that left the machine shadowing
-// a challenger the registry no longer holds (e.g. its admission was the
-// lost journal tail) restores to idle, with the error recorded, rather
-// than refuse to boot.
+// the current configuration. A refused restore changes nothing. A
+// checkpoint that left the machine shadowing a challenger the registry no
+// longer holds (e.g. its admission was the lost journal tail) restores to
+// idle, with the error recorded, rather than refuse to boot.
 func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 	var doc checkpointDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("lifecycle: parsing checkpoint: %w", err)
 	}
-	if len(doc.Names) != len(o.cfg.Names) {
-		return fmt.Errorf("lifecycle: checkpoint has %d counters, config expects %d", len(doc.Names), len(o.cfg.Names))
+	if err := sameNames(doc.Names, o.cfg.Names); err != nil {
+		return err
 	}
-	for i, n := range doc.Names {
-		if n != o.cfg.Names[i] {
-			return fmt.Errorf("lifecycle: checkpoint counter %d is %q, config expects %q", i, n, o.cfg.Names[i])
-		}
-	}
-	if err := o.rt.Restore(doc.Retrainer); err != nil {
+	buf, err := restoreBuffers(doc.Retrainer, o.cfg.Names, bufferCapacity)
+	if err != nil {
 		return err
 	}
 	var lost error
@@ -124,6 +118,7 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 			doc.State, doc.LastErr = stateIdle.String(), "restore-shadow: "+lost.Error()
 		}
 	}
+
 	o.mu.Lock()
 	if o.started {
 		o.mu.Unlock()
@@ -133,23 +128,14 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 		o.mu.Unlock()
 		return fmt.Errorf("lifecycle: orchestrator closed")
 	}
-
-	// Refill the held-out window oldest-first; a checkpoint from a larger
-	// HeldOut keeps its newest snapshots.
-	o.heldout = mathx.NewRing[Snapshot](o.cfg.HeldOut)
-	for _, s := range doc.HeldOut {
-		o.heldout.Push(s)
-	}
+	o.buf = buf
+	o.live = doc.Live
 	o.sinceRetrain = doc.SinceRetrain
-
 	switch doc.State {
 	case stateShadowing.String():
 		o.state = stateShadowing
 		o.challenger = doc.Challenger
 		o.champion = doc.Champion
-		o.heldChamp = doc.HeldChamp
-		o.heldChall = doc.HeldChall
-		o.liveN = doc.LiveN
 	case stateProbation.String():
 		// Resume, never skip: the promoted model serves the rest of its
 		// probation window with the evidence gathered so far.
@@ -164,7 +150,7 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 		// the restored buffers.
 		o.state = stateIdle
 	}
-
+	o.baseline, o.prevBaseline = doc.Baseline, doc.PrevBaseline
 	o.seq = doc.Seq
 	o.retrains = doc.Retrains
 	o.promotions = doc.Promotions
@@ -174,8 +160,12 @@ func (o *Orchestrator) RestoreCheckpoint(data []byte) error {
 	o.lastRatio = doc.LastRatio
 	o.lastErr = doc.LastErr
 	o.mu.Unlock()
+	if doc.Baseline > 0 {
+		o.eng.ResetDrift(doc.Baseline)
+	}
 	if lost != nil {
-		o.emit("lifecycle_error", map[string]any{"stage": "restore-shadow", "error": lost.Error()})
+		// Restores run at boot, on the daemon's wall clock.
+		o.emit(time.Now(), "lifecycle_error", map[string]any{"stage": "restore-shadow", "error": lost.Error()})
 	}
 	return nil
 }

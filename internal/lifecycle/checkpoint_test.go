@@ -1,6 +1,8 @@
 package lifecycle
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -10,8 +12,8 @@ import (
 )
 
 // TestRecoveryCheckpointRoundTrip marshals a populated orchestrator and
-// restores it into a fresh one: held-out window, retrain buffers,
-// counters, and status must all survive the trip.
+// restores it into a fresh one: retrain buffers, counters, and status
+// must all survive the trip.
 func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 	st := newStack(t, Config{}, serve.Config{Shards: 1})
 	truth := func(a, b float64) float64 { return 10 + a + 2*b }
@@ -33,27 +35,28 @@ func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 	}
 	was, now := st.orch.Status(), restored.Status()
 	if now.State != "idle" || now.SnapshotsSinceRetrain != was.SnapshotsSinceRetrain ||
-		now.HeldOutSnapshots != was.HeldOutSnapshots {
+		restored.buf.snapshots() != st.orch.buf.snapshots() {
 		t.Fatalf("restored status %+v, want to match %+v", now, was)
 	}
 	// The retrain buffers came back: both feeder machines hold their rows.
 	for _, id := range []string{"f0", "f1"} {
-		if got, want := restored.rt.Buffered(id), st.orch.rt.Buffered(id); got != want || got == 0 {
+		if got, want := buffered(restored.buf, id), buffered(st.orch.buf, id); got != want || got == 0 {
 			t.Fatalf("machine %s restored %d buffered rows, want %d (nonzero)", id, got, want)
 		}
 	}
-	// The restored held-out window scores identically to the original.
-	cm := mkModel(t, 10, 1, 2)
-	s1, err := ScoreWindow(cm, testNames, st.orch.window())
-	if err != nil {
-		t.Fatal(err)
+	// The restored buffers fit the same challenger as the original.
+	var fits [2][]byte
+	for k, o := range []*Orchestrator{st.orch, restored} {
+		cm, err := fit(o.buf.copyRows(), testNames, models.TechLinear, cfg.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fits[k], err = json.Marshal(cm); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s2, err := ScoreWindow(cm, testNames, restored.window())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Fatalf("window score diverged across restore: %+v vs %+v", s1, s2)
+	if !bytes.Equal(fits[0], fits[1]) {
+		t.Fatalf("challenger fit diverged across restore:\n%s\n%s", fits[0], fits[1])
 	}
 
 	// Restore after Start must be refused.
@@ -81,20 +84,50 @@ func TestRecoveryCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusedRestoreLeavesState: a restore refused because the
+// orchestrator already started must change nothing — its next checkpoint
+// is byte for byte the one before the attempt.
+func TestRecoveryRefusedRestoreLeavesState(t *testing.T) {
+	cfg := Config{Names: testNames, Spec: models.FeatureSpec{Name: "test", Counters: testNames}}
+	src, err := New(registry.New(), nopEngine{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayFeed(src, 0, 40)
+	data := marshalCheckpoint(t, src)
+
+	running, err := New(registry.New(), nopEngine{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer running.Close()
+	replayFeed(running, 100, 103)
+	if err := running.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := marshalCheckpoint(t, running)
+	if err := running.RestoreCheckpoint(data); err == nil {
+		t.Fatal("restore after Start accepted")
+	}
+	if after := marshalCheckpoint(t, running); !bytes.Equal(after, before) {
+		t.Errorf("a refused restore changed the checkpoint:\nbefore %.200s\nafter  %.200s", before, after)
+	}
+}
+
 // nopEngine satisfies Engine for tests that drive no traffic.
 type nopEngine struct{}
 
-func (nopEngine) Drifted() bool { return false }
-func (nopEngine) ResetDrift()   {}
+func (nopEngine) Drifted() bool                  { return false }
+func (nopEngine) ResetDrift(float64) (p float64) { return 0 }
 
 // TestRecoveryShadowResume checkpoints an orchestrator mid-shadow and
 // restores it into a fresh stack over the same registry: it must resume
-// shadowing with the live snapshots it had counted, and new traffic must
-// bring it to a verdict. Restored over a registry that lost the
-// challenger, it must fall back to idle with the restore-shadow error
-// rather than refuse to boot.
+// shadowing with the live snapshots it had collected, and the rest of the
+// live window must bring it to a verdict. Restored over a registry that
+// lost the challenger, it must fall back to idle with the restore-shadow
+// error rather than refuse to boot.
 func TestRecoveryShadowResume(t *testing.T) {
-	cfg := Config{ShadowSnapshots: 10}
+	cfg := Config{}
 	st := newStack(t, cfg, serve.Config{Shards: 2})
 	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
 	i := 0
@@ -115,10 +148,10 @@ func TestRecoveryShadowResume(t *testing.T) {
 		s.LiveShadowSnapshots != 3 {
 		t.Fatalf("restored status %+v, want shadowing %s with 3 live snapshots", s, was.Challenger)
 	}
-	final := driveUntil(t, st2, &i, lawB, 20, "verdict after restore",
+	final := driveUntil(t, st2, &i, lawB, liveSnapshots-3, "verdict after restore",
 		func(s Status) bool { return s.State != "shadowing" })
-	if final.LastVerdict != "promoted" || final.Retrains != 1 || final.LiveShadowSnapshots < 10 {
-		t.Errorf("status %+v, want the restored challenger promoted on >= 10 live snapshots", final)
+	if final.LastVerdict != "promoted" || final.Retrains != 1 || final.LiveShadowSnapshots != 20 {
+		t.Errorf("status %+v, want the restored challenger promoted on 20 live snapshots", final)
 	}
 
 	// Same checkpoint over a registry without the challenger: idle fallback.
@@ -147,7 +180,7 @@ func TestRecoveryShadowResume(t *testing.T) {
 // the orchestrator must resume probation (not skip it), and when the
 // workload turns hostile the resumed probation must still roll back.
 func TestRecoveryMidProbationResume(t *testing.T) {
-	cfg := Config{MinTrainSnapshots: 40, ShadowSnapshots: 20, ProbationSnapshots: 60}
+	cfg := Config{ProbationSnapshots: 60}
 	scfg := serve.Config{Shards: 2, BaselineRMSE: 1}
 	st := newStack(t, cfg, scfg)
 	distB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }

@@ -1,15 +1,15 @@
 // Package lifecycle closes the loop the paper's automatic-framework
 // motivation calls for (§IV-A: "rapidly and easily build new models for
 // applications, thus adapting to new characteristics and workloads"): a
-// background orchestrator that watches the serving layer's drift monitor
-// and labeled-sample buffers, retrains a challenger model off the hot
-// path when triggered, shadow-scores it against the live champion on a
-// held-out recent window plus the labeled live traffic that arrives after
-// it was trained (challenger predictions are computed here, never returned
-// to clients), and promotes it through the registry's atomic hot-swap only
-// when it beats the champion on dynamic-range error by a configurable
-// margin — with automatic rollback if post-promotion error regresses
-// inside a probation window.
+// background orchestrator that watches the serving layer's drift monitor,
+// buffers each machine's labeled seconds, retrains a challenger model off
+// the hot path when triggered, shadow-scores it against the live champion
+// on the labeled snapshots that arrive after its fit, and so on traffic
+// it never trained on (challenger predictions are computed here, never
+// returned to clients), and promotes it through the registry's atomic
+// hot-swap only when it beats the champion on dynamic-range error by a
+// configurable margin — with automatic rollback if post-promotion error
+// regresses inside a probation window.
 //
 // The orchestrator never touches the request path: the serving layer
 // feeds it labeled snapshots through one cheap callback, and every heavy
@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/online"
@@ -45,9 +44,11 @@ var (
 type Engine interface {
 	// Drifted reports whether the drift monitor has alarmed.
 	Drifted() bool
-	// ResetDrift clears the drift alarm after a retrain resolves (or
-	// fails to resolve) it, so the monitor re-arms on fresh residuals.
-	ResetDrift()
+	// ResetDrift clears the drift alarm after a verdict or a rollback, so
+	// the monitor re-arms on fresh residuals, and re-bases it on baseline
+	// when that is positive; zero keeps the baseline in force. It returns
+	// the baseline in force before the call (zero without a monitor).
+	ResetDrift(baseline float64) (previous float64)
 }
 
 const (
@@ -59,6 +60,13 @@ const (
 	// to cool down from, and only the minimum-window gate should delay
 	// reacting to early drift.
 	cooldown = 30 * time.Second
+	// minTrainSnapshots gates automatic triggers until the retrain buffers
+	// hold this many labeled snapshots. Manual triggers bypass it.
+	minTrainSnapshots = 64
+	// liveSnapshots is the verdict's evidence: both contenders are scored
+	// on the first liveSnapshots labeled snapshots ingested after the
+	// challenger's training rows were taken, none of which it trained on.
+	liveSnapshots = 20
 )
 
 // Config tunes the orchestrator. Zero values take defaults.
@@ -69,20 +77,9 @@ type Config struct {
 	Spec models.FeatureSpec
 	// Names is the counter order of incoming sample rows. Required.
 	Names []string
-	// HeldOut is how many recent labeled snapshots the held-out scoring
-	// window keeps (default 256).
-	HeldOut int
 	// TriggerSamples, when positive, triggers a retrain after this many
 	// labeled snapshots have arrived since the last one.
 	TriggerSamples int
-	// MinTrainSnapshots gates automatic triggers until the held-out
-	// window holds at least this many snapshots (default 64). Manual
-	// triggers bypass it.
-	MinTrainSnapshots int
-	// ShadowSnapshots is how many labeled live snapshots must arrive after
-	// the challenger is trained before the verdict. Zero, the default,
-	// decides on the held-out window alone.
-	ShadowSnapshots int
 	// PromoteMargin is the fraction by which the challenger's
 	// dynamic-range error must beat the champion's to promote
 	// (default 0.05): promote iff challDRE <= champDRE * (1 - margin).
@@ -90,12 +87,14 @@ type Config struct {
 	// ProbationSnapshots is how many metered snapshots the freshly
 	// promoted model is watched for after the swap. Zero, the default,
 	// disables probation. Probation rolls back when the live RMSE exceeds
-	// 2 × the shadow RMSE + 1 W; the watt of slack keeps a near-perfect
-	// shadow fit from making it hair-triggered.
+	// 2 × the shadow RMSE (the challenger's RMSE on the verdict's live
+	// snapshots) + 1 W; the watt of slack keeps a near-perfect shadow fit
+	// from making it hair-triggered.
 	ProbationSnapshots int
 	// Events, when set, receives the lifecycle JSON events:
 	// retrain_triggered, challenger_trained, shadow_verdict, promoted,
-	// rolled_back (plus lifecycle_error on failures).
+	// rolled_back (plus lifecycle_error on failures). Each event emitted
+	// by Step carries t_s, the Unix second of the clock Step was given.
 	Events *obs.EventSink
 }
 
@@ -108,12 +107,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if len(c.Names) == 0 {
 		return c, fmt.Errorf("lifecycle: config needs the counter name order")
-	}
-	if c.HeldOut <= 0 {
-		c.HeldOut = 256
-	}
-	if c.MinTrainSnapshots <= 0 {
-		c.MinTrainSnapshots = 64
 	}
 	if c.PromoteMargin <= 0 {
 		c.PromoteMargin = 0.05
@@ -162,13 +155,10 @@ type Orchestrator struct {
 	reg *registry.Registry
 	eng Engine
 	cfg Config
-	rt  *online.Retrainer
 
 	mu    sync.Mutex
 	state state
-	// heldout holds the recent labeled snapshots; window() lists them
-	// oldest first.
-	heldout *mathx.Ring[Snapshot]
+	buf   *buffers
 
 	sinceRetrain int
 	lastRetrain  time.Time // zero until the first retrain runs
@@ -177,17 +167,22 @@ type Orchestrator struct {
 	// shadow evaluation
 	challenger string
 	champion   string
-	heldChamp  Score
-	heldChall  Score
-	// liveN counts the labeled snapshots ingested while shadowing: the
-	// newest liveN entries of the held-out ring are the live window.
-	liveN int
+	// live holds, oldest first, up to liveSnapshots labeled snapshots
+	// ingested since the latest challenger's training rows were taken;
+	// after the verdict it is that verdict's evidence.
+	live []Snapshot
 
 	// probation
 	promotedVersion string
 	promotedPrev    string
 	shadowRMSE      float64
 	probation       probAccum
+
+	// baseline is the drift baseline the last promotion or rollback
+	// re-based the engine on (zero: never re-based), and prevBaseline the
+	// one in force before the latest promotion, which a rollback restores.
+	baseline     float64
+	prevBaseline float64
 
 	// status
 	seq         int
@@ -219,23 +214,17 @@ func New(reg *registry.Registry, eng Engine, cfg Config) (*Orchestrator, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Each machine's retrain ring holds its 2,048 newest labeled seconds.
-	rt, err := online.NewRetrainer(cfg.Names, 2048)
-	if err != nil {
-		return nil, err
-	}
 	// lastRetrain stays zero until the first retrain actually runs: the
 	// cooldown gate never blocks the first trigger after startup (the
 	// min-window gate is what paces the warmup).
 	return &Orchestrator{
-		reg:     reg,
-		eng:     eng,
-		cfg:     cfg,
-		rt:      rt,
-		heldout: mathx.NewRing[Snapshot](cfg.HeldOut),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		reg:  reg,
+		eng:  eng,
+		cfg:  cfg,
+		buf:  newBuffers(bufferCapacity),
+		kick: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}, nil
 }
 
@@ -274,20 +263,22 @@ func (o *Orchestrator) Close() {
 // Ingest receives one fully-served metered snapshot from the serving
 // layer: the samples, the per-machine metered watts, the cluster estimate
 // answered, and the version that served it. It feeds the retrain buffers,
-// the held-out scoring window (whose newest entries are, while shadowing,
-// the live window the verdict scores), and — during probation — the
-// promoted model's live error (only snapshots the promoted version itself
-// served count: requests in flight across the swap were answered by the
-// old champion and say nothing about the new model). A snapshot with a
-// mis-sized row or a non-finite metered total is dropped whole, before
-// any buffer sees it. Counter rows are copied; callers may reuse them.
+// the live window while a challenger awaits its verdict, and — during
+// probation — the promoted model's live error (only snapshots the
+// promoted version itself served count: requests in flight across the
+// swap were answered by the old champion and say nothing about the new
+// model). A snapshot with a mis-sized row or a non-finite metered total
+// is dropped whole, before any buffer sees it. Each counter row is copied
+// once, and the copy is shared by the buffers and the live window;
+// callers may reuse theirs.
 func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estimated float64, version string) {
+	width := len(o.cfg.Names)
 	if len(samples) == 0 || len(metered) != len(samples) {
 		return
 	}
 	var actual float64
 	for i, s := range samples {
-		if len(s.Counters) != len(o.cfg.Names) {
+		if len(s.Counters) != width {
 			return
 		}
 		actual += metered[i]
@@ -295,21 +286,20 @@ func (o *Orchestrator) Ingest(samples []online.Sample, metered []float64, estima
 	if math.IsNaN(actual) || math.IsInf(actual, 0) {
 		return
 	}
-	cp := make([]online.Sample, len(samples))
+	snap := Snapshot{Samples: make([]online.Sample, len(samples)), Actual: actual}
+	rows := make([]float64, 0, len(samples)*width)
 	for i, s := range samples {
-		cp[i] = online.Sample{
-			MachineID: s.MachineID,
-			Platform:  s.Platform,
-			Counters:  append([]float64(nil), s.Counters...),
-		}
-		// Non-finite rows are rejected (and counted) inside Add.
-		_ = o.rt.Add(cp[i], metered[i]) //nolint:errcheck // width checked above
+		rows = append(rows, s.Counters...)
+		snap.Samples[i] = online.Sample{MachineID: s.MachineID, Platform: s.Platform,
+			Counters: rows[i*width : (i+1)*width : (i+1)*width]}
 	}
 	o.mu.Lock()
-	o.heldout.Push(Snapshot{Samples: cp, Actual: actual})
+	for i, s := range snap.Samples {
+		o.buf.add(s, metered[i])
+	}
 	o.sinceRetrain++
-	if o.state == stateShadowing {
-		o.liveN++
+	if (o.state == stateTraining || o.state == stateShadowing) && len(o.live) < liveSnapshots {
+		o.live = append(o.live, snap)
 	}
 	if o.state == stateProbation && version == o.promotedVersion &&
 		!math.IsNaN(estimated) && !math.IsInf(estimated, 0) {
@@ -354,7 +344,6 @@ type Status struct {
 	Promotions            int     `json:"promotions"`
 	Rollbacks             int     `json:"rollbacks"`
 	SnapshotsSinceRetrain int     `json:"snapshots_since_retrain"`
-	HeldOutSnapshots      int     `json:"held_out_snapshots"`
 	LiveShadowSnapshots   int     `json:"live_shadow_snapshots"`
 	ProbationSnapshots    int     `json:"probation_snapshots"`
 	LastTrigger           string  `json:"last_trigger,omitempty"`
@@ -375,8 +364,7 @@ func (o *Orchestrator) Status() Status {
 		Promotions:            o.promotions,
 		Rollbacks:             o.rollbacks,
 		SnapshotsSinceRetrain: o.sinceRetrain,
-		HeldOutSnapshots:      o.heldout.Len(),
-		LiveShadowSnapshots:   o.liveN,
+		LiveShadowSnapshots:   len(o.live),
 		ProbationSnapshots:    o.probation.n,
 		LastTrigger:           o.lastTrigger,
 		LastVerdict:           o.lastVerdict,
@@ -406,9 +394,10 @@ func (o *Orchestrator) run() {
 }
 
 // Step advances the state machine at most one phase; now is the caller's
-// clock, which paces the cooldown between automatic retrains. Fitting and
-// scoring run inside Step with the mutex released, so Ingest never blocks
-// on them. Steps must not overlap: one goroutine drives them.
+// clock, which paces the cooldown between automatic retrains and stamps
+// the events Step emits. Fitting and scoring run inside Step with the
+// mutex released, so Ingest never blocks on them. Steps must not
+// overlap: one goroutine drives them.
 func (o *Orchestrator) Step(now time.Time) {
 	o.mu.Lock()
 	switch o.state {
@@ -423,19 +412,23 @@ func (o *Orchestrator) Step(now time.Time) {
 		o.sinceRetrain = 0
 		o.lastRetrain = now
 		o.lastErr = ""
+		// The training rows are taken under the same lock that starts the
+		// live window, so no snapshot is both trained on and scored.
+		rows := o.buf.copyRows()
+		o.live = nil
 		o.mu.Unlock()
-		o.emit("retrain_triggered", map[string]any{"reason": reason})
-		o.train(reason)
+		o.emit(now, "retrain_triggered", map[string]any{"reason": reason})
+		o.train(now, reason, rows)
 	case stateShadowing:
-		if o.liveN < o.cfg.ShadowSnapshots {
+		if len(o.live) < liveSnapshots {
 			o.mu.Unlock()
 			return
 		}
 		o.mu.Unlock()
-		o.verdict()
+		o.verdict(now)
 	case stateProbation:
 		o.mu.Unlock()
-		o.checkProbation()
+		o.checkProbation(now)
 	default:
 		o.mu.Unlock()
 	}
@@ -449,7 +442,7 @@ func (o *Orchestrator) triggerLocked(now time.Time) (string, bool) {
 		o.manual = o.manual[1:]
 		return r, true
 	}
-	if o.heldout.Len() < o.cfg.MinTrainSnapshots {
+	if o.buf.snapshots() < minTrainSnapshots {
 		return "", false
 	}
 	// The cooldown spaces retrains apart; before the first one there is
@@ -468,28 +461,28 @@ func (o *Orchestrator) triggerLocked(now time.Time) (string, bool) {
 }
 
 // fail records a lifecycle error and returns the machine to idle.
-func (o *Orchestrator) fail(stage string, err error) {
+func (o *Orchestrator) fail(now time.Time, stage string, err error) {
 	o.mu.Lock()
 	o.lastErr = stage + ": " + err.Error()
 	o.state = stateIdle
 	o.challenger = ""
 	o.mu.Unlock()
-	o.emit("lifecycle_error", map[string]any{"stage": stage, "error": err.Error()})
+	o.emit(now, "lifecycle_error", map[string]any{"stage": stage, "error": err.Error()})
 }
 
-// train fits the challenger from the retrain buffers, admits it to the
-// registry (inactive), scores the held-out window for both contenders,
-// and starts counting the live window.
-func (o *Orchestrator) train(reason string) {
+// train fits the challenger on the rows taken at the trigger, admits it
+// to the registry (inactive), and leaves it shadowing while the live
+// window fills.
+func (o *Orchestrator) train(now time.Time, reason string, rows []machineRows) {
 	start := time.Now()
-	cm, err := o.rt.Retrain(o.cfg.Tech, o.cfg.Spec)
+	cm, err := fit(rows, o.cfg.Names, o.cfg.Tech, o.cfg.Spec)
 	if err != nil {
-		o.fail("retrain", err)
+		o.fail(now, "retrain", err)
 		return
 	}
 	champion := o.reg.ActiveVersion()
 	if champion == "" {
-		o.fail("retrain", fmt.Errorf("lifecycle: no active champion to challenge"))
+		o.fail(now, "retrain", fmt.Errorf("lifecycle: no active champion to challenge"))
 		return
 	}
 	var version string
@@ -508,79 +501,60 @@ func (o *Orchestrator) train(reason string) {
 		}
 	}
 	if !admitted {
-		o.fail("admit", err)
+		o.fail(now, "admit", err)
 		return
 	}
 	lcRetrains.Inc()
-	champScore, challScore, err := o.scorePair(champion, version, o.window())
-	if err != nil {
-		o.fail("score", err)
-		return
-	}
 	o.mu.Lock()
 	o.state = stateShadowing
 	o.challenger = version
 	o.champion = champion
-	o.heldChamp = champScore
-	o.heldChall = challScore
-	o.liveN = 0
 	o.retrains++
 	o.mu.Unlock()
-	o.emit("challenger_trained", map[string]any{
+	o.emit(now, "challenger_trained", map[string]any{
 		"version": version, "champion": champion,
 		"technique": string(o.cfg.Tech),
 		"train_ms":  float64(time.Since(start).Milliseconds()),
-		"heldout":   champScore.N,
 	})
 }
 
-// verdict scores both contenders on the live window, combines that with
-// the held-out scores into the promotion decision, and either hot-swaps
-// the challenger in or leaves the champion serving.
-func (o *Orchestrator) verdict() {
+// verdict scores both contenders on the live window and either
+// hot-swaps the challenger in, re-basing the drift alarm on its live
+// RMSE, or leaves the champion serving on the baseline in force.
+func (o *Orchestrator) verdict(now time.Time) {
 	o.mu.Lock()
-	version, champion := o.challenger, o.champion
-	hc, hl, liveN := o.heldChamp, o.heldChall, o.liveN
-	win := o.heldout.AppendTo(nil)
+	version, champion, win := o.challenger, o.champion, o.live
 	o.mu.Unlock()
-	if liveN < len(win) {
-		win = win[len(win)-liveN:]
-	}
-	lc, ll, err := o.scorePair(champion, version, win)
+	champ, chall, err := o.scorePair(champion, version, win)
 	if err != nil {
-		o.fail("score", err)
+		o.fail(now, "score", err)
 		return
 	}
-
-	champErr, challErr, rng := combinedError(hc, hl, lc, ll)
-	// The live gate: the challenger must not be worse than the champion on
-	// the traffic that arrived after it was trained, regardless of how the
-	// held-out window reads — a corrupted label stretch in the buffers
-	// makes a garbage challenger look like a perfect fit on the held-out
-	// window, but it cannot fake fresh traffic. It must also score every
-	// live snapshot the champion did, so both RMSEs cover the same
-	// traffic. The reported error ratio follows the same logic: live when
-	// there was live traffic, held-out otherwise.
-	liveOK := true
-	ratio := errorRatio(challErr, champErr)
-	if lc.N > 0 {
-		liveOK = ll.N == lc.N && ll.RMSE <= lc.RMSE+1e-12
-		ratio = errorRatio(ll.RMSE, lc.RMSE)
+	// Both contenders are judged on the same snapshots: the challenger must
+	// score every one the champion scores, and since none of them is in its
+	// training rows, a challenger fitted on a corrupted label stretch
+	// cannot fake them. The shared dynamic range — the champion's — makes
+	// DRE and RMSE order identically; DRE is still reported because it is
+	// the paper's platform-independent measure. With a positive margin a
+	// promoted challenger is also no worse than the champion there.
+	rng, champDRE, challDRE := 0.0, champ.RMSE, chall.RMSE
+	if champ.N > 0 && champ.MaxActual > champ.MinActual {
+		rng = champ.MaxActual - champ.MinActual
+		champDRE, challDRE = champ.RMSE/rng, chall.RMSE/rng
 	}
-	n := hl.N + ll.N
-	promote := challErr <= champErr*(1-o.cfg.PromoteMargin) && liveOK && n > 0
+	promote := champ.N > 0 && chall.N == champ.N && challDRE <= champDRE*(1-o.cfg.PromoteMargin)
+	ratio := errorRatio(chall.RMSE, champ.RMSE)
 
 	lcShadowRatio.Set(ratio)
-	o.emit("shadow_verdict", map[string]any{
+	o.emit(now, "shadow_verdict", map[string]any{
 		"champion": champion, "challenger": version,
 		"promote":   promote,
-		"champ_dre": champErr, "chall_dre": challErr, "ratio": ratio,
-		"dynamic_range_w": rng,
-		"heldout":         hc.N, "live": lc.N,
+		"champ_dre": champDRE, "chall_dre": challDRE, "ratio": ratio,
+		"dynamic_range_w": rng, "live": champ.N,
 	})
 
 	if !promote {
-		o.eng.ResetDrift()
+		o.eng.ResetDrift(0)
 		o.mu.Lock()
 		o.state = stateIdle
 		o.lastVerdict = "rejected"
@@ -590,22 +564,26 @@ func (o *Orchestrator) verdict() {
 		return
 	}
 	if err := o.reg.Activate(version); err != nil {
-		o.fail("promote", err)
+		o.fail(now, "promote", err)
 		return
 	}
 	lcPromotions.Inc()
-	o.eng.ResetDrift()
-	// The challenger's combined RMSE is the error level probation holds
-	// the promoted model to.
-	shadowRMSE := math.Sqrt((hl.SSE + ll.SSE) / float64(n))
+	// The challenger's live RMSE is out of sample: it is the error level
+	// probation holds the promoted model to and the drift alarm's new
+	// baseline.
+	prev := o.eng.ResetDrift(chall.RMSE)
 	o.mu.Lock()
 	o.promotions++
 	o.lastVerdict = "promoted"
 	o.lastRatio = ratio
 	o.promotedVersion = version
 	o.promotedPrev = champion
-	o.shadowRMSE = shadowRMSE
+	o.shadowRMSE = chall.RMSE
 	o.probation = probAccum{}
+	o.prevBaseline = prev
+	if chall.RMSE > 0 {
+		o.baseline = chall.RMSE
+	}
 	o.challenger = ""
 	if o.cfg.ProbationSnapshots > 0 {
 		o.state = stateProbation
@@ -613,18 +591,19 @@ func (o *Orchestrator) verdict() {
 		o.state = stateIdle
 	}
 	o.mu.Unlock()
-	o.emit("promoted", map[string]any{
-		"version": version, "previous": champion, "shadow_rmse_w": shadowRMSE,
+	o.emit(now, "promoted", map[string]any{
+		"version": version, "previous": champion, "shadow_rmse_w": chall.RMSE,
 	})
 }
 
 // checkProbation watches the promoted model's live error and rolls back
 // if it regresses past the bound — without waiting for the full window
 // once enough evidence has accumulated.
-func (o *Orchestrator) checkProbation() {
+func (o *Orchestrator) checkProbation(now time.Time) {
 	o.mu.Lock()
 	n, sse := o.probation.n, o.probation.sse
 	version, prev, shadowRMSE := o.promotedVersion, o.promotedPrev, o.shadowRMSE
+	baseline := o.prevBaseline
 	o.mu.Unlock()
 
 	minCheck := o.cfg.ProbationSnapshots / 4
@@ -645,19 +624,23 @@ func (o *Orchestrator) checkProbation() {
 		if o.reg.ActiveVersion() == version {
 			to, err := o.reg.Rollback()
 			if err != nil {
-				o.fail("rollback", err)
+				o.fail(now, "rollback", err)
 				return
 			}
 			prev = to
 			lcRollbacks.Inc()
 		}
-		o.eng.ResetDrift()
+		// The alarm returns to the baseline in force before the promotion.
+		o.eng.ResetDrift(baseline)
 		o.mu.Lock()
 		o.rollbacks++
 		o.state = stateIdle
 		o.lastVerdict = "rolled_back"
+		if baseline > 0 {
+			o.baseline = baseline
+		}
 		o.mu.Unlock()
-		o.emit("rolled_back", map[string]any{
+		o.emit(now, "rolled_back", map[string]any{
 			"from": version, "to": prev,
 			"live_rmse_w": liveRMSE, "shadow_rmse_w": shadowRMSE, "snapshots": n,
 		})
@@ -668,14 +651,6 @@ func (o *Orchestrator) checkProbation() {
 		o.state = stateIdle
 		o.mu.Unlock()
 	}
-}
-
-// window returns the held-out snapshots oldest-first (lag-bearing specs
-// need chronological scoring).
-func (o *Orchestrator) window() []Snapshot {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.heldout.AppendTo(nil)
 }
 
 // scorePair scores the champion and challenger versions over one window.
@@ -694,37 +669,13 @@ func (o *Orchestrator) scorePair(champion, challenger string, win []Snapshot) (S
 	return sc[0], sc[1], nil
 }
 
-// emit sends one lifecycle event when a sink is configured.
-func (o *Orchestrator) emit(event string, fields map[string]any) {
+// emit sends one lifecycle event, stamped with the Unix second of now,
+// when a sink is configured.
+func (o *Orchestrator) emit(now time.Time, event string, fields map[string]any) {
 	if o.cfg.Events != nil {
+		fields["t_s"] = now.Unix()
 		o.cfg.Events.Emit(event, fields) //nolint:errcheck // telemetry only
 	}
-}
-
-// combinedError merges each contender's held-out and live scores (hc and
-// lc for the champion, hl and ll for the challenger) into one
-// dynamic-range error per contender. Both contenders score the same
-// actuals, so the shared dynamic range — the champion's — makes DRE and
-// RMSE order identically; DRE is still reported because it is the
-// paper's platform-independent measure.
-func combinedError(hc, hl, lc, ll Score) (champErr, challErr, rng float64) {
-	champN, challN := hc.N+lc.N, hl.N+ll.N
-	if champN == 0 || challN == 0 {
-		return math.Inf(1), math.Inf(1), 0
-	}
-	champRMSE := math.Sqrt((hc.SSE + lc.SSE) / float64(champN))
-	challRMSE := math.Sqrt((hl.SSE + ll.SSE) / float64(challN))
-	minA, maxA := math.Inf(1), math.Inf(-1)
-	for _, sc := range [2]Score{hc, lc} {
-		if sc.N > 0 {
-			minA, maxA = math.Min(minA, sc.MinActual), math.Max(maxA, sc.MaxActual)
-		}
-	}
-	rng = maxA - minA
-	if rng > 0 {
-		return champRMSE / rng, challRMSE / rng, rng
-	}
-	return champRMSE, challRMSE, 0
 }
 
 // errorRatio is challenger error over champion error, guarding zeros.

@@ -163,10 +163,7 @@ func trainChallenger(t *testing.T, st *stack, i *int, n int, label func(a, b flo
 // survives probation.
 func TestLifecycleDriftRetrainPromote(t *testing.T) {
 	st := newStack(t, Config{
-		MinTrainSnapshots:  40,
-		ShadowSnapshots:    20,
 		ProbationSnapshots: 30,
-		HeldOut:            128,
 	}, serve.Config{
 		Shards:       2,
 		BaselineRMSE: 1, // the shifted truth is tens of watts off: drift alarms fast
@@ -259,9 +256,7 @@ func TestLifecycleDriftRetrainPromote(t *testing.T) {
 // traffic during the shadow phase. The challenger — a perfect fit of the
 // garbage — must lose the live gate and never promote.
 func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
-	st := newStack(t, Config{
-		ShadowSnapshots: 20,
-	}, serve.Config{Shards: 2})
+	st := newStack(t, Config{}, serve.Config{Shards: 2})
 
 	truth := func(a, b float64) float64 { return 10 + a + 2*b } // == champion
 	poison := func(a, b float64) float64 { return 200 - 2*a + 5*b }
@@ -288,20 +283,19 @@ func TestLifecycleCorruptRetrainWindowRejected(t *testing.T) {
 	}
 }
 
-// TestLifecycleLiveEvidence pins what the verdict scores as live traffic:
-// exactly the labeled snapshots ingested after the challenger was
-// trained. One goroutine feeds a fixed sequence through a lag-free stack —
+// TestLifecycleLiveEvidence pins the verdict's only evidence: the 20
+// labeled snapshots ingested after the challenger's training rows were
+// taken. One goroutine feeds a fixed sequence through a lag-free stack —
 // law B before the retrain, B plus a per-snapshot offset after it — and
-// the verdict's live count, live error ratio, combined DREs and the
-// promoted shadow RMSE must equal the figures computed here from the two
-// models' predictions, with the pre-training snapshots in the held-out
-// figures only.
+// the verdict's live count, error ratio and DREs, the promoted shadow RMSE
+// and every event's t_s must equal the figures computed here from the two
+// models' predictions on those 20 snapshots alone. A window one snapshot
+// wider, on either side, moves them.
 func TestLifecycleLiveEvidence(t *testing.T) {
 	const pre, live = 60, 20
 	var events bytes.Buffer
 	st := newStack(t, Config{
-		ShadowSnapshots: live,
-		Events:          obs.NewEventSink(&events),
+		Events: obs.NewEventSink(&events),
 	}, serve.Config{Shards: 2})
 
 	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
@@ -321,8 +315,8 @@ func TestLifecycleLiveEvidence(t *testing.T) {
 		t.Fatalf("status %+v, want %d live snapshots and a promotion", s, live)
 	}
 
-	// Replay the fed sequence: the held-out window is the pre-training
-	// snapshots, the live window everything after.
+	// Replay the fed sequence: the challenger trained on the pre-training
+	// snapshots, and the live window is everything after.
 	var win []Snapshot
 	for j := 0; j < pre+live; j++ {
 		snap := Snapshot{Samples: snapshotSamples(j)}
@@ -349,22 +343,26 @@ func TestLifecycleLiveEvidence(t *testing.T) {
 		}
 		return total
 	}
-	hc, lc := sse(champ.Model, win[:pre]), sse(champ.Model, win[pre:])
-	hl, ll := sse(chall.Model, win[:pre]), sse(chall.Model, win[pre:])
+	lc, ll := sse(champ.Model, win[pre:]), sse(chall.Model, win[pre:])
 	minA, maxA := math.Inf(1), math.Inf(-1)
-	for _, snap := range win {
+	for _, snap := range win[pre:] {
 		minA, maxA = math.Min(minA, snap.Actual), math.Max(maxA, snap.Actual)
 	}
-	n := float64(pre + live)
+	// The fake clock reads second k at the step after the k-th snapshot;
+	// the manual retrain runs at the step after the pre-training feed.
+	trainedAt, decidedAt := float64(pre+1), float64(pre+1+live)
 	want := map[string]map[string]float64{
+		"retrain_triggered":  {"t_s": trainedAt},
+		"challenger_trained": {"t_s": trainedAt},
 		"shadow_verdict": {
-			"heldout":   pre,
-			"live":      live,
-			"ratio":     math.Sqrt(ll/live) / math.Sqrt(lc/live),
-			"champ_dre": math.Sqrt((hc+lc)/n) / (maxA - minA),
-			"chall_dre": math.Sqrt((hl+ll)/n) / (maxA - minA),
+			"t_s":             decidedAt,
+			"live":            live,
+			"ratio":           math.Sqrt(ll/live) / math.Sqrt(lc/live),
+			"champ_dre":       math.Sqrt(lc/live) / (maxA - minA),
+			"chall_dre":       math.Sqrt(ll/live) / (maxA - minA),
+			"dynamic_range_w": maxA - minA,
 		},
-		"promoted": {"shadow_rmse_w": math.Sqrt((hl + ll) / n)},
+		"promoted": {"t_s": decidedAt, "shadow_rmse_w": math.Sqrt(ll / live)},
 	}
 	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
 		var ev map[string]any
@@ -388,8 +386,8 @@ func TestLifecycleLiveEvidence(t *testing.T) {
 // while the challenger shadows. The champion serves it, but the
 // challenger, fitted before it appeared, cannot predict it, so the
 // challenger scores none of the live snapshots the champion scores. Its
-// near-perfect held-out fit must not win on that smaller set: the live
-// gate rejects it and the champion keeps serving.
+// perfect error on that smaller, empty set must not win: the live gate
+// rejects it and the champion keeps serving.
 func TestLifecycleLiveGateSameSnapshots(t *testing.T) {
 	p := mkModel(t, 10, 1, 2).ByPlatform["p"]
 	q := *p
@@ -402,7 +400,7 @@ func TestLifecycleLiveGateSameSnapshots(t *testing.T) {
 	if err := reg.Add("v1", champ, registry.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	st := startStack(t, reg, Config{ShadowSnapshots: 20}, serve.Config{Shards: 2}, nil)
+	st := startStack(t, reg, Config{}, serve.Config{Shards: 2}, nil)
 
 	lawB := func(a, b float64) float64 { return 40 + 3*a + 0.5*b }
 	i := 0
@@ -430,8 +428,6 @@ func TestLifecycleLiveGateSameSnapshots(t *testing.T) {
 // probation bound and must be rolled back automatically.
 func TestLifecycleProbationRollback(t *testing.T) {
 	st := newStack(t, Config{
-		MinTrainSnapshots:  40,
-		ShadowSnapshots:    20,
 		ProbationSnapshots: 60,
 	}, serve.Config{
 		Shards:       2,
@@ -475,8 +471,7 @@ func (c eventLines) Write(p []byte) (int, error) {
 
 // TestLifecycleManualTriggerTooLittleData locks the fail-fast path and
 // Start's loop: the loop serves a manual retrain with starving buffers,
-// which must surface the online package's minimum-rows error in the
-// status, leave the champion serving, and return the orchestrator to
+// which must surface the minimum-rows error in the status, leave the champion serving, and return the orchestrator to
 // idle; Close then stops the loop.
 func TestLifecycleManualTriggerTooLittleData(t *testing.T) {
 	// Room for every event the run emits, so the loop never blocks on a
@@ -520,9 +515,9 @@ func TestLifecycleManualTriggerTooLittleData(t *testing.T) {
 }
 
 // TestLifecycleRetrainLeavesEstimatesCounter: chaos_estimates_total counts
-// cluster estimates. A retrain and its verdict replay the held-out window
-// through the champion and the challenger; that replay answers no request,
-// so the counter must not move while it runs.
+// cluster estimates. A verdict replays the live window through the
+// champion and the challenger; that replay answers no request, so the
+// counter must not move over a retrain and its verdict.
 func TestLifecycleRetrainLeavesEstimatesCounter(t *testing.T) {
 	st := newStack(t, Config{}, serve.Config{Shards: 1})
 	truth := func(a, b float64) float64 { return 10 + a + 2*b }
@@ -534,8 +529,10 @@ func TestLifecycleRetrainLeavesEstimatesCounter(t *testing.T) {
 	if err := st.orch.TriggerRetrain("test"); err != nil {
 		t.Fatal(err)
 	}
-	st.step() // fit and held-out scoring
-	st.step() // verdict
+	st.step() // fit
+	for i := 60; i < 60+liveSnapshots; i++ {
+		feedOne(t, st, i, truth) // the last step decides
+	}
 	if s := st.orch.Status(); s.Retrains != 1 || s.LastVerdict == "" {
 		t.Fatalf("status %+v, want one retrain and its verdict", s)
 	}
@@ -546,8 +543,8 @@ func TestLifecycleRetrainLeavesEstimatesCounter(t *testing.T) {
 
 // TestLifecycleIngestDropsMisSizedSnapshot: a snapshot with one mis-sized
 // sample is dropped whole, so the well-formed sample before it must not
-// reach the retrain buffers either: a challenger would train on a row the
-// held-out window never saw.
+// reach the retrain buffers either: a challenger would train on a row from
+// a snapshot no one counted.
 func TestLifecycleIngestDropsMisSizedSnapshot(t *testing.T) {
 	o, err := New(registry.New(), nopEngine{}, Config{Names: testNames, Spec: models.FeatureSpec{Name: "t", Counters: testNames}})
 	if err != nil {
@@ -557,11 +554,11 @@ func TestLifecycleIngestDropsMisSizedSnapshot(t *testing.T) {
 		{MachineID: "m0", Platform: "p", Counters: []float64{1, 2}},
 		{MachineID: "m1", Platform: "p", Counters: []float64{1, 2, 3}},
 	}, []float64{50, 60}, 110, "v1")
-	if n := o.rt.Buffered("m0"); n != 0 {
+	if n := buffered(o.buf, "m0"); n != 0 {
 		t.Errorf("machine m0 buffered %d rows from a dropped snapshot, want 0", n)
 	}
-	if s := o.Status(); s.HeldOutSnapshots != 0 || s.SnapshotsSinceRetrain != 0 {
-		t.Errorf("status %+v, want the snapshot dropped", s)
+	if n, s := o.buf.snapshots(), o.Status(); n != 0 || s.SnapshotsSinceRetrain != 0 {
+		t.Errorf("%d snapshots buffered, status %+v; want the snapshot dropped", n, s)
 	}
 }
 
@@ -636,7 +633,7 @@ func TestLifecycleConfigValidation(t *testing.T) {
 // TestLifecycleFirstRetrainSkipsCooldown locks in the warmup semantics of
 // the cooldown gate: before any retrain has run there is nothing to cool
 // down from, so the first automatic trigger fires as soon as the minimum
-// held-out window fills — a daemon that drifts seconds after boot must not
+// buffered window fills — a daemon that drifts seconds after boot must not
 // sit out a 30-second cooldown it never earned. After a retrain the
 // cooldown applies normally.
 func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
@@ -649,14 +646,14 @@ func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := time.Unix(1000, 0)
-	// Fill the held-out window to the minimum the trigger waits for.
-	for i := 0; i < o.cfg.MinTrainSnapshots; i++ {
+	// Fill the retrain buffers to the minimum the trigger waits for.
+	for i := 0; i < minTrainSnapshots; i++ {
 		o.Ingest([]online.Sample{{MachineID: "m0", Platform: "P", Counters: []float64{1, 2}}}, []float64{50}, 0, "")
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if got := o.heldout.Len(); got != o.cfg.MinTrainSnapshots {
-		t.Fatalf("held-out window holds %d snapshots, want %d", got, o.cfg.MinTrainSnapshots)
+	if got := o.buf.snapshots(); got != minTrainSnapshots {
+		t.Fatalf("retrain buffers hold %d snapshots, want %d", got, minTrainSnapshots)
 	}
 	o.sinceRetrain = o.cfg.TriggerSamples
 
@@ -672,5 +669,112 @@ func TestLifecycleFirstRetrainSkipsCooldown(t *testing.T) {
 	}
 	if reason, ok := o.triggerLocked(clock.Add(cooldown)); !ok || reason != "samples" {
 		t.Fatalf("post-cooldown trigger = (%q, %v), want (samples, true)", reason, ok)
+	}
+}
+
+// TestLifecycleDriftBaselineFollowsVerdicts: the drift alarm is re-based
+// on each promotion. A rejection keeps the baseline in force, a promotion
+// re-bases it on the challenger's live RMSE (and the checkpoint carries
+// that to a restarted engine), and a rollback restores the baseline in
+// force before the promotion. The engine is an online.Monitor that never
+// observes, so every retrain here is manual; ResetDrift(0) reads the
+// baseline without moving it.
+func TestLifecycleDriftBaselineFollowsVerdicts(t *testing.T) {
+	const boot = 7.0
+	spec := models.FeatureSpec{Name: "test", Counters: testNames}
+	cfg := Config{Spec: spec, Names: testNames, ProbationSnapshots: 60}
+	newOrch := func(reg *registry.Registry) (*Orchestrator, *online.Monitor) {
+		t.Helper()
+		mon, err := online.NewMonitor(boot, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(reg, mon, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o, mon
+	}
+	champion := func() *registry.Registry {
+		reg := registry.New()
+		if err := reg.Add("v1", mkModel(t, 10, 1, 2), registry.Meta{}); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	clock := time.Unix(0, 0)
+	// feed ingests snapshots [from, to) labeled by law and steps after each.
+	feed := func(o *Orchestrator, from, to int, law func(j int, a, b float64) float64) {
+		for j := from; j < to; j++ {
+			samples := snapshotSamples(j)
+			metered := make([]float64, len(samples))
+			for k, s := range samples {
+				metered[k] = law(j, s.Counters[0], s.Counters[1])
+			}
+			o.Ingest(samples, metered, 0, o.reg.ActiveVersion())
+			clock = clock.Add(time.Second)
+			o.Step(clock)
+		}
+	}
+	retrain := func(o *Orchestrator) {
+		if err := o.TriggerRetrain("test"); err != nil {
+			t.Fatal(err)
+		}
+		clock = clock.Add(time.Second)
+		o.Step(clock)
+	}
+	v1Law := func(_ int, a, b float64) float64 { return 10 + a + 2*b }
+	poison := func(_ int, a, b float64) float64 { return 200 - 2*a + 5*b }
+	lawB := func(j int, a, b float64) float64 { return 40 + 3*a + 0.5*b + float64(j%3) }
+
+	// Rejection: a challenger fitted on poisoned labels loses on clean
+	// traffic, and the baseline stays where it was.
+	o, mon := newOrch(champion())
+	feed(o, 0, 60, poison)
+	retrain(o)
+	feed(o, 60, 60+liveSnapshots, v1Law)
+	if s := o.Status(); s.LastVerdict != "rejected" {
+		t.Fatalf("status %+v, want the poisoned challenger rejected", s)
+	}
+	if b := mon.ResetDrift(0); b != boot {
+		t.Errorf("baseline %g W after a rejection, want %g W kept", b, boot)
+	}
+
+	// Promotion: the baseline becomes the challenger's live RMSE.
+	reg := champion()
+	o, mon = newOrch(reg)
+	feed(o, 0, 60, lawB)
+	retrain(o)
+	feed(o, 60, 60+liveSnapshots, lawB)
+	if s := o.Status(); s.LastVerdict != "promoted" || s.State != "probation" {
+		t.Fatalf("status %+v, want the challenger promoted and on probation", s)
+	}
+	o.mu.Lock()
+	live := o.shadowRMSE
+	o.mu.Unlock()
+	if live <= 0 || live == boot {
+		t.Fatalf("challenger live RMSE %g W, want positive and not the boot baseline", live)
+	}
+	if b := mon.ResetDrift(0); b != live {
+		t.Errorf("baseline %g W after a promotion, want the challenger's live RMSE %g W", b, live)
+	}
+	restarted, restartedMon := newOrch(reg)
+	if err := restarted.RestoreCheckpoint(marshalCheckpoint(t, o)); err != nil {
+		t.Fatal(err)
+	}
+	if b := restartedMon.ResetDrift(0); b != live {
+		t.Errorf("restored engine's baseline %g W, want the checkpointed %g W", b, live)
+	}
+
+	// Rollback: the world returns to v1's law, probation rolls back, and
+	// the baseline returns to the one in force before the promotion.
+	for j := 80; o.Status().Rollbacks == 0; j++ {
+		if j == 80+cfg.ProbationSnapshots {
+			t.Fatalf("no rollback within probation; status %+v", o.Status())
+		}
+		feed(o, j, j+1, v1Law)
+	}
+	if b := mon.ResetDrift(0); b != boot {
+		t.Errorf("baseline %g W after a rollback, want %g W from before the promotion", b, boot)
 	}
 }

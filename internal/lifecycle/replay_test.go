@@ -13,27 +13,26 @@ import (
 	"repro/internal/registry"
 )
 
-// The replay fixture: an orchestrator with an 8-snapshot held-out window
-// fed replayRecorded labeled snapshots from two machines. That wraps the
-// held-out ring 260 times and each machine's 2,048-row retrain ring once,
-// leaving both mid-lap. testdata/replay_checkpoint.json is its checkpoint
-// and replayStatus the Status of an orchestrator restored from it, both
-// recorded before the held-out window and the retrain buffers moved onto
-// mathx.Ring; replayNextSHA256 is the digest of the checkpoint that
-// restored orchestrator wrote after replayMore further snapshots.
+// The replay fixture: an orchestrator fed replayRecorded labeled
+// snapshots from two machines. That wraps each machine's 2,048-row retrain
+// ring once, leaving it mid-lap. testdata/replay_checkpoint.json is its
+// checkpoint and replayStatus the Status of an orchestrator restored from
+// it; replayNextSHA256 is the digest of the checkpoint that restored
+// orchestrator wrote after replayMore further snapshots.
+// testdata/heldout_checkpoint.json is the same feed's checkpoint in the
+// earlier format, which also carried a held-out scoring window.
 const (
 	replayRecorded   = 2085
 	replayMore       = 13
-	replayStatus     = `{"state":"idle","champion":"","retrains":0,"promotions":0,"rollbacks":0,"snapshots_since_retrain":2085,"held_out_snapshots":8,"live_shadow_snapshots":0,"probation_snapshots":0}`
-	replayNextSHA256 = "fe2d5faf0f5dd305841d38ca80aa364b1cf4d54747838372b2eb7a3d9aa746fe"
+	replayStatus     = `{"state":"idle","champion":"","retrains":0,"promotions":0,"rollbacks":0,"snapshots_since_retrain":2085,"live_shadow_snapshots":0,"probation_snapshots":0}`
+	replayNextSHA256 = "884a259107754e4445a67f5966c09c7b8f091d8d8f2a01ccb4231ad3647ea726"
 )
 
 func newReplayOrchestrator(t *testing.T) *Orchestrator {
 	t.Helper()
 	o, err := New(registry.New(), nopEngine{}, Config{
-		Names:   testNames,
-		Spec:    models.FeatureSpec{Name: "replay", Counters: testNames},
-		HeldOut: 8,
+		Names: testNames,
+		Spec:  models.FeatureSpec{Name: "replay", Counters: testNames},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,5 +102,49 @@ func TestCheckpointReplay(t *testing.T) {
 	sum := sha256.Sum256(next)
 	if got := hex.EncodeToString(sum[:]); got != replayNextSHA256 {
 		t.Errorf("next checkpoint digest %s, want %s", got, replayNextSHA256)
+	}
+}
+
+// TestCheckpointRestoresHeldOutFormat restores the feed's checkpoint as the
+// earlier format wrote it, held-out window and all: the retrain buffers
+// come back whole, so the restored orchestrator writes the same
+// "retrainer" section byte for byte, and so does the current format.
+func TestCheckpointRestoresHeldOutFormat(t *testing.T) {
+	old, err := os.ReadFile("testdata/heldout_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newReplayOrchestrator(t)
+	if err := restored.RestoreCheckpoint(old); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"r0", "r1"} {
+		if n := buffered(restored.buf, id); n != bufferCapacity {
+			t.Errorf("machine %s restored %d buffered rows, want %d", id, n, bufferCapacity)
+		}
+	}
+	if s := restored.Status(); s.State != "idle" || s.SnapshotsSinceRetrain != replayRecorded {
+		t.Errorf("restored status %+v, want idle with %d snapshots since the last retrain", s, replayRecorded)
+	}
+	retrainer := func(data []byte) []byte {
+		t.Helper()
+		var doc struct {
+			Retrainer json.RawMessage `json:"retrainer"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Retrainer
+	}
+	want := retrainer(old)
+	if got := retrainer(marshalCheckpoint(t, restored)); !bytes.Equal(got, want) {
+		t.Error("the restored retrain buffers differ from the checkpoint's")
+	}
+	current, err := os.ReadFile("testdata/replay_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(retrainer(current), want) {
+		t.Error("the two formats checkpoint the same feed's retrain buffers differently")
 	}
 }

@@ -1,16 +1,14 @@
 // Package online is the deployment path of CHAOS: streaming cluster power
 // estimation from live OS counter samples, residual monitoring against an
-// occasionally-available meter, drift detection, and retraining — the
-// "online power prediction" use the paper builds its models for, plus the
-// adaptation loop its automatic-framework motivation calls for ("rapidly
-// and easily build new models for applications, thus adapting to new
-// characteristics and workloads", §IV-A).
+// occasionally-available meter, and drift detection — the "online power
+// prediction" use the paper builds its models for. Retraining on drift
+// (§IV-A: "rapidly and easily build new models for applications, thus
+// adapting to new characteristics and workloads") is internal/lifecycle's.
 package online
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,7 +16,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/models"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Streaming-path instruments, resolved once at import so the per-second
@@ -33,7 +30,6 @@ var (
 	residualHist   = obs.Default().Histogram("chaos_residual_watts", nil, obs.LinearBuckets(0, 2, 25))
 	residualEWMA   = obs.Default().Gauge("chaos_residual_ewma_baseline_units", nil)
 	driftAlarms    = obs.Default().Counter("chaos_drift_alarms_total", nil)
-	retrainsTotal  = obs.Default().Counter("chaos_retrains_total", nil)
 	invalidSamples = obs.Default().Counter("chaos_invalid_samples_total", nil)
 )
 
@@ -315,144 +311,19 @@ func (m *Monitor) Observations() int {
 	return m.n
 }
 
-// ResetDrift clears the alarm and statistics (call after a retrain
-// resolves it). With Drifted it makes a Monitor a lifecycle engine.
-func (m *Monitor) ResetDrift() {
+// ResetDrift clears the alarm and statistics, so the monitor re-arms on
+// fresh residuals, and re-bases it on baseline when that is positive (a
+// promoted model's out-of-sample RMSE); zero keeps the baseline in force.
+// It returns the baseline in force before the call. With Drifted it makes
+// a Monitor a lifecycle engine.
+func (m *Monitor) ResetDrift(baseline float64) (previous float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	previous = m.baseline
+	if baseline > 0 {
+		m.baseline = baseline
+	}
 	m.cusum, m.ewma, m.n = 0, 0, 0
 	m.drifted = false
-}
-
-// Retrainer accumulates recent labeled samples (counters + metered power)
-// per machine and rebuilds the cluster model on demand.
-type Retrainer struct {
-	mu       sync.Mutex
-	names    []string
-	capacity int
-	buffers  map[string]*mathx.Ring[labeled] // machineID -> recent samples
-	platform map[string]string
-}
-
-// labeled is one buffered second: a private copy of the counter row,
-// never mutated once stored, so copies of a buffer may share it, and its
-// metered watts.
-type labeled struct {
-	row   []float64
-	watts float64
-}
-
-// NewRetrainer buffers up to capacity seconds per machine.
-func NewRetrainer(names []string, capacity int) (*Retrainer, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("online: retrainer capacity must be positive, got %d", capacity)
-	}
-	return &Retrainer{
-		names:    append([]string(nil), names...),
-		capacity: capacity,
-		buffers:  map[string]*mathx.Ring[labeled]{},
-		platform: map[string]string{},
-	}, nil
-}
-
-// Add records one labeled second from a machine. Samples with non-finite
-// counters or a non-finite meter reading are skipped (and counted in
-// chaos_invalid_samples_total) so a corrupt second cannot poison a later
-// retraining fit.
-func (rt *Retrainer) Add(s Sample, meteredWatts float64) error {
-	if len(s.Counters) != len(rt.names) {
-		return fmt.Errorf("online: sample has %d counters, want %d", len(s.Counters), len(rt.names))
-	}
-	if !finiteRow(s.Counters) || math.IsNaN(meteredWatts) || math.IsInf(meteredWatts, 0) {
-		invalidSamples.Inc()
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b := rt.buffers[s.MachineID]
-	if b == nil {
-		b = mathx.NewRing[labeled](rt.capacity)
-		rt.buffers[s.MachineID] = b
-	}
-	rt.platform[s.MachineID] = s.Platform
-	b.Push(labeled{append([]float64(nil), s.Counters...), meteredWatts})
-	return nil
-}
-
-// Buffered returns the number of labeled seconds currently held for a
-// machine.
-func (rt *Retrainer) Buffered(machineID string) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b := rt.buffers[machineID]
-	if b == nil {
-		return 0
-	}
-	return b.Len()
-}
-
-// Retrain fits a fresh cluster model of the given technique and spec from
-// the buffered samples, pooling machines per platform like the offline
-// pipeline does. The buffers are copied oldest-first under the lock and
-// fitted without it, so Add never waits for a fit.
-func (rt *Retrainer) Retrain(tech models.Technique, spec models.FeatureSpec) (*models.ClusterModel, error) {
-	span := obs.StartSpan("online.retrain")
-	defer span.End()
-	type buffered struct {
-		id, platform string
-		rows         []labeled // oldest first
-	}
-	rt.mu.Lock()
-	bufs := make([]buffered, 0, len(rt.buffers))
-	for id, b := range rt.buffers {
-		bufs = append(bufs, buffered{id, rt.platform[id], b.AppendTo(nil)})
-	}
-	rt.mu.Unlock()
-	// Machine-ID order fixes the order of each platform's pooled traces,
-	// so the same buffers always fit the same model.
-	sort.Slice(bufs, func(i, j int) bool { return bufs[i].id < bufs[j].id })
-	// A machine with fewer rows than the design width would make the
-	// normal equations rank-deficient and the fit degenerate (an exact
-	// interpolation of noise at best; regress.OLS itself demands strictly
-	// more rows than parameters). Fail fast with the machine named rather
-	// than hand a garbage model or a cryptic solver error to the caller.
-	minRows := spec.NumInputs() + 2
-	byPlatform := map[string][]*trace.Trace{}
-	for _, b := range bufs {
-		if len(b.rows) == 0 {
-			continue
-		}
-		if len(b.rows) < minRows {
-			return nil, fmt.Errorf("online: machine %s has %d buffered samples, need at least %d (features + intercept + 1) to retrain",
-				b.id, len(b.rows), minRows)
-		}
-		builder := trace.NewBuilder(b.platform, "online", b.id, 0, rt.names, 0)
-		for _, l := range b.rows {
-			if err := builder.Add(l.row, l.watts, l.watts); err != nil {
-				return nil, err
-			}
-		}
-		t, err := builder.Build()
-		if err != nil {
-			return nil, err
-		}
-		byPlatform[b.platform] = append(byPlatform[b.platform], t)
-	}
-	if len(byPlatform) == 0 {
-		return nil, fmt.Errorf("online: no buffered samples to retrain from")
-	}
-	var mms []*models.MachineModel
-	for p, ts := range byPlatform {
-		mm, err := models.FitMachineModel(tech, ts, spec,
-			models.FitOptions{FreqCol: spec.FreqInputIndex(), MaxKnots: 8})
-		if err != nil {
-			return nil, fmt.Errorf("online: retraining %s: %w", p, err)
-		}
-		mms = append(mms, mm)
-	}
-	cm, err := models.NewClusterModel(mms...)
-	if err == nil {
-		retrainsTotal.Inc()
-	}
-	return cm, err
+	return previous
 }

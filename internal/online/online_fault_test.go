@@ -62,31 +62,3 @@ func TestFaultPredictorSkipsNonFiniteSamples(t *testing.T) {
 		t.Error("expected error when every sample is non-finite")
 	}
 }
-
-// TestFaultRetrainerRejectsNonFinite: corrupt rows and meter readings are
-// silently skipped so they can never poison a retraining fit.
-func TestFaultRetrainerRejectsNonFinite(t *testing.T) {
-	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
-	rt, err := NewRetrainer(fx.names, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := samplesAt(fx.streams, 0)[0]
-	id := s.MachineID
-	if err := rt.Add(s, 100); err != nil {
-		t.Fatal(err)
-	}
-	bad := s
-	badRow := append([]float64(nil), s.Counters...)
-	badRow[3] = math.Inf(1)
-	bad.Counters = badRow
-	if err := rt.Add(bad, 100); err != nil {
-		t.Fatalf("Add with corrupt row should skip, got error: %v", err)
-	}
-	if err := rt.Add(s, math.NaN()); err != nil {
-		t.Fatalf("Add with NaN meter reading should skip, got error: %v", err)
-	}
-	if got := rt.Buffered(id); got != 1 {
-		t.Fatalf("buffered %d labeled seconds, want 1 (corrupt ones skipped)", got)
-	}
-}

@@ -2,10 +2,8 @@ package online
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
@@ -19,7 +17,6 @@ import (
 type fixture struct {
 	model   *models.ClusterModel
 	names   []string
-	spec    models.FeatureSpec
 	streams []*trace.Trace // test run traces
 	rmse    float64
 }
@@ -58,7 +55,6 @@ func buildFixture(t *testing.T, spec models.FeatureSpec, workloads []string) *fi
 	return &fixture{
 		model:   cm,
 		names:   train[0].Names,
-		spec:    spec,
 		streams: byRun[1],
 		rmse:    math.Sqrt(rss / float64(len(pred))),
 	}
@@ -269,9 +265,21 @@ func TestMonitorCatchesRegimeShift(t *testing.T) {
 	if fired > 30 {
 		t.Errorf("drift detected only after %d observations", fired)
 	}
-	m.ResetDrift()
+	if prev := m.ResetDrift(0); prev != 2 {
+		t.Errorf("ResetDrift(0) returned %g, want the baseline in force, 2", prev)
+	}
 	if m.Drifted() || m.EWMA() != 0 || m.Observations() != 0 {
 		t.Error("Reset did not clear state")
+	}
+	// Re-based on 10 W, the 10 W errors that alarmed at a 2 W baseline are
+	// in regime.
+	if prev := m.ResetDrift(10); prev != 2 {
+		t.Errorf("ResetDrift(10) returned %g, want 2", prev)
+	}
+	for i := 0; i < 100; i++ {
+		if m.Observe(100, 110) {
+			t.Fatalf("drift at observation %d after re-basing on 10 W", i)
+		}
 	}
 }
 
@@ -288,279 +296,9 @@ func TestMonitorValidation(t *testing.T) {
 	}
 }
 
-func TestRetrainerRoundTrip(t *testing.T) {
-	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
-	rt, err := NewRetrainer(fx.names, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := fx.streams[0].Len()
-	for i := 0; i < n; i++ {
-		for _, tr := range fx.streams {
-			s := Sample{MachineID: tr.MachineID, Platform: tr.Platform, Counters: tr.X.Row(i)}
-			if err := rt.Add(s, tr.Power[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := rt.Buffered(fx.streams[0].MachineID); got != min(n, 600) {
-		t.Errorf("Buffered = %d, want %d", got, min(n, 600))
-	}
-	cm, err := rt.Retrain(models.TechQuadratic, fx.spec)
-	if err != nil {
-		t.Fatalf("Retrain: %v", err)
-	}
-	// The retrained model should predict the very data it was fed with
-	// reasonable accuracy.
-	pred, actual, err := cm.PredictCluster(fx.streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rss float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		rss += d * d
-	}
-	rmse := math.Sqrt(rss / float64(len(pred)))
-	if rmse > fx.rmse*3+1 {
-		t.Errorf("retrained model rMSE %v vs original %v", rmse, fx.rmse)
-	}
-}
-
-func TestRetrainerRingEviction(t *testing.T) {
-	rt, err := NewRetrainer([]string{"a"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := rt.Add(Sample{MachineID: "m", Platform: "Core2", Counters: []float64{float64(i)}}, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := rt.Buffered("m"); got != 3 {
-		t.Errorf("Buffered = %d, want ring capacity 3", got)
-	}
-	if rt.Buffered("ghost") != 0 {
-		t.Error("unknown machine should buffer zero")
-	}
-}
-
-func TestRetrainerValidation(t *testing.T) {
-	if _, err := NewRetrainer([]string{"a"}, 0); err == nil {
-		t.Error("expected error for zero capacity")
-	}
-	rt, _ := NewRetrainer([]string{"a", "b"}, 5)
-	if err := rt.Add(Sample{MachineID: "m", Counters: []float64{1}}, 1); err == nil {
-		t.Error("expected error for short counter row")
-	}
-	if _, err := rt.Retrain(models.TechLinear, models.CPUOnlySpec()); err == nil {
-		t.Error("expected error with no buffered data")
-	}
-}
-
-// TestRetrainerAddDuringFit: Add runs on the serving path, so it must not
-// wait for a fit. Adds sent while a quadratic Retrain runs must each
-// return long before the fit does.
-func TestRetrainerAddDuringFit(t *testing.T) {
-	rt, err := NewRetrainer(synthNames, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1024; i++ {
-		for m := 0; m < 2; m++ {
-			if err := rt.Add(synthSecond(m, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := rt.Retrain(models.TechQuadratic, models.FeatureSpec{Name: "quad", Counters: synthNames})
-		done <- err
-	}()
-	var worst time.Duration
-	for i := 1024; ; i++ {
-		select {
-		case err := <-done:
-			fit := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if worst > fit/4 {
-				t.Fatalf("an Add waited %v during a %v fit", worst, fit)
-			}
-			t.Logf("worst Add wait %v during a %v fit", worst, fit)
-			return
-		default:
-		}
-		s, w := synthSecond(i%2, i)
-		t0 := time.Now()
-		if err := rt.Add(s, w); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(t0); d > worst {
-			worst = d
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// TestRetrainerMinRowsGuard locks the fail-fast path the lifecycle
-// orchestrator depends on: a machine with fewer buffered samples than the
-// design width (features + intercept) must produce a clear error naming
-// the machine, not a rank-deficient fit.
-func TestRetrainerMinRowsGuard(t *testing.T) {
-	names := []string{"a", "b"}
-	spec := models.FeatureSpec{Name: "ab", Counters: names}
-	rt, err := NewRetrainer(names, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// y = 1 + 2a + 3b, noise-free; the floor is features + intercept + 1
-	// (regress.OLS wants strictly more rows than parameters), here 4.
-	rows := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
-	power := []float64{3, 4, 6, 8}
-	// Three samples < floor of four: must refuse.
-	for i := 0; i < 3; i++ {
-		if err := rt.Add(Sample{MachineID: "m0", Platform: "Core2", Counters: rows[i]}, power[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err = rt.Retrain(models.TechLinear, spec)
-	if err == nil {
-		t.Fatal("Retrain succeeded with 3 samples for a 3-unknown design")
-	}
-	for _, want := range []string{"m0", "3", "4"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q should mention %q (machine, have, need)", err, want)
-		}
-	}
-	// One more row meets the floor and the fit goes through.
-	if err := rt.Add(Sample{MachineID: "m0", Platform: "Core2", Counters: rows[3]}, power[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Retrain(models.TechLinear, spec); err != nil {
-		t.Fatalf("Retrain at exactly the minimum-rows floor: %v", err)
-	}
-	// The guard is per machine: a healthy machine cannot mask a starved one.
-	if err := rt.Add(Sample{MachineID: "m1", Platform: "Core2", Counters: rows[0]}, power[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Retrain(models.TechLinear, spec); err == nil {
-		t.Error("Retrain succeeded with one starved machine in the buffers")
-	} else if !strings.Contains(err.Error(), "m1") {
-		t.Errorf("error %q should name the starved machine m1", err)
-	}
-}
-
-// TestDriftLoopEndToEnd: a model trained on Prime drifts when the cluster
-// switches to the I/O-heavy Sort workload; retraining on the new samples
-// restores accuracy. This is the paper's adaptation story in miniature.
-func TestDriftLoopEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end drift loop in -short mode")
-	}
-	ds, err := core.Collect("Core2", 2, []string{"Prime", "Sort"}, 2, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := defaultSpec()
-	byRunPrime := trace.ByRun(ds.ByWorkload["Prime"])
-	var train []*trace.Trace
-	for _, tr := range byRunPrime[0] {
-		train = append(train, trace.Subsample(tr, 2))
-	}
-	mm, err := models.FitMachineModel(models.TechQuadratic, train, spec,
-		models.FitOptions{MaxKnots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, _ := models.NewClusterModel(mm)
-
-	// Baseline RMSE on held-out Prime.
-	pred, actual, err := cm.PredictCluster(byRunPrime[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rss float64
-	for i := range pred {
-		d := pred[i] - actual[i]
-		rss += d * d
-	}
-	baseline := math.Sqrt(rss / float64(len(pred)))
-
-	p, err := NewPredictor(cm, train[0].Names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := NewMonitor(baseline, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRetrainer(train[0].Names, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream the Sort workload (unmodeled regime).
-	sortRun := trace.ByRun(ds.ByWorkload["Sort"])[0]
-	n := sortRun[0].Len()
-	driftAt := -1
-	for i := 0; i < n; i++ {
-		ss := samplesAt(sortRun, i)
-		est, err := p.Step(ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var clusterActual float64
-		for _, tr := range sortRun {
-			clusterActual += tr.Power[i]
-		}
-		for k, tr := range sortRun {
-			if err := rt.Add(ss[k], tr.Power[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if mon.Observe(est.ClusterWatts, clusterActual) && driftAt < 0 {
-			driftAt = i
-		}
-	}
-	if driftAt < 0 {
-		t.Fatal("workload change never triggered drift")
-	}
-
-	// Retrain on the buffered Sort seconds; accuracy on the second Sort
-	// run must improve over the stale Prime model.
-	cm2, err := rt.Retrain(models.TechQuadratic, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortRun2 := trace.ByRun(ds.ByWorkload["Sort"])[1]
-	stale, actual2, err := cm.PredictCluster(sortRun2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, _, err := cm2.PredictCluster(sortRun2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse := func(p []float64) float64 {
-		var s float64
-		for i := range p {
-			d := p[i] - actual2[i]
-			s += d * d
-		}
-		return math.Sqrt(s / float64(len(p)))
-	}
-	if rmse(fresh) >= rmse(stale) {
-		t.Errorf("retrained rMSE %v should beat stale %v", rmse(fresh), rmse(stale))
-	}
-}
-
-// TestConcurrentUse exercises Monitor and Retrainer from several
-// goroutines (run with -race to verify the locking). The Predictor has one
-// owner goroutine, so the estimates are computed up front.
+// TestConcurrentUse exercises the Monitor from several goroutines (run
+// with -race to verify the locking). The Predictor has one owner
+// goroutine, so the estimates are computed up front.
 func TestConcurrentUse(t *testing.T) {
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
 	p, err := NewPredictor(fx.model, fx.names)
@@ -568,10 +306,6 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon, err := NewMonitor(fx.rmse+0.1, 1e9) // effectively never alarms
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRetrainer(fx.names, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,34 +318,20 @@ func TestConcurrentUse(t *testing.T) {
 		}
 		ests[i] = est.ClusterWatts
 	}
-	done := make(chan error, 4)
+	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := 0; i < n; i++ {
-				ss := samplesAt(fx.streams, i)
 				mon.Observe(ests[i], ests[i]+0.5)
-				for k, tr := range fx.streams {
-					if err := rt.Add(ss[k], tr.Power[i]); err != nil {
-						done <- err
-						return
-					}
-				}
 				mon.EWMA()
-				rt.Buffered(fx.streams[0].MachineID)
 			}
-			done <- nil
 		}()
 	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
+	wg.Wait()
 	if mon.Observations() != 4*n {
 		t.Errorf("Observations = %d, want %d", mon.Observations(), 4*n)
-	}
-	if _, err := rt.Retrain(models.TechLinear, fx.spec); err != nil {
-		t.Fatalf("Retrain after concurrent adds: %v", err)
 	}
 }
 
@@ -624,8 +344,7 @@ func min(a, b int) int {
 
 // TestConcurrentPredictorInstrumentation steps the predictor on its one
 // owner goroutine while eight goroutines feed its estimates to the
-// monitor and the retrainer, and checks the obs registry instruments stay
-// consistent. This is the -race acceptance test for the
+// monitor, and checks the obs registry instruments stay consistent. This is the -race acceptance test for the
 // observability layer.
 func TestConcurrentPredictorInstrumentation(t *testing.T) {
 	fx := buildFixture(t, defaultSpec(), []string{"Prime"})
@@ -634,10 +353,6 @@ func TestConcurrentPredictorInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon, err := NewMonitor(math.Max(fx.rmse, 0.1), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := NewRetrainer(fx.names, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,13 +383,9 @@ func TestConcurrentPredictorInstrumentation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for sec := range secs {
-				samples := samplesAt(fx.streams, sec.i)
 				var actual float64
-				for k, tr := range fx.streams {
+				for _, tr := range fx.streams {
 					actual += tr.Power[sec.i]
-					if err := rt.Add(samples[k], tr.Power[sec.i]); err != nil {
-						t.Error(err)
-					}
 				}
 				mon.Observe(sec.watts, actual)
 			}
@@ -688,9 +399,5 @@ func TestConcurrentPredictorInstrumentation(t *testing.T) {
 	}
 	if mon.Observations() != n {
 		t.Errorf("monitor observations = %d, want %d", mon.Observations(), n)
-	}
-	// A concurrent retrain must also be safe.
-	if _, err := rt.Retrain(models.TechQuadratic, fx.spec); err != nil {
-		t.Fatalf("retrain after concurrent adds: %v", err)
 	}
 }

@@ -458,12 +458,15 @@ func (s *Server) Drifted() bool { return s.drifted.Load() }
 
 // ResetDrift clears the drift alarm and re-arms the monitor on fresh
 // residuals (the lifecycle orchestrator calls this after each verdict so
-// a resolved drift does not immediately re-trigger).
-func (s *Server) ResetDrift() {
+// a resolved drift does not immediately re-trigger), re-based on baseline
+// when that is positive (see online.Monitor.ResetDrift). It returns the
+// baseline in force before, zero when the engine runs no monitor.
+func (s *Server) ResetDrift(baseline float64) (previous float64) {
 	if s.monitor != nil {
-		s.monitor.ResetDrift()
+		previous = s.monitor.ResetDrift(baseline)
 	}
 	s.drifted.Store(false)
+	return previous
 }
 
 // Result is the outcome of one Estimate call.

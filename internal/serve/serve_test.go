@@ -245,7 +245,7 @@ func TestServeDriftJudgesOnlyTheActiveVersion(t *testing.T) {
 	if err := s.Registry().Activate("v2"); err != nil {
 		t.Fatal(err)
 	}
-	s.ResetDrift()
+	s.ResetDrift(0)
 	samples := []online.Sample{{MachineID: "m1", Platform: "p", Counters: []float64{1, 1}}}
 	for _, versions := range [][]string{{"v1"}, {"v1", "v2"}} {
 		s.observe(&Result{ClusterWatts: 13, Versions: versions}, samples, []float64{63})
