@@ -232,16 +232,24 @@ func runControlCell(n int, seed, simSeconds int64, reg *registry.Registry) (Cont
 	return cell, nil
 }
 
-func runControlBench(w io.Writer, out string, seed int64, sizes []int, simSeconds int64) error {
-	// One bootstrap model serves every cell — same as the CLIs: trained
-	// on calibration telemetry, admitted to a registry, never shown the
-	// simulator's ground truth.
+// controlRegistry holds the one bootstrap model that serves every cell —
+// same as the CLIs: trained on calibration telemetry, admitted to a
+// registry, never shown the simulator's ground truth.
+func controlRegistry(seed int64) (*registry.Registry, error) {
 	cm, err := control.Bootstrap([]string{"Core2"}, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	reg := registry.New()
 	if err := reg.Add("boot-1", cm, registry.Meta{Description: "control bench bootstrap", Source: "telemetry"}); err != nil {
+		return nil, err
+	}
+	return reg, nil
+}
+
+func runControlBench(w io.Writer, out string, seed int64, sizes []int, simSeconds int64) error {
+	reg, err := controlRegistry(seed)
+	if err != nil {
 		return err
 	}
 	doc := &ControlDoc{

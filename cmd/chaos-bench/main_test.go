@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,65 @@ func TestCommittedBenchDocsPass(t *testing.T) {
 		stderr.Reset()
 		if code := realMain([]string{"-check", bad}, &stdout, &stderr); code != 1 {
 			t.Errorf("%s with repro_verified cleared: -check exit %d, want 1", mode, code)
+		}
+	}
+}
+
+// TestCommittedBenchDigestsReproduce reruns the 100- and 1,000-machine
+// cells of the committed cluster and control documents at their recorded
+// seed and length. Each digest must come out identical, and so must every
+// deterministic field recorded beside it, so a committed document cannot
+// drift from the simulator and controller that run today. Rates, wall
+// times and allocation counts depend on the host and are not compared.
+func TestCommittedBenchDigestsReproduce(t *testing.T) {
+	readDoc := func(mode string, doc any) {
+		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+mode+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var cluster ClusterDoc
+	readDoc("cluster", &cluster)
+	for _, want := range cluster.Cells {
+		if want.Machines > 1000 {
+			continue
+		}
+		got, err := runClusterCell(want.Machines, cluster.Seed, cluster.SimSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.EventsPerSec, got.SimSecondsPerSec, got.AllocsPerEvent, got.WallMS =
+			want.EventsPerSec, want.SimSecondsPerSec, want.AllocsPerEvent, want.WallMS
+		if got != want {
+			t.Errorf("cluster %d machines:\n got %+v\nwant %+v", want.Machines, got, want)
+		}
+	}
+
+	var control ControlDoc
+	readDoc("control", &control)
+	if control.IntervalS != ctlIntervalS || control.BudgetFraction != ctlBudgetFraction {
+		t.Fatalf("control document ran at interval %d s and budget %v, the bench now at %d s and %v",
+			control.IntervalS, control.BudgetFraction, ctlIntervalS, ctlBudgetFraction)
+	}
+	reg, err := controlRegistry(control.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range control.Cells {
+		if want.Machines > 1000 {
+			continue
+		}
+		got, err := runControlCell(want.Machines, control.Seed, control.SimSeconds, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.DecisionsPerSec, got.SimSecondsPerSec, got.WallMS = want.DecisionsPerSec, want.SimSecondsPerSec, want.WallMS
+		if got != want {
+			t.Errorf("control %d machines:\n got %+v\nwant %+v", want.Machines, got, want)
 		}
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/loadgen"
 	"repro/internal/models"
 	"repro/internal/overload"
 	"repro/internal/registry"
@@ -22,9 +24,10 @@ import (
 )
 
 // OverloadSchema identifies the overload benchmark document
-// (BENCH_overload.json); bump on incompatible change. Every rate in a v2
-// document is in samples/s.
-const OverloadSchema = "chaos-bench-overload/v2"
+// (BENCH_overload.json); bump on incompatible change. Every rate is in
+// samples/s; since v3 the achieved rate counts the send window and tier
+// latencies run from each request's scheduled send.
+const OverloadSchema = "chaos-bench-overload/v3"
 
 // Overload-cell serving shape. PredictStall pins the predict path at
 // overloadStall per batch, so engine capacity is exactly
@@ -83,10 +86,14 @@ type OverloadCell struct {
 	// generator is paced at OfferedPS / Machines snapshots/s rounded
 	// down, at most Machines-1 samples/s under target.
 	OfferedPS int `json:"offered_per_sec"`
-	// AchievedPS is the rate actually sent: samples sent over WallMS.
-	AchievedPS float64    `json:"achieved_per_sec"`
-	Snapshots  int        `json:"snapshots"`
-	WallMS     float64    `json:"wall_ms"`
+	// AchievedPS is the rate actually sent: samples sent over the send
+	// window, from the start of pacing to the start of the last send.
+	AchievedPS float64 `json:"achieved_per_sec"`
+	Snapshots  int     `json:"snapshots"`
+	// WallMS runs from the start of pacing to the last response.
+	WallMS float64 `json:"wall_ms"`
+	// MaxLateMS is how far behind its schedule the latest send started.
+	MaxLateMS  float64    `json:"max_late_ms"`
 	Shed       int        `json:"shed"`
 	Late       int        `json:"late"`
 	Failed     int        `json:"failed"`
@@ -99,7 +106,9 @@ type OverloadCell struct {
 }
 
 // TierCell is one priority tier's slice of a cell. Sent, OK, Shed and
-// Late count snapshots; GoodputPS is the tier's answered samples/s.
+// Late count snapshots; GoodputPS is the tier's answered samples/s over
+// the cell's wall time. P50Ms and P99Ms time each request from its
+// scheduled send.
 type TierCell struct {
 	Priority  string  `json:"priority"`
 	Sent      int     `json:"sent"`
@@ -169,8 +178,7 @@ func runOverloadCell(reg *registry.Registry, traces []*trace.Trace, seed int64, 
 	offered := overloadCapacity() * loadX
 	paced := offered / overloadMachines
 	snapshots := paced * seconds
-	start := time.Now()
-	stats, err := serve.RunLoadGen(serve.LoadGenConfig{
+	stats, err := loadgen.Run(loadgen.Config{
 		TargetURL: "http://" + httpSrv.Addr(),
 		Traces:    traces,
 		Snapshots: snapshots, Rate: float64(paced), Clients: 256, Batch: 1,
@@ -180,22 +188,27 @@ func runOverloadCell(reg *registry.Registry, traces []*trace.Trace, seed int64, 
 	if err != nil {
 		return OverloadCell{}, err
 	}
-	wall := time.Since(start).Seconds()
+	wall := stats.Wall.Seconds()
 
+	shed, late := stats.ByStatus[http.StatusTooManyRequests], stats.ByStatus[http.StatusGatewayTimeout]
 	cell := OverloadCell{
 		LoadX: loadX, OfferedPS: offered,
-		AchievedPS: round1(float64(stats.Samples) / wall),
+		AchievedPS: round1(stats.AchievedPerSec()),
 		Snapshots:  stats.Snapshots,
 		WallMS:     math.Round(wall*1e4) / 10,
-		Shed:       stats.Shed, Late: stats.Late, Failed: stats.Failed,
+		MaxLateMS:  roundMs(stats.MaxLate),
+		Shed:       shed, Late: late, Failed: stats.Snapshots - stats.ByStatus[http.StatusOK] - shed - late,
 		Inversions: srv.Overload().InversionTicks(),
 	}
 	for p := 0; p < overload.NumPriorities; p++ {
 		ts := stats.Tiers[p]
+		tierOK := ts.ByStatus[http.StatusOK]
 		cell.Tiers = append(cell.Tiers, TierCell{
 			Priority: overload.Priority(p).String(),
-			Sent:     ts.Sent, OK: ts.OK, Shed: ts.Shed, Late: ts.Late,
-			GoodputPS: round1(float64(ts.OK*overloadMachines) / wall),
+			Sent:     ts.Sent, OK: tierOK,
+			Shed:      ts.ByStatus[http.StatusTooManyRequests],
+			Late:      ts.ByStatus[http.StatusGatewayTimeout],
+			GoodputPS: round1(float64(tierOK*overloadMachines) / wall),
 			P50Ms:     roundMs(ts.P50), P99Ms: roundMs(ts.P99),
 		})
 	}
@@ -240,8 +253,8 @@ func runOverloadBench(w io.Writer, out string, seed int64, loads []int, seconds 
 		}
 		doc.Cells = append(doc.Cells, cell)
 		ti := cell.Tiers[overload.Interactive]
-		fmt.Fprintf(w, "load=%dx offered=%d/s achieved=%.0f/s  interactive %4d/%-4d ok (%.0f/s, p99 %.1fms)  shed=%d late=%d\n",
-			x, cell.OfferedPS, cell.AchievedPS, ti.OK, ti.Sent, ti.GoodputPS, ti.P99Ms, cell.Shed, cell.Late)
+		fmt.Fprintf(w, "load=%dx offered=%d/s achieved=%.0f/s (max late %.1fms)  interactive %4d/%-4d ok (%.0f/s, p99 %.1fms)  shed=%d late=%d\n",
+			x, cell.OfferedPS, cell.AchievedPS, cell.MaxLateMS, ti.OK, ti.Sent, ti.GoodputPS, ti.P99Ms, cell.Shed, cell.Late)
 	}
 
 	// Reproducibility: the smallest cell rerun must offer the identical

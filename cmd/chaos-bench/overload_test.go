@@ -55,7 +55,7 @@ func TestOverloadBenchRunAndCheck(t *testing.T) {
 	}
 }
 
-// TestOverloadBenchCheckRejectsBadDocs: schema drift (v1 included),
+// TestOverloadBenchCheckRejectsBadDocs: schema drift (v1 and v2 included),
 // missing repro proof, inversion ticks, a top cell below 5x, inverted
 // survival rates, a cell whose offered rate is not its load multiple of
 // capacity, and an under-driven cell all fail -check.
@@ -81,6 +81,7 @@ func TestOverloadBenchCheckRejectsBadDocs(t *testing.T) {
 	cases := map[string]OverloadDoc{
 		"schema.json": func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v0"; return d }(),
 		"v1.json":     func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v1"; return d }(),
+		"v2.json":     func() OverloadDoc { d := good(); d.Schema = "chaos-bench-overload/v2"; return d }(),
 		"repro.json":  func() OverloadDoc { d := good(); d.ReproVerified = false; return d }(),
 		"onecell.json": {Schema: OverloadSchema, CapacityPerSec: 800, ReproVerified: true,
 			Cells: []OverloadCell{cell(5, 190, 80)}},

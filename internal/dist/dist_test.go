@@ -411,21 +411,21 @@ func TestDistFollowerReplicatesAcrossLeaderRestart(t *testing.T) {
 
 	// Follower restart: the checkpoint resumes the tail without
 	// re-applying (the journal must not grow a second admit).
-	sizeBefore := freg.JournalSize()
+	_, sizeBefore, _, _, _ := freg.ReplicationStatus()
 	f2, err := StartFollower(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "catch-up after follower restart", func() bool { return f2.CaughtUp() })
 	f2.Close()
-	if got := freg.JournalSize(); got != sizeBefore {
+	if _, got, _, _, _ := freg.ReplicationStatus(); got != sizeBefore {
 		t.Fatalf("follower restart grew journal %d -> %d: duplicate applies", sizeBefore, got)
 	}
 
 	if !sameJSON(t, lreg.List(), freg.List()) || freg.ActiveVersion() != lreg.ActiveVersion() {
 		t.Fatal("final state diverges from leader")
 	}
-	jpath := freg.JournalPath()
+	jpath, _, _, _, _ := freg.ReplicationStatus()
 	if err := freg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,8 @@ func TestDistFollowerTornTailAndCorruptStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(lreg.JournalPath())
+	lpath, _, _, _, _ := lreg.ReplicationStatus()
+	raw, err := os.ReadFile(lpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +577,7 @@ func TestDistFollowerTornTailAndCorruptStream(t *testing.T) {
 	}
 	f.Close()
 
-	jpath := freg.JournalPath()
+	jpath, _, _, _, _ := freg.ReplicationStatus()
 	if err := freg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +631,8 @@ func TestDistReplicationTailEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("tail from 0: status %d", status)
 	}
-	disk, err := os.ReadFile(lreg.JournalPath())
+	lpath, _, _, _, _ := lreg.ReplicationStatus()
+	disk, err := os.ReadFile(lpath)
 	if err != nil {
 		t.Fatal(err)
 	}

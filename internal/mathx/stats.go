@@ -77,6 +77,13 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// NearestRank returns the index of the nearest-rank q-quantile among n
+// sorted values: ceil(q·n)−1, clamped into [0, n−1], so q ≥ 1 reads the
+// maximum.
+func NearestRank(n int, q float64) int {
+	return max(0, min(int(math.Ceil(q*float64(n)))-1, n-1))
+}
+
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 

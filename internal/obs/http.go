@@ -51,7 +51,8 @@ func NewMux(reg *Registry) *http.ServeMux {
 	return mux
 }
 
-// Server is a running metrics endpoint.
+// Server is a running HTTP listener: a metrics endpoint, or any handler
+// given to ServeHandler.
 type Server struct {
 	srv *http.Server
 	ln  net.Listener
@@ -60,15 +61,16 @@ type Server struct {
 // Serve binds addr (e.g. ":9090" or "127.0.0.1:0") and serves the
 // registry's mux in a background goroutine. Close the returned server to
 // stop it.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func Serve(addr string, reg *Registry) (*Server, error) { return ServeHandler(addr, NewMux(reg)) }
+
+// ServeHandler binds addr and serves h in a background goroutine. Close
+// the returned server to stop it.
+func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{
-		Handler:           NewMux(reg),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
 	return &Server{srv: srv, ln: ln}, nil
 }

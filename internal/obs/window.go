@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -40,9 +39,8 @@ func (w *Window) Len() int {
 	return w.ring.Len()
 }
 
-// Quantile returns the nearest-rank q-quantile: the ceil(q·n)−1'th
-// smallest of the n held observations, clamped into [0, n−1], so q ≥ 1
-// reads the maximum. An empty window reads 0.
+// Quantile returns the nearest-rank q-quantile of the held observations
+// (mathx.NearestRank). An empty window reads 0.
 func (w *Window) Quantile(q float64) float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -52,7 +50,7 @@ func (w *Window) Quantile(q float64) float64 {
 	}
 	s := w.ring.AppendTo(w.sorted[:0])
 	slices.Sort(s)
-	return s[max(0, min(int(math.Ceil(q*float64(n)))-1, n-1))]
+	return s[mathx.NearestRank(n, q)]
 }
 
 // FracAbove returns the share of held observations strictly greater than

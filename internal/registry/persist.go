@@ -301,26 +301,3 @@ func (r *Registry) snapshotLocked() ([]byte, error) {
 	}
 	return data, nil
 }
-
-// Compactions returns how many snapshot compactions have run (tests and
-// the recovered event).
-func (r *Registry) Compactions() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.persist == nil {
-		return 0
-	}
-	return r.persist.compactions
-}
-
-// JournalSize returns the current journal size in bytes, -1 for
-// in-memory registries.
-func (r *Registry) JournalSize() int64 {
-	r.mu.Lock()
-	p := r.persist
-	r.mu.Unlock()
-	if p == nil {
-		return -1
-	}
-	return p.j.Size()
-}

@@ -181,7 +181,7 @@ func TestRecoveryTornTailRegistry(t *testing.T) {
 	if err := r.Add("v2", mkCluster(t, "p", 20), Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	sizeBefore := r.JournalSize()
+	_, sizeBefore, _, _, _ := r.ReplicationStatus()
 	if err := r.Activate("v2"); err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestRecoveryCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if sz := r.JournalSize(); sz > bound {
+		if _, sz, _, _, _ := r.ReplicationStatus(); sz > bound {
 			t.Fatalf("journal grew to %d, bound %d", sz, bound)
 		}
 	}
-	if r.Compactions() == 0 {
+	if _, _, _, compactions, _ := r.ReplicationStatus(); compactions == 0 {
 		t.Fatal("no compaction ran despite tiny bound")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {

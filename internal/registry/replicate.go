@@ -44,16 +44,6 @@ func (r *Registry) ReplicationStatus() (path string, size int64, records, epoch 
 	return r.persist.j.Path(), r.persist.j.Size(), r.persist.records, r.persist.compactions, true
 }
 
-// JournalPath returns the journal file path, "" for in-memory registries.
-func (r *Registry) JournalPath() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.persist == nil {
-		return ""
-	}
-	return r.persist.j.Path()
-}
-
 // ReplicaSnapshot marshals the full state for follower bootstrap together
 // with the journal coordinates the follower should resume tailing from.
 // State and coordinates are captured under one lock acquisition, so the

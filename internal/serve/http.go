@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -575,34 +574,19 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"status": status, "error": msg})
 }
 
-// ListenAndServe binds addr and serves the mux in the background, like
-// obs.Serve. Close the returned listener wrapper to stop.
-type HTTPServer struct {
-	srv *http.Server
-	ln  net.Listener
-}
+// HTTPServer is a running API listener. Closing it stops the listener;
+// the engine keeps running until it is closed separately.
+type HTTPServer = obs.Server
 
-// Serve binds addr (":8080", "127.0.0.1:0") and serves the engine's API.
+// Serve binds addr (":8080", "127.0.0.1:0") and serves the engine's API
+// in the background.
 func Serve(addr string, s *Server) (*HTTPServer, error) {
-	return ServeHandler(addr, NewMux(s))
+	return obs.ServeHandler(addr, NewMux(s))
 }
 
 // ServeHandler binds addr and serves an arbitrary handler — the
 // distributed mode mounts its cluster front door and replication
 // endpoints on top of NewMux before listening.
 func ServeHandler(addr string, h http.Handler) (*HTTPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
-	return &HTTPServer{srv: srv, ln: ln}, nil
+	return obs.ServeHandler(addr, h)
 }
-
-// Addr returns the bound address.
-func (h *HTTPServer) Addr() string { return h.ln.Addr().String() }
-
-// Close stops the HTTP listener (the engine keeps running; close it
-// separately).
-func (h *HTTPServer) Close() error { return h.srv.Close() }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/online"
 	"repro/internal/registry"
-	"repro/internal/trace"
 )
 
 // testNames is the counter-stream order every test fixture uses.
@@ -525,95 +524,6 @@ func TestServeDeadlineExceeded(t *testing.T) {
 	if status := <-late; status != http.StatusGatewayTimeout {
 		t.Errorf("expired request: %d, want 504", status)
 	}
-}
-
-// TestServeBatchThroughputAmortization is the acceptance check: the
-// batched endpoint must sustain at least 5x the snapshot throughput of
-// the single-sample endpoint at equal error, because one HTTP round trip
-// and one queue wakeup amortize across the whole payload.
-func TestServeBatchThroughputAmortization(t *testing.T) {
-	_, base := newTestServer(t, Config{Shards: 2, QueueDepth: 4096, BatchMax: 256})
-	traces := syntheticTraces(t, 3, 200)
-
-	firstErr := math.NaN()
-	run := func(batch int) *LoadStats {
-		stats, err := RunLoadGen(LoadGenConfig{
-			TargetURL:    base,
-			Traces:       traces,
-			Snapshots:    2000,
-			Clients:      4,
-			Batch:        batch,
-			IncludeMeter: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Failed != 0 || stats.Shed != 0 || stats.Late != 0 {
-			t.Fatalf("batch=%d: failed %d shed %d late %d", batch, stats.Failed, stats.Shed, stats.Late)
-		}
-		if stats.OK != 2000 {
-			t.Fatalf("batch=%d: ok %d, want 2000", batch, stats.OK)
-		}
-		// Equal error: identical model, identical inputs — identical
-		// estimates on every run, single or batched.
-		if math.IsNaN(firstErr) {
-			firstErr = stats.MeanAbsErr()
-		} else if d := math.Abs(stats.MeanAbsErr() - firstErr); d > 1e-9 {
-			t.Errorf("batch=%d changed accuracy: %.6f W vs %.6f W", batch, stats.MeanAbsErr(), firstErr)
-		}
-		return stats
-	}
-	best := func(cur, s *LoadStats) *LoadStats {
-		if cur == nil || s.SamplesPerSec > cur.SamplesPerSec {
-			return s
-		}
-		return cur
-	}
-	// One wall-clock run moves with whatever else holds the CPU, so three
-	// single/batched pairs run in alternating order and each side is
-	// judged by its best run.
-	var single, batched *LoadStats
-	for pair := 0; pair < 3; pair++ {
-		if pair%2 == 0 {
-			single = best(single, run(1))
-			batched = best(batched, run(32))
-		} else {
-			batched = best(batched, run(32))
-			single = best(single, run(1))
-		}
-	}
-
-	ratio := batched.SamplesPerSec / single.SamplesPerSec
-	t.Logf("best single: %.0f samples/s (p99 %s); best batched: %.0f samples/s (p99 %s); ratio %.1fx",
-		single.SamplesPerSec, single.LatencyP99, batched.SamplesPerSec, batched.LatencyP99, ratio)
-	if ratio < 5 {
-		t.Errorf("batched throughput only %.1fx single, want >= 5x", ratio)
-	}
-}
-
-// syntheticTraces builds n aligned machine traces over testNames whose
-// metered power equals the v1 model's prediction, so MeanAbsErr is
-// exactly zero when serving v1.
-func syntheticTraces(t *testing.T, machines, seconds int) []*trace.Trace {
-	t.Helper()
-	out := make([]*trace.Trace, machines)
-	for m := 0; m < machines; m++ {
-		b := trace.NewBuilder("p", "synthetic", fmt.Sprintf("m%d", m), 0, testNames, 0)
-		for i := 0; i < seconds; i++ {
-			a := float64((i + m) % 50)
-			bb := float64((i * (m + 1)) % 30)
-			watts := 10 + a + 2*bb // matches mkLinear(10)
-			if err := b.Add([]float64{a, bb}, watts, watts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[m] = tr
-	}
-	return out
 }
 
 // TestServeHotSwapUnderLoad is the satellite race test: hammer
