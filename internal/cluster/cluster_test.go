@@ -325,6 +325,29 @@ func TestClusterTopologyValidation(t *testing.T) {
 	if got := valid.MachineCount(); got != 2 {
 		t.Fatalf("MachineCount = %d, want 2", got)
 	}
+
+	// Grids whose machine count wraps an int: the first two wrap on 64
+	// bits (to 0 and to about -9.2e18), the last on 32. They go through
+	// JSON because 3037000500 is not a 32-bit int constant.
+	for _, doc := range overflowingGrids() {
+		if s, err := ParseSpec(doc); err == nil {
+			t.Errorf("accepted a grid with MachineCount %d: %s", s.MachineCount(), doc)
+		} else if !strings.Contains(err.Error(), "limit") && !strings.Contains(err.Error(), "cannot unmarshal") {
+			t.Errorf("error %q names neither the machine limit nor the decode: %s", err, doc)
+		}
+	}
+}
+
+// overflowingGrids are grid documents whose dimensions multiply past
+// MaxMachines far enough to wrap.
+func overflowingGrids() [][]byte {
+	var docs [][]byte
+	for _, dims := range [][3]uint64{{2097152, 2097152, 4194304}, {3037000500, 3037000500, 1}, {65536, 65536, 1}} {
+		docs = append(docs, []byte(fmt.Sprintf(`{"version":%q,"name":"dc","seed":1,"grid":{"rows":%d,"racks_per_row":%d,"machines_per_rack":%d,`+
+			`"platforms":[{"name":"Atom","weight":1}],"profiles":[{"name":"idle","weight":1}]}}`,
+			SpecVersion, dims[0], dims[1], dims[2])))
+	}
+	return docs
 }
 
 // TestClusterParseSpecStrict: unknown fields and trailing garbage are
@@ -353,8 +376,8 @@ func TestClusterParseSpecStrict(t *testing.T) {
 }
 
 // FuzzClusterTopology: the decoder never panics, and any accepted
-// document validates and survives a canonical marshal → parse → marshal
-// round-trip byte-for-byte.
+// document validates, describes 1 to MaxMachines machines, and survives a
+// canonical marshal → parse → marshal round-trip byte-for-byte.
 func FuzzClusterTopology(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"version":%q,"name":"dc","seed":7,"tree":{"name":"rack","machines":[{"id":"m1","platform":"Atom","profile":"bursty"}]}}`, SpecVersion)))
 	seed, _ := json.Marshal(gridSpec(2, 2, 2, 3))
@@ -364,6 +387,9 @@ func FuzzClusterTopology(f *testing.F) {
 	for _, tail := range []string{`}`, `]`, `{}`, ` garbage`} {
 		f.Add([]byte(fmt.Sprintf(`{"version":%q,"name":"dc","seed":7,"tree":{"name":"rack","machines":[{"id":"m1","platform":"Atom"}]}}`, SpecVersion) + tail))
 	}
+	for _, doc := range overflowingGrids() {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {
@@ -371,6 +397,9 @@ func FuzzClusterTopology(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseSpec accepted a document Validate rejects: %v", err)
+		}
+		if n := s.MachineCount(); n < 1 || n > MaxMachines {
+			t.Fatalf("accepted a document of %d machines, want 1 to %d", n, MaxMachines)
 		}
 		canon, err := json.Marshal(s)
 		if err != nil {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"time"
 
+	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -24,7 +26,7 @@ const (
 // (kind evMachine, idx = machine index) or a queued control actuation
 // (kind evActuation, idx = slot in the actuations slice). Each machine
 // has at most one pending event and each actuation slot fires once, so
-// (at, kind, idx) is unique and the heap order is total and
+// (at, kind, idx) is unique and the event order is total and
 // deterministic.
 type event struct {
 	at   int64
@@ -42,17 +44,40 @@ func (e event) less(o event) bool {
 	return e.idx < o.idx
 }
 
+// chunk is how many of one second's machine events a ParallelFor worker
+// takes at a time. A second fans out only when it holds at least two
+// chunks; a smaller one steps inline, since ParallelFor's goroutines and
+// allocations would cost more than its steps.
+const chunk = 128
+
+// The wall time RunUntil spends in each phase of a simulated second.
+var (
+	phaseActuate = obs.Default().Counter("chaos_cluster_phase_seconds_total", obs.Labels{"phase": "actuate"})
+	phaseStep    = obs.Default().Counter("chaos_cluster_phase_seconds_total", obs.Labels{"phase": "step"})
+	phaseCommit  = obs.Default().Counter("chaos_cluster_phase_seconds_total", obs.Labels{"phase": "commit"})
+)
+
 // ClusterSimulator advances a Topology through simulated time
 // event-drivenly: machines schedule their next state change (burst
 // start, per-second step while active, burst end) on a shared clock, and
 // nothing at all happens for idle machines. The exported primitives —
 // HasPendingEvents, PeekNextEventTime, ProcessNextEvent — expose the
-// loop one event at a time so tests can interleave invariant checks, and
-// RunUntil drives them in bulk.
+// loop one event at a time so tests can interleave invariant checks.
+// RunUntil takes whole simulated seconds at a time: the second's
+// actuations in order, then its machine events, stepped in parallel when
+// there are enough of them, then their results committed in machine
+// index order, which is exactly the state the one-event loop reaches.
 type ClusterSimulator struct {
 	topo *Topology
 
+	// Pending events live in two queues; the next event is the lesser of
+	// their heads. An active machine's next event is always a step at the
+	// following second, and events are taken in (at, kind, idx) order, so
+	// those steps arrive already sorted and go to the FIFO, which holds at
+	// most one per machine. The heap holds the rest: wakes (burst starts,
+	// migration hand-offs) and actuations.
 	heap  []event
+	fifo  *mathx.Ring[event]
 	clock int64
 
 	events int64 // processed events
@@ -63,6 +88,12 @@ type ClusterSimulator struct {
 	// idx addresses this slice, and slots are nil'd once fired.
 	actuations []func(now int64)
 
+	// slots holds one entry per machine event of the second RunUntil is
+	// taking, in machine index order; applyChunk is its ParallelFor body,
+	// bound once so a fanned-out second does not allocate a closure.
+	slots      []slot
+	applyChunk func(c int)
+
 	// servedCPU accumulates served CPU core-seconds across every machine
 	// step — the throughput a capping run is judged against.
 	servedCPU float64
@@ -71,13 +102,43 @@ type ClusterSimulator struct {
 	dbuf   [20]byte
 }
 
+// slot is what one machine's events of one second leave for the shared
+// state. apply fills it from the machine's own state alone, so slots are
+// independent; commit folds it into the digest, the hierarchy, the
+// counters and the queues without touching the machine, whose state the
+// worker that applied it may still hold in its cache.
+type slot struct {
+	parent *Level // the machine's rack
+	// watts holds what each event taken recorded, in order: idle watts at
+	// a park, metered watts at a step. A park whose next burst starts in
+	// the same second takes two events; n counts them.
+	watts  [2]float64
+	served float64 // the step's served CPU core-seconds
+	// wake is a parked machine's next burst start, or -1 when it parked
+	// for good (the idle profile).
+	wake   int64
+	idx    int32
+	n      int8
+	active int8 // change in the number of machines inside a burst
+	// stepped reports that the last event stepped the machine, whose next
+	// event is then a step at the following second.
+	stepped bool
+}
+
 // NewSimulator readies a built topology for simulation from t=0: every
 // non-idle machine's first burst is scheduled, idle-profile machines are
 // parked at their idle watts and never wake.
 func NewSimulator(topo *Topology) *ClusterSimulator {
 	cs := &ClusterSimulator{
 		topo:   topo,
+		fifo:   mathx.NewRing[event](len(topo.Machines)),
 		digest: sha256.New(),
+	}
+	cs.applyChunk = func(c int) {
+		slots := cs.slots[c*chunk : min((c+1)*chunk, len(cs.slots))]
+		for i := range slots {
+			cs.apply(&slots[i], cs.clock, true)
+		}
 	}
 	for _, mn := range topo.Machines {
 		cs.scheduleNextBurst(mn, 0)
@@ -116,59 +177,176 @@ func (cs *ClusterSimulator) Digest() string {
 
 // HasPendingEvents reports whether any machine has a scheduled state
 // change. A fleet of only idle-profile machines has none.
-func (cs *ClusterSimulator) HasPendingEvents() bool { return len(cs.heap) > 0 }
+func (cs *ClusterSimulator) HasPendingEvents() bool { return len(cs.heap) > 0 || cs.fifo.Len() > 0 }
 
 // PeekNextEventTime returns the simulated second of the earliest pending
 // event. It panics if no events are pending.
 func (cs *ClusterSimulator) PeekNextEventTime() int64 {
-	if len(cs.heap) == 0 {
-		panic("cluster: PeekNextEventTime on empty event heap")
+	ev, _, ok := cs.head()
+	if !ok {
+		panic("cluster: PeekNextEventTime with no pending events")
 	}
-	return cs.heap[0].at
+	return ev.at
 }
 
-// ProcessNextEvent pops and applies the earliest event: it advances the
+// ProcessNextEvent takes and applies the earliest event: it advances the
 // clock to the event's time, steps or parks the event's machine, dirties
 // that machine's path to the root, and schedules the machine's next
 // event. It reports false when no events remain.
 func (cs *ClusterSimulator) ProcessNextEvent() bool {
-	if len(cs.heap) == 0 {
+	ev, inFIFO, ok := cs.head()
+	if !ok {
 		return false
 	}
-	ev := cs.pop()
+	cs.take(inFIFO)
 	if ev.at > cs.clock {
 		cs.clock = ev.at
 	}
-	cs.events++
-
 	if ev.kind == evActuation {
-		fn := cs.actuations[ev.idx]
-		cs.actuations[ev.idx] = nil
-		if fn != nil {
-			fn(ev.at)
-		}
+		cs.actuate(ev)
 		return true
 	}
+	s := slot{idx: ev.idx}
+	cs.apply(&s, ev.at, false)
+	cs.commit(&s, ev.at)
+	return true
+}
 
-	mn := cs.topo.Machines[ev.idx]
+// RunUntil processes every event scheduled at or before end, then
+// advances the clock to end. Idle stretches cost nothing: the clock
+// jumps straight over them. Each simulated second that holds events is
+// taken whole, and its phases' wall time is added to
+// chaos_cluster_phase_seconds_total.
+func (cs *ClusterSimulator) RunUntil(end int64) {
+	mark := time.Now()
+	for {
+		ev, _, ok := cs.head()
+		if !ok || ev.at > end {
+			break
+		}
+		mark = cs.runSecond(ev.at, mark)
+	}
+	if end > cs.clock {
+		cs.clock = end
+	}
+}
 
+// runSecond takes every event of second s, the earliest pending one, in
+// three phases, and returns the time it finished. since is when its
+// actuate phase began.
+func (cs *ClusterSimulator) runSecond(s int64, since time.Time) time.Time {
+	cs.clock = s
+	// Actuate: the second's actuations run first and in order, as they
+	// sort first. One may cap or migrate a machine, queue another
+	// actuation at s, or wake a machine at s.
+	for {
+		ev, _, ok := cs.head()
+		if !ok || ev.at != s || ev.kind != evActuation {
+			break
+		}
+		cs.take(false)
+		cs.actuate(ev)
+	}
+	actuated := time.Now()
+
+	// Step: every machine event left at s, in index order from both
+	// heads. Each touches only its own machine, so the slots can be
+	// applied in any order and on any goroutine.
+	cs.slots = cs.slots[:0]
+	for {
+		ev, inFIFO, ok := cs.head()
+		if !ok || ev.at != s {
+			break
+		}
+		cs.take(inFIFO)
+		cs.slots = append(cs.slots, slot{idx: ev.idx})
+	}
+	if n := len(cs.slots); n >= 2*chunk {
+		mathx.ParallelFor((n+chunk-1)/chunk, cs.applyChunk)
+	} else {
+		for i := range cs.slots {
+			cs.apply(&cs.slots[i], s, true)
+		}
+	}
+	stepped := time.Now()
+
+	// Commit, in index order: the order the one-event loop takes them in.
+	for i := range cs.slots {
+		cs.commit(&cs.slots[i], s)
+	}
+	done := time.Now()
+	phaseActuate.Add(actuated.Sub(since).Seconds())
+	phaseStep.Add(stepped.Sub(actuated).Seconds())
+	phaseCommit.Add(done.Sub(stepped).Seconds())
+	return done
+}
+
+// head returns the earliest pending event and whether the FIFO holds it.
+func (cs *ClusterSimulator) head() (ev event, inFIFO, ok bool) {
+	if cs.fifo.Len() > 0 {
+		ev, inFIFO, ok = cs.fifo.At(0), true, true
+	}
+	if len(cs.heap) > 0 && (!ok || cs.heap[0].less(ev)) {
+		ev, inFIFO, ok = cs.heap[0], false, true
+	}
+	return ev, inFIFO, ok
+}
+
+// take removes the event head returned.
+func (cs *ClusterSimulator) take(inFIFO bool) {
+	if inFIFO {
+		cs.fifo.Pop()
+	} else {
+		cs.pop()
+	}
+}
+
+// actuate runs a queued control callback.
+func (cs *ClusterSimulator) actuate(ev event) {
+	cs.events++
+	fn := cs.actuations[ev.idx]
+	cs.actuations[ev.idx] = nil
+	if fn != nil {
+		fn(ev.at)
+	}
+}
+
+// apply takes machine s.idx's event at second at, touching nothing but
+// that machine and s. With whole set it also takes the machine's wake
+// when a park draws a next burst starting in the same second (heavy and
+// steady can draw a gap of 0), as the event loop would take it next;
+// ProcessNextEvent clears whole, leaving the wake on the heap, so that
+// it takes exactly one event.
+func (cs *ClusterSimulator) apply(s *slot, at int64, whole bool) {
+	mn := cs.topo.Machines[s.idx]
+	s.parent = mn.parent
+	if mn.active && at >= mn.burstEnd {
+		// Burst over: park the machine at idle watts and draw its next
+		// wake. No machine step happens at this boundary.
+		mn.active = false
+		s.active--
+		mn.trueWatts = mn.Machine.IdleWatts()
+		mn.watts = mn.trueWatts
+		s.watts[s.n] = mn.watts
+		s.n++
+		start, ok := drawNextBurst(mn, at)
+		if !ok {
+			s.wake = -1
+			return
+		}
+		if start > at || !whole {
+			s.wake = start
+			return
+		}
+	}
 	if !mn.active {
 		// Wake: the pending burst begins now, with its per-second demand
 		// computed once for the whole burst.
 		mn.active = true
 		mn.pendingWake = false
-		mn.burstEnd = ev.at + mn.pendingDur
+		mn.burstEnd = at + mn.pendingDur
 		mn.demand = mn.Profile.Demand(mn.Machine.Spec, mn.pendingLevel)
-		cs.active++
-	} else if ev.at >= mn.burstEnd {
-		// Burst over: park the machine at idle watts and schedule its
-		// next wake. No machine step happens at this boundary.
-		mn.active = false
-		cs.active--
-		mn.trueWatts = mn.Machine.IdleWatts()
-		cs.record(mn, ev.at, mn.Machine.IdleWatts())
-		cs.scheduleNextBurst(mn, ev.at)
-		return true
+		s.active++
 	}
 
 	// Step one simulated second of the burst's demand.
@@ -181,23 +359,31 @@ func (cs *ClusterSimulator) ProcessNextEvent() bool {
 	} else {
 		served, p = mn.Machine.StepPower(mn.demand)
 	}
-	cs.steps++
-	cs.servedCPU += served.CPU
 	mn.trueWatts = p.TrueWatts
-	cs.record(mn, ev.at, p.MeterWatts)
-	cs.push(event{at: ev.at + 1, idx: ev.idx, kind: evMachine})
-	return true
+	mn.watts = p.MeterWatts
+	s.watts[s.n] = mn.watts
+	s.n++
+	s.stepped = true
+	s.served = served.CPU
 }
 
-// RunUntil processes every event scheduled at or before end, then
-// advances the clock to end. Idle stretches cost nothing: the clock
-// jumps straight over them.
-func (cs *ClusterSimulator) RunUntil(end int64) {
-	for cs.HasPendingEvents() && cs.PeekNextEventTime() <= end {
-		cs.ProcessNextEvent()
+// commit folds an applied slot into the shared state: its watts into the
+// digest, the dirty path to the root, its counts, and the machine's next
+// event.
+func (cs *ClusterSimulator) commit(s *slot, at int64) {
+	s.parent.markDirty()
+	for _, w := range s.watts[:s.n] {
+		cs.digestRecord(at, uint32(s.idx), w)
 	}
-	if end > cs.clock {
-		cs.clock = end
+	cs.events += int64(s.n)
+	cs.active += int(s.active)
+	switch {
+	case s.stepped:
+		cs.steps++
+		cs.servedCPU += s.served
+		cs.pushStep(event{at: at + 1, idx: s.idx, kind: evMachine})
+	case s.wake >= 0:
+		cs.push(event{at: s.wake, idx: s.idx, kind: evMachine})
 	}
 }
 
@@ -255,11 +441,7 @@ const (
 // RecordControl folds a control-plane action into the reproducibility
 // digest: (kind, payload, value) with bit 31 set on the index word.
 func (cs *ClusterSimulator) RecordControl(kind uint8, payload uint32, val float64) {
-	tag := 1<<31 | uint32(kind&0x7)<<28 | payload&0x0fff_ffff
-	binary.LittleEndian.PutUint64(cs.dbuf[0:8], uint64(cs.clock))
-	binary.LittleEndian.PutUint32(cs.dbuf[8:12], tag)
-	binary.LittleEndian.PutUint64(cs.dbuf[12:20], math.Float64bits(val))
-	cs.digest.Write(cs.dbuf[:])
+	cs.digestRecord(cs.clock, 1<<31|uint32(kind&0x7)<<28|payload&0x0fff_ffff, val)
 }
 
 // ScheduleActuation queues fn to run at simulated second `at` (clamped to
@@ -338,21 +520,36 @@ func (cs *ClusterSimulator) MigrateProfile(from, to int) error {
 func (cs *ClusterSimulator) record(mn *MachineNode, at int64, watts float64) {
 	mn.watts = watts
 	mn.parent.markDirty()
+	cs.digestRecord(at, uint32(mn.Index), watts)
+}
+
+// digestRecord folds one (time, index word, value) record into the
+// reproducibility digest.
+func (cs *ClusterSimulator) digestRecord(at int64, tag uint32, val float64) {
 	binary.LittleEndian.PutUint64(cs.dbuf[0:8], uint64(at))
-	binary.LittleEndian.PutUint32(cs.dbuf[8:12], uint32(mn.Index))
-	binary.LittleEndian.PutUint64(cs.dbuf[12:20], math.Float64bits(watts))
+	binary.LittleEndian.PutUint32(cs.dbuf[8:12], tag)
+	binary.LittleEndian.PutUint64(cs.dbuf[12:20], math.Float64bits(val))
 	cs.digest.Write(cs.dbuf[:])
 }
 
 func (cs *ClusterSimulator) scheduleNextBurst(mn *MachineNode, now int64) {
+	if start, ok := drawNextBurst(mn, now); ok {
+		cs.push(event{at: start, idx: int32(mn.Index), kind: evMachine})
+	}
+}
+
+// drawNextBurst draws the machine's next burst from its profile and
+// private stream and holds it as the pending wake. ok is false for the
+// idle profile: the machine stays parked at idle watts forever.
+func drawNextBurst(mn *MachineNode, now int64) (start int64, ok bool) {
 	start, dur, level, ok := mn.Profile.NextBurst(mn.rng, now)
 	if !ok {
-		return // idle profile: parked at idle watts forever
+		return 0, false
 	}
 	mn.pendingDur = dur
 	mn.pendingLevel = level
 	mn.pendingWake = true
-	cs.push(event{at: start, idx: int32(mn.Index), kind: evMachine})
+	return start, true
 }
 
 // push/pop implement a plain binary min-heap over the event slice;
@@ -392,4 +589,20 @@ func (cs *ClusterSimulator) pop() event {
 		i = min
 	}
 	return top
+}
+
+// pushStep queues a machine's step at the following second. Steps are
+// taken in (at, idx) order and each pushes its successor, so the FIFO
+// stays sorted and holds at most one step per machine; a push that breaks
+// either is a bug in the event loop.
+func (cs *ClusterSimulator) pushStep(e event) {
+	if n := cs.fifo.Len(); n == len(cs.topo.Machines) {
+		panic(fmt.Sprintf("cluster: step queue full at %d events: a machine has two pending events", n))
+	} else if n > 0 {
+		if last := cs.fifo.At(n - 1); !last.less(e) {
+			panic(fmt.Sprintf("cluster: step of machine %d at %d queued behind machine %d at %d: events were taken out of order",
+				e.idx, e.at, last.idx, last.at))
+		}
+	}
+	cs.fifo.Push(e)
 }

@@ -139,8 +139,15 @@ func (g *Grid) validate() error {
 		return fmt.Errorf("cluster: grid dimensions %dx%dx%d must all be ≥ 1",
 			g.Rows, g.RacksPerRow, g.MachinesPerRack)
 	}
-	if n := g.Rows * g.RacksPerRow * g.MachinesPerRack; n > MaxMachines {
-		return fmt.Errorf("cluster: grid of %d machines exceeds the %d limit", n, MaxMachines)
+	// Bound each partial product before the next multiplication, so the
+	// product of three ints cannot wrap past the limit.
+	n := 1
+	for _, d := range [...]int{g.Rows, g.RacksPerRow, g.MachinesPerRack} {
+		if d > MaxMachines/n {
+			return fmt.Errorf("cluster: grid %dx%dx%d exceeds the %d-machine limit",
+				g.Rows, g.RacksPerRow, g.MachinesPerRack, MaxMachines)
+		}
+		n *= d
 	}
 	if err := validateMix("platforms", g.Platforms, validPlatform); err != nil {
 		return err

@@ -1,9 +1,10 @@
 package mathx
 
 // Ring is a bounded window over the newest values pushed: once full, each
-// Push evicts the oldest. NewRing allocates the storage once, so Push, At
-// and Len allocate nothing. A Ring is not safe for concurrent use; each
-// owner guards its rings with its own lock.
+// Push evicts the oldest. Pop takes the oldest, so an owner that never
+// pushes onto a full ring has a bounded FIFO queue. NewRing allocates the
+// storage once, so Push, Pop, At and Len allocate nothing. A Ring is not
+// safe for concurrent use; each owner guards its rings with its own lock.
 type Ring[T any] struct {
 	buf  []T
 	next int // the slot the next Push writes: the oldest value once full
@@ -29,6 +30,14 @@ func (r *Ring[T]) Push(v T) {
 	if r.n < len(r.buf) {
 		r.n++
 	}
+}
+
+// Pop removes and returns the oldest value. It panics if the ring is
+// empty.
+func (r *Ring[T]) Pop() T {
+	v := r.At(0)
+	r.n--
+	return v
 }
 
 // Len returns how many values the ring holds.

@@ -8,7 +8,9 @@ import (
 // TestRingMatchesSlice drives Ring against a plain-slice reference (append,
 // then keep the newest capacity values) over random capacities and push
 // counts: none, fewer than capacity, exactly capacity, one past it and
-// several wraps. After every push Len, every At and AppendTo must agree.
+// several wraps. Every other trial also pops the oldest value after about
+// a third of its pushes. After every push and pop Len, every At and
+// AppendTo must agree.
 func TestRingMatchesSlice(t *testing.T) {
 	rng := NewSplitMix(23)
 	for trial := 0; trial < 200; trial++ {
@@ -55,12 +57,19 @@ func TestRingMatchesSlice(t *testing.T) {
 				ref = ref[1:]
 			}
 			check()
+			if trial%2 == 1 && len(ref) > 0 && rng.Intn(3) == 0 {
+				if got := r.Pop(); got != ref[0] {
+					t.Fatalf("cap %d, %d held: Pop() = %d, want %d", capacity, len(ref), got, ref[0])
+				}
+				ref = ref[1:]
+				check()
+			}
 		}
 	}
 }
 
-// TestRingAllocFree: Push and At allocate nothing, and AppendTo into a
-// slice with room allocates nothing.
+// TestRingAllocFree: Push, Pop and At allocate nothing, and AppendTo into
+// a slice with room allocates nothing.
 func TestRingAllocFree(t *testing.T) {
 	r := NewRing[float64](7)
 	dst := make([]float64, 0, 7)
@@ -71,17 +80,18 @@ func TestRingAllocFree(t *testing.T) {
 		}
 		sink += r.At(0) + r.At(r.Len()-1)
 		dst = r.AppendTo(dst[:0])
+		r.Push(r.Pop())
 	})
 	if allocs != 0 {
-		t.Errorf("Push/At/AppendTo allocate %v times per run, want 0", allocs)
+		t.Errorf("Push/Pop/At/AppendTo allocate %v times per run, want 0", allocs)
 	}
 	if sink == 0 || len(dst) != 7 {
 		t.Errorf("unexpected ring contents: sink %v, %d held", sink, len(dst))
 	}
 }
 
-// TestRingPanics: a non-positive capacity and an index outside
-// [0, Len()) are caller bugs and panic.
+// TestRingPanics: a non-positive capacity, an index outside [0, Len())
+// and a Pop from an empty ring are caller bugs and panic.
 func TestRingPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -95,6 +105,7 @@ func TestRingPanics(t *testing.T) {
 	mustPanic("NewRing(0)", func() { NewRing[int](0) })
 	r := NewRing[int](3)
 	mustPanic("At(0) on an empty ring", func() { r.At(0) })
+	mustPanic("Pop on an empty ring", func() { r.Pop() })
 	r.Push(1)
 	r.Push(2)
 	mustPanic("At(Len())", func() { r.At(2) })
